@@ -11,7 +11,10 @@ transposed convolution, per-channel batch normalization with running
 statistics, relu/tanh, 2x2 max pooling, concatenation/slicing, batched
 matrix multiply, per-position L2 channel normalization, elementwise
 add/mul, and sum/mean reductions. Convolutions are expressed as matrix
-multiplies so the heavy lifting stays in BLAS.
+multiplies so the heavy lifting stays in BLAS; the memory-bound ops
+(batch norm, max pooling, the placement around the transposed conv's
+GEMM) are written to make as few passes over their tensors as they can,
+with every per-channel reduction accumulated in float64.
 
 Training runs in float32; feed float64 arrays when checking gradients,
 since 32-bit noise masks real defects.
@@ -26,7 +29,6 @@ import struct
 
 import numpy as np
 
-from . import _kernels as kernels
 from .errors import (
     CheckpointCorruptError,
     NoForwardPassError,
@@ -183,7 +185,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate(g * (x.data > 0))
+            x.accumulate_owned(g * (x.data > 0))
 
     return _node(data, (x,), backward)
 
@@ -193,7 +195,7 @@ def tanh(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate(g * (1.0 - data * data))
+            x.accumulate_owned(g * (1.0 - data * data))
 
     return _node(data, (x,), backward)
 
@@ -305,6 +307,7 @@ def l2_normalize(x: Tensor, axis: int = 1, eps: float = 1e-12) -> Tensor:
 # convolutional primitives
 
 _TAP_OFFSETS = [(di, dj) for di in range(3) for dj in range(3)]
+_BLOCK_OFFSETS = [(i, j) for i in range(2) for j in range(2)]
 
 
 def _conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -341,14 +344,17 @@ def _conv2d_head(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Single-output-channel route (the prediction head).
 
     Forward runs nine tap-shifted matrix multiplies over the flat padded
-    input at the padded row pitch (gap columns discarded); backward is a
-    fused kernel, since a patch matrix would dwarf the actual work here.
+    input at the padded row pitch (gap columns discarded), since a patch
+    matrix would dwarf the actual work here. Backward lays the output
+    gradient out once per tap at the same pitch (zero in the gap
+    columns), so dW and dX are each a single GEMM against those taps.
     """
     batch, channels, height, width = x.data.shape
     pitch = width + 2
+    flat = (height + 2) * pitch
     span = (height - 1) * pitch + width
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    xf = xp.reshape(batch, channels, (height + 2) * pitch)
+    xf = xp.reshape(batch, channels, flat)
     acc = np.zeros((batch, 1, height * pitch), dtype=x.dtype)
     for di, dj in _TAP_OFFSETS:
         start = di * pitch + dj
@@ -356,15 +362,24 @@ def _conv2d_head(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     data = acc.reshape(batch, 1, height, pitch)[:, :, :, :width] + bias.data.reshape(1, -1, 1, 1)
 
     def backward(g):
-        g2 = np.ascontiguousarray(g[:, 0])
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2, 3)))
-        if weight.requires_grad or x.requires_grad:
-            dx, dw = kernels.conv1_backward(xp, weight.data[0], g2)
-            if weight.requires_grad:
-                weight.accumulate_owned(dw.reshape(weight.data.shape))
-            if x.requires_grad:
-                x.accumulate_owned(dx)
+        if not (weight.requires_grad or x.requires_grad):
+            return
+        gp = np.zeros((batch, height, pitch), dtype=g.dtype)
+        gp[:, :, :width] = g[:, 0]
+        gp = gp.reshape(batch, height * pitch)
+        # taps[b, k, p] = g at the output that reads padded input p through tap k
+        taps = np.zeros((batch, 9, flat), dtype=g.dtype)
+        for k, (di, dj) in enumerate(_TAP_OFFSETS):
+            start = di * pitch + dj
+            taps[:, k, start : start + span] = gp[:, :span]
+        if weight.requires_grad:
+            dw = np.matmul(xf, taps.transpose(0, 2, 1)).sum(axis=0)
+            weight.accumulate_owned(dw.reshape(weight.data.shape))
+        if x.requires_grad:
+            dxp = np.matmul(weight.data.reshape(channels, 9), taps)
+            x.accumulate_owned(dxp.reshape(batch, channels, height + 2, pitch)[:, :, 1:-1, 1:-1])
 
     return _node(data, (x, weight, bias), backward)
 
@@ -395,20 +410,27 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     c_in, c_out, kh, kw = weight.data.shape
     if c_in != channels or (kh, kw) != (2, 2):
         raise ShapeMismatchError(f"conv_transpose2d weight {weight.data.shape} incompatible with input {x.data.shape}")
-    xm = kernels.channels_last(x.data)
+    # per item, (C_out*2*2, C_in) @ (C_in, H*W): row (o, i, j) holds output pixels (2h+i, 2w+j)
+    xm = x.data.reshape(batch, channels, height * width)
     wmat = weight.data.reshape(channels, c_out * 4)
-    ym = np.matmul(xm, wmat).reshape(batch, height, width, c_out, 2, 2)
-    data = kernels.deconv_place(ym, bias.data)
+    ym = np.matmul(wmat.T, xm).reshape(batch, c_out, 2, 2, height, width)
+    data = np.empty((batch, c_out, 2 * height, 2 * width), dtype=ym.dtype)
+    bias_nchw = bias.data.reshape(1, -1, 1, 1)
+    for i, j in _BLOCK_OFFSETS:
+        np.add(ym[:, :, i, j], bias_nchw, out=data[:, :, i::2, j::2])
 
     def backward(g):
-        gm = kernels.deconv_gather(g)
+        gm = np.empty((batch, c_out, 2, 2, height, width), dtype=g.dtype)
+        for i, j in _BLOCK_OFFSETS:
+            gm[:, :, i, j] = g[:, :, i::2, j::2]
+        gm = gm.reshape(batch, c_out * 4, height * width)
         if weight.requires_grad:
-            weight.accumulate_owned(np.matmul(xm.T, gm).reshape(weight.data.shape))
+            dw = np.matmul(xm, gm.transpose(0, 2, 1)).sum(axis=0)
+            weight.accumulate_owned(dw.reshape(weight.data.shape))
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dxm = np.matmul(gm, wmat.T)
-            x.accumulate_owned(kernels.channels_first(dxm, batch, height, width))
+            x.accumulate_owned(np.matmul(wmat, gm).reshape(x.data.shape))
 
     return _node(data, (x, weight, bias), backward)
 
@@ -418,11 +440,19 @@ def max_pool2(x: Tensor) -> Tensor:
     batch, channels, height, width = x.data.shape
     if height % 2 or width % 2:
         raise ShapeMismatchError(f"max_pool2 needs even spatial dims, got {height}x{width}")
-    data, idx = kernels.maxpool_forward(x.data)
+    # window position k = 2 * row + col, each a strided view of x
+    views = [x.data[:, :, i::2, j::2] for i, j in _BLOCK_OFFSETS]
+    data = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+    idx = np.full(data.shape, 3, dtype=np.int8)
+    for k in (2, 1, 0):  # lower positions overwrite, so ties keep the first maximum
+        idx[views[k] == data] = k
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_owned(kernels.maxpool_backward(g, idx, height, width))
+            dx = np.empty(x.data.shape, dtype=g.dtype)
+            for k, (i, j) in enumerate(_BLOCK_OFFSETS):
+                dx[:, :, i::2, j::2] = np.where(idx == k, g, 0)
+            x.accumulate_owned(dx)
 
     return _node(data, (x,), backward)
 
@@ -445,8 +475,12 @@ def batch_norm(
     (running = momentum * running + (1 - momentum) * batch). In eval mode
     the op is a pure per-channel affine map of the running statistics.
     """
+    n = x.data.size // x.data.shape[1]
     if training:
-        mean, var = kernels.bn_stats(x.data)
+        # one pass each for sum(x) and sum(x^2), accumulated in float64
+        mean = np.einsum("bchw->c", x.data, dtype=np.float64) / n
+        var = np.maximum(np.einsum("bchw,bchw->c", x.data, x.data, dtype=np.float64) / n - mean * mean, 0.0)
+        mean, var = mean.astype(x.dtype), var.astype(x.dtype)
         if update_stats:
             running_mean *= momentum
             running_mean += (1.0 - momentum) * mean
@@ -457,18 +491,28 @@ def batch_norm(
         var = running_var.astype(x.dtype, copy=False)
     inv_std = 1.0 / np.sqrt(var + eps)
     # fold normalize + affine into one per-channel multiply-add
-    scale = (gamma.data * inv_std)[None, :, None, None]
-    shift = (beta.data - gamma.data * inv_std * mean)[None, :, None, None]
-    data = x.data * scale + shift
+    scale = gamma.data * inv_std
+    shift = beta.data - scale * mean
+    data = x.data * scale[None, :, None, None] + shift[None, :, None, None]
 
     def backward(g):
-        dx, dgamma, dbeta = kernels.bn_backward(x.data, g, mean, inv_std, gamma.data, training)
+        sum_g = np.einsum("bchw->c", g, dtype=np.float64)
+        sum_gx = np.einsum("bchw,bchw->c", g, x.data, dtype=np.float64)
+        dgamma = inv_std * (sum_gx - mean * sum_g)  # sum(g * xhat)
         if beta.requires_grad:
-            beta.accumulate_owned(dbeta)
+            beta.accumulate_owned(sum_g.astype(beta.dtype))
         if gamma.requires_grad:
-            gamma.accumulate_owned(dgamma)
-        if x.requires_grad:
-            x.accumulate_owned(dx)
+            gamma.accumulate_owned(dgamma.astype(gamma.dtype))
+        if not x.requires_grad:
+            return
+        dx = g * scale[None, :, None, None]
+        if training:
+            # dx = scale * (g - mean(g) - xhat * mean(g * xhat)) = scale * g + a * x + b
+            a = -scale * inv_std * dgamma / n
+            b = -scale * sum_g / n - a * mean
+            dx += x.data * a.astype(dx.dtype)[None, :, None, None]
+            dx += b.astype(dx.dtype)[None, :, None, None]
+        x.accumulate_owned(dx)
 
     return _node(data, (x, gamma, beta), backward)
 
@@ -544,6 +588,8 @@ def load_checkpoint(path: str):
                 raise CheckpointCorruptError(f"{path}: truncated tensor {name!r}")
             pos += n_bytes
             tensors[name] = flat.reshape(shape).astype(np.float32)
+        if pos != len(data):
+            raise CheckpointCorruptError(f"{path}: {len(data) - pos} trailing bytes after the last tensor")
         return header_text, tensors
     except CheckpointCorruptError:
         raise

@@ -480,11 +480,12 @@ def load_net(path: str):
         else:
             params.values[name] = value
     expected = init_params(config, seed=0)
-    missing = set(expected.values) - set(params.values)
-    extra = set(params.values) - set(expected.values)
-    if missing or extra:
-        raise CheckpointCorruptError(f"parameter names do not match config (missing={sorted(missing)[:3]}, extra={sorted(extra)[:3]})")
-    for name, value in expected.values.items():
-        if params.values[name].shape != value.shape:
-            raise CheckpointCorruptError(f"shape mismatch for {name}")
+    for kind, got, want in (("parameter", params.values, expected.values), ("buffer", params.buffers, expected.buffers)):
+        missing = set(want) - set(got)
+        extra = set(got) - set(want)
+        if missing or extra:
+            raise CheckpointCorruptError(f"{kind} names do not match config (missing={sorted(missing)[:3]}, extra={sorted(extra)[:3]})")
+        for name, value in want.items():
+            if got[name].shape != value.shape:
+                raise CheckpointCorruptError(f"shape mismatch for {kind} {name}")
     return config, params

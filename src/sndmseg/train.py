@@ -360,7 +360,12 @@ def _ablation_job(args):
 def worker_count(total_jobs: int) -> int:
     """Honor the SNDM_THREADS cap; default to the machine's cores."""
     env = os.environ.get("SNDM_THREADS", "").strip()
-    cap = int(env) if env else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidConfigError(f"SNDM_THREADS must be an integer >= 1, got {env!r}")
     return max(1, min(cap, total_jobs))
 
 

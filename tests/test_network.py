@@ -224,12 +224,23 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_rejects_mismatched_names(tmp_path):
     cfg = SMALL
-    params = init_params(cfg, seed=9)
-    del params.values["head.conv.bias"]
-    path = tmp_path / "net.ckpt"
-    save_net(str(path), cfg, params)
-    with pytest.raises(CheckpointCorruptError):
-        load_net(str(path))
+    bn_var_shape = init_params(cfg, seed=9).buffers["enc1.bn1.running_var"].shape
+    damages = {
+        "missing parameter": lambda p: p.values.pop("head.conv.bias"),
+        "missing buffer": lambda p: p.buffers.pop("enc1.bn1.running_mean"),
+        "wrong buffer shape": lambda p: p.buffers.update({"enc1.bn1.running_var": np.ones(bn_var_shape[0] + 1, np.float32)}),
+        "extra buffer": lambda p: p.buffers.update({"enc1.bn1.stray": np.zeros(1, np.float32)}),
+    }
+    for name, damage in damages.items():
+        params = init_params(cfg, seed=9)
+        damage(params)
+        path = tmp_path / "net.ckpt"
+        save_net(str(path), cfg, params)
+        try:
+            load_net(str(path))
+        except CheckpointCorruptError:
+            continue
+        pytest.fail(f"{name}: damaged checkpoint loaded")
 
 
 def test_grad_check_net_small():

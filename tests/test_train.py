@@ -14,6 +14,7 @@ from sndmseg.train import (
     evaluate,
     reference_config,
     train,
+    worker_count,
     write_history_csv,
     write_metrics_json,
 )
@@ -168,3 +169,18 @@ def test_lr_column_non_increasing():
     result = train(train_set, val_set, TINY_NET, cfg)
     lrs = [h.lr for h in result.history]
     assert all(b <= a for a, b in zip(lrs, lrs[1:]))
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_worker_count_rejects_bad_thread_cap(monkeypatch, value):
+    monkeypatch.setenv("SNDM_THREADS", value)
+    with pytest.raises(InvalidConfigError):
+        worker_count(3)
+
+
+def test_worker_count_honors_thread_cap(monkeypatch):
+    monkeypatch.setenv("SNDM_THREADS", " 2 ")
+    assert worker_count(5) == 2
+    assert worker_count(1) == 1
+    monkeypatch.delenv("SNDM_THREADS")
+    assert 1 <= worker_count(5) <= 5

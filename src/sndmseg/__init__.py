@@ -23,7 +23,6 @@ from .metrics import MetricsReport, jaccard, pixel_accuracy, precision
 from .network import (
     NetConfig,
     NetParams,
-    correlation,
     forward_pair,
     grad_check_net,
     init_params,
@@ -71,7 +70,6 @@ __all__ = [
     "adam_step",
     "boundary_mask",
     "boundary_set",
-    "correlation",
     "edt",
     "edt_squared",
     "edt_squared_brute",

@@ -26,16 +26,15 @@ from .errors import (
     SndmError,
 )
 from .losses import LOSSES, LossConfig, grad_check_loss
-from .network import NetConfig, grad_check_net
-from .raster import read_float_map, read_mask, write_float_map, write_mask
+from .network import NetConfig, grad_check_net, save_net
+from .raster import parse_key_values, read_float_map, read_mask, write_float_map, write_mask
 from .sndm import sndm_decode, sndm_encode
 from .synth import GenConfig, gen_dataset, load_dataset
 from .train import (
     AblationConfig,
     TrainConfig,
     ablation,
-    evaluate,
-    load_net,
+    evaluate_checkpoint,
     reference_config,
     train,
     write_ablation_json,
@@ -55,20 +54,12 @@ def _parse_config_file(path: str) -> dict:
             text = handle.read()
     except FileNotFoundError as exc:
         raise MissingFileError(f"no such config file: {path}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfigError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise InvalidConfigError(f"{path}:{lineno}: empty key")
-        values[key] = value
-    return values
+    try:
+        return parse_key_values(text)
+    except ValueError as exc:
+        raise InvalidConfigError(f"{path}:{exc}") from exc
 
 
 class _Settings:
@@ -85,8 +76,6 @@ class _Settings:
         if name in self.file:
             raw = self.file[name]
             try:
-                if cast is bool:
-                    return raw.strip().lower() in ("1", "true", "yes", "on")
                 return cast(raw)
             except ValueError as exc:
                 raise InvalidConfigError(f"config key {name!r}: cannot parse {raw!r}") from exc
@@ -114,11 +103,9 @@ def _net_config(settings: _Settings, dense_default: bool = True) -> NetConfig:
     if arch not in ("plain", "dense"):
         raise InvalidConfigError(f"arch must be 'plain' or 'dense', got {arch!r}")
     widths = settings.get("widths", (16, 32, 64), _widths)
-    if isinstance(widths, str):
-        widths = _widths(widths)
     return NetConfig(
         input_size=settings.get("size", 64, int),
-        widths=tuple(widths),
+        widths=widths,
         levels=len(widths),
         dense_connections=arch == "dense",
         output_head=HEADS[head],
@@ -195,8 +182,6 @@ def _cmd_train(args) -> int:
     val_set = load_dataset(settings.require("val"))
     out_path = settings.require("out")
     result = train(train_set, val_set, net_config, train_cfg, loss_cfg)
-    from .network import save_net
-
     save_net(out_path, net_config, result.params)
     history_path = settings.get("history", out_path + ".history.csv")
     write_history_csv(result.history, history_path)
@@ -209,9 +194,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     settings = _Settings(args)
-    net_config, params = load_net(settings.require("ckpt"))
-    records = load_dataset(settings.require("data"))
-    report = evaluate(params, net_config, records)
+    ckpt = settings.require("ckpt")
+    report = evaluate_checkpoint(ckpt, load_dataset(settings.require("data")))
     report_path = settings.get("report", None)
     if report_path:
         write_metrics_json(report, report_path)
@@ -232,8 +216,6 @@ def _cmd_gradcheck(args) -> int:
     seed = settings.get("seed", 0, int)
     if target == "loss":
         loss_id = settings.get("loss", "iou3d-edge")
-        if loss_id not in LOSSES:
-            raise InvalidConfigError(f"loss must be one of {sorted(LOSSES)}, got {loss_id!r}")
         cfg = LossConfig(lam=settings.get("lam", 5.0, float)).validate()
         worst = grad_check_loss(loss_id, trials=trials, seed=seed, cfg=cfg)
         label = f"loss {loss_id}"

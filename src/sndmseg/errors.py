@@ -39,10 +39,6 @@ class ShapeMismatchError(SndmError):
     code = "ShapeMismatch"
 
 
-class UnknownInputError(SndmError):
-    code = "UnknownInput"
-
-
 class NoForwardPassError(SndmError):
     code = "NoForwardPass"
 

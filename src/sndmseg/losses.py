@@ -13,6 +13,9 @@ Four losses, from baseline to full:
 * ``loss_iou3d_edge`` — additionally weights every pixel by the square
   root of its labeled magnitude, which peaks at the object contour.
 
+The three 3D IOU losses differ only in their per-pixel weights
+(``penalty_factor``, ``edge_weights``) and share ``loss_iou3d_weighted``.
+
 The foreground/background split always comes from the sign of the label
 map, so the losses are well-defined for arbitrary predictions. Penalty
 factors and edge weights are gates: constants of the prediction (and of
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import InvalidConfigError, ShapeMismatchError
 from .sndm import sndm_encode
 
 
@@ -44,9 +47,9 @@ class LossConfig:
 
     def validate(self) -> "LossConfig":
         if not self.lam >= 1.0:
-            raise ValueError(f"lam must be >= 1, got {self.lam}")
+            raise InvalidConfigError(f"lam must be >= 1, got {self.lam}")
         if not 0.0 < self.epsilon <= 1e-4:
-            raise ValueError(f"epsilon must be in (0, 1e-4], got {self.epsilon}")
+            raise InvalidConfigError(f"epsilon must be in (0, 1e-4], got {self.epsilon}")
         return self
 
 
@@ -67,14 +70,23 @@ def _check_shapes(pred, gt):
     return p, g
 
 
-def penalty_factor(pred_value: float, gt_value: float, cfg: LossConfig = DEFAULT_CONFIG) -> float:
-    """1 when prediction and label agree in sign, cfg.lam otherwise."""
-    return 1.0 if pred_value * gt_value > 0.0 else cfg.lam
+def penalty_factor(pred, gt, cfg: LossConfig = DEFAULT_CONFIG):
+    """Per pixel: 1 where prediction and label agree in sign, cfg.lam elsewhere."""
+    return np.where(pred * gt > 0.0, 1.0, cfg.lam)
+
+
+def edge_weights(pred, gt, cfg: LossConfig = DEFAULT_CONFIG):
+    """Penalty factors times sqrt(|label|), which peaks at the object contour."""
+    return penalty_factor(pred, gt, cfg) * np.sqrt(np.abs(gt))
+
+
+def _unit_weights(pred, gt, cfg):
+    return np.ones_like(gt)
 
 
 def loss_dice(pred_prob, gt_mask, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
     """Soft Dice loss 1 - 2*sum(p*g) / (sum(p) + sum(g) + eps) with gradient."""
-    p, g = _check_shapes(pred_prob, np.asarray(gt_mask, dtype=np.float64))
+    p, g = _check_shapes(pred_prob, gt_mask)
     inter = np.sum(p * g)
     denom = np.sum(p) + np.sum(g) + cfg.epsilon
     value = 1.0 - 2.0 * inter / denom
@@ -82,9 +94,13 @@ def loss_dice(pred_prob, gt_mask, cfg: LossConfig = DEFAULT_CONFIG) -> LossRepor
     return LossReport(float(value), grad)
 
 
-def _iou3d_core(pred, gt, weights, cfg) -> LossReport:
-    """Shared min/max-sum machinery; ``weights`` are per-pixel gradient-free gates."""
+def loss_iou3d_weighted(pred, gt, weigh, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
+    """3D IOU loss with per-pixel gates ``weigh(p, g, cfg)``, which carry no gradient.
+
+    ``weigh`` receives the prediction and label as float64 arrays.
+    """
     p, g = _check_shapes(pred, gt)
+    weights = weigh(p, g, cfg)
     sign = np.where(g > 0.0, 1.0, -1.0)
     fg = g > 0.0
     ps = sign * p
@@ -103,23 +119,17 @@ def _iou3d_core(pred, gt, weights, cfg) -> LossReport:
 
 def loss_iou3d(pred, gt, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
     """3D IOU loss of two signed maps (no penalty, no edge weighting)."""
-    p, g = _check_shapes(pred, gt)
-    return _iou3d_core(p, g, np.ones_like(g), cfg)
+    return loss_iou3d_weighted(pred, gt, _unit_weights, cfg)
 
 
 def loss_iou3d_penalized(pred, gt, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
     """3D IOU loss with per-pixel sign-mismatch penalty factors."""
-    p, g = _check_shapes(pred, gt)
-    factors = np.where(p * g > 0.0, 1.0, cfg.lam)
-    return _iou3d_core(p, g, factors, cfg)
+    return loss_iou3d_weighted(pred, gt, penalty_factor, cfg)
 
 
 def loss_iou3d_edge(pred, gt, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
     """Penalized 3D IOU loss with sqrt(|label|) per-pixel edge weights."""
-    p, g = _check_shapes(pred, gt)
-    factors = np.where(p * g > 0.0, 1.0, cfg.lam)
-    weights = factors * np.sqrt(np.abs(g))
-    return _iou3d_core(p, g, weights, cfg)
+    return loss_iou3d_weighted(pred, gt, edge_weights, cfg)
 
 
 LOSSES = {
@@ -152,7 +162,7 @@ def grad_check_loss(
     to the largest gradient magnitude of each sampled map.
     """
     if loss_id not in LOSSES:
-        raise ValueError(f"unknown loss {loss_id!r}")
+        raise InvalidConfigError(f"unknown loss {loss_id!r}; choose from {sorted(LOSSES)}")
     fn = LOSSES[loss_id]
     rng = np.random.Generator(np.random.Philox(seed))
     worst = 0.0

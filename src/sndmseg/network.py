@@ -30,6 +30,7 @@ from .errors import (
     InvalidConfigError,
     ShapeMismatchError,
 )
+from .raster import parse_key_values
 
 ADAPTER_CHANNELS = 16  # width of every dense-connection resolution adapter
 BN_MOMENTUM = 0.9
@@ -262,16 +263,7 @@ def build_forward(
         x = ad.max_pool2(x)
     bottleneck = x
 
-    # correlation block: all-pairs cosine similarity between the branches
-    size = cfg.bottleneck_size
-    hw = cfg.correlation_channels
-    normed = ad.l2_normalize(bottleneck, axis=1)
-    flat = ad.reshape(normed, (2 * batch, cfg.widths[-1], hw))
-    na = ad.slice_batch(flat, 0, batch)
-    nb = ad.slice_batch(flat, batch, 2 * batch)
-    corr_a = ad.reshape(ad.matmul(ad.transpose(nb, (0, 2, 1)), na), (batch, hw, size, size))
-    corr_b = ad.reshape(ad.matmul(ad.transpose(na, (0, 2, 1)), nb), (batch, hw, size, size))
-    corr = ad.concat([corr_a, corr_b], axis=0)
+    corr = correlation(bottleneck)
 
     outputs = {}
     x = conv_bn_relu(ad.concat([bottleneck, corr], axis=1), "dec1.conv", "dec1.bn")
@@ -302,31 +294,24 @@ def forward_pair(img_a, img_b, params: NetParams, config: NetConfig, mode: str =
     return out.pred_a.data[:, 0], out.pred_b.data[:, 0]
 
 
-def correlation(feat_a, feat_b):
-    """All-pairs cosine similarity between two feature maps.
+def correlation(joint: ad.Tensor) -> ad.Tensor:
+    """Correlation block: all-pairs cosine similarity between the two branches.
 
-    feat_a, feat_b: (C, H, W) or (B, C, H, W). Returns (corr_a, corr_b),
-    each with H*W channels: channel j of corr_a at position i is the
-    cosine similarity between feat_a's vector at i and feat_b's at j.
+    joint: (2B, C, H, W) with branch A in items [0, B) and branch B in
+    [B, 2B). Returns (2B, H*W, H, W) in the same layout: channel j of an
+    item at position i is the cosine similarity between that branch's
+    vector at i and the other branch's vector at j.
     """
-    fa = np.asarray(feat_a, dtype=np.float64)
-    fb = np.asarray(feat_b, dtype=np.float64)
-    squeeze = fa.ndim == 3
-    if squeeze:
-        fa, fb = fa[None], fb[None]
-    if fa.shape != fb.shape or fa.ndim != 4:
-        raise ShapeMismatchError(f"feature shapes must match, got {fa.shape} vs {fb.shape}")
-    batch, channels, height, width = fa.shape
+    items, channels, height, width = joint.data.shape
+    batch = items // 2
     hw = height * width
-    na = fa.reshape(batch, channels, hw)
-    nb = fb.reshape(batch, channels, hw)
-    na = na / np.sqrt((na * na).sum(axis=1, keepdims=True) + 1e-12)
-    nb = nb / np.sqrt((nb * nb).sum(axis=1, keepdims=True) + 1e-12)
-    corr_a = np.matmul(nb.transpose(0, 2, 1), na).reshape(batch, hw, height, width)
-    corr_b = np.matmul(na.transpose(0, 2, 1), nb).reshape(batch, hw, height, width)
-    if squeeze:
-        return corr_a[0], corr_b[0]
-    return corr_a, corr_b
+    normed = ad.l2_normalize(joint, axis=1)
+    flat = ad.reshape(normed, (items, channels, hw))
+    na = ad.slice_batch(flat, 0, batch)
+    nb = ad.slice_batch(flat, batch, items)
+    corr_a = ad.reshape(ad.matmul(ad.transpose(nb, (0, 2, 1)), na), (batch, hw, height, width))
+    corr_b = ad.reshape(ad.matmul(ad.transpose(na, (0, 2, 1)), nb), (batch, hw, height, width))
+    return ad.concat([corr_a, corr_b], axis=0)
 
 
 def grad_check_net(
@@ -348,7 +333,7 @@ def grad_check_net(
     masked out of the checked loss; the mask is frozen data, keeping the
     function identical across the +/-h evaluations.
     """
-    from .losses import LossConfig, _iou3d_core
+    from .losses import LossConfig, edge_weights, loss_iou3d_weighted
     from .sndm import sndm_encode
     from .synth import GenConfig, gen_pair
 
@@ -375,9 +360,7 @@ def grad_check_net(
         def fn(pred, gt, inner_cfg):
             keep = safe[which][counter["i"] % safe[which].shape[0]]
             counter["i"] += 1
-            factors = np.where(pred * gt > 0.0, 1.0, inner_cfg.lam)
-            weights = factors * np.sqrt(np.abs(gt)) * keep
-            return _iou3d_core(pred, gt, weights, inner_cfg)
+            return loss_iou3d_weighted(pred, gt, lambda p, g, c: edge_weights(p, g, c) * keep, inner_cfg)
 
         return fn
 
@@ -443,16 +426,8 @@ def config_to_header(config: NetConfig) -> str:
 
 
 def config_from_header(text: str) -> NetConfig:
-    fields = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CheckpointCorruptError(f"bad header line {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        fields[key] = value
     try:
+        fields = parse_key_values(text)
         return NetConfig(
             input_size=int(fields["input_size"]),
             widths=tuple(int(w) for w in fields["widths"].split(",")),

@@ -5,10 +5,12 @@ with True marking foreground, a float map is a float32 array of shape
 (H, W), and an RGB image is a float32 array of shape (H, W, 3) with
 values in [0, 1].
 
-On disk, masks are binary PGM (P5, 0/255), images are binary PPM (P6),
-and float maps use a small container: the magic bytes b"SNDM", width and
-height as 32-bit little-endian unsigned integers, then width*height
-32-bit little-endian IEEE-754 floats in row-major order.
+On disk, masks are binary PGM (P5, written as 0/255, read as foreground
+above maxval/2), images are binary PPM (P6), and float maps use a small
+container: the magic bytes b"SNDM", width and height as 32-bit
+little-endian unsigned integers, then width*height 32-bit little-endian
+IEEE-754 floats in row-major order. Config files and checkpoint headers
+share one flat ``key = value`` text format.
 """
 
 from __future__ import annotations
@@ -146,15 +148,15 @@ def _parse_pnm_header(data: bytes, magic: bytes, path: str):
 
 
 def read_mask(path: str) -> np.ndarray:
-    """Read a binary PGM (P5) file as a bool mask; values >= 128 are foreground."""
+    """Read a binary PGM (P5) file as a bool mask; values above maxval/2 are foreground."""
     data = _read_bytes(path)
-    width, height, _, offset = _parse_pnm_header(data, b"P5", path)
+    width, height, maxval, offset = _parse_pnm_header(data, b"P5", path)
     expected = width * height
     payload = data[offset : offset + expected]
     if len(payload) < expected:
         raise TruncatedPayloadError(f"{path}: expected {expected} pixels, got {len(payload)}")
     gray = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return gray >= 128
+    return gray > maxval // 2  # 2 * gray > maxval, without widening the integers
 
 
 def write_mask(mask, path: str) -> None:
@@ -185,6 +187,30 @@ def write_image(image, path: str) -> None:
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     payload = np.rint(img * 255.0).astype(np.uint8).tobytes()
     _atomic_write(path, header + payload)
+
+
+# ---------------------------------------------------------------------------
+# key = value text (config files, checkpoint headers)
+
+
+def parse_key_values(text: str) -> dict:
+    """Flat ``key = value`` lines; '#' starts a comment.
+
+    Raises ValueError starting with the 1-based line number of the first
+    bad line; callers turn it into their own domain error.
+    """
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ValueError(f"{lineno}: empty key")
+        values[key] = value
+    return values
 
 
 # ---------------------------------------------------------------------------

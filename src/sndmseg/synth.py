@@ -21,7 +21,7 @@ retries the sample falls back to a centered ellipse.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -59,11 +59,13 @@ class GenConfig:
 
 @dataclass
 class PairSample:
+    """One co-object pair; ``pair_id`` names it within a dataset."""
+
     img_a: np.ndarray
     img_b: np.ndarray
     mask_a: np.ndarray
     mask_b: np.ndarray
-    seed: int
+    pair_id: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,7 @@ def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
         images.append(np.clip(img, 0.0, 1.0).astype(np.float32))
         masks.append(mask)
 
-    return PairSample(images[0], images[1], masks[0], masks[1], int(seed))
+    return PairSample(images[0], images[1], masks[0], masks[1])
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +239,10 @@ def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
 
 def manifest_path(directory: str) -> str:
     return os.path.join(directory, "manifest.tsv")
+
+
+def _pair_id(index: int) -> str:
+    return f"pair_{index:04d}"
 
 
 def gen_dataset(seed: int, config: GenConfig, n_pairs: int, out_dir: str) -> list:
@@ -253,7 +259,7 @@ def gen_dataset(seed: int, config: GenConfig, n_pairs: int, out_dir: str) -> lis
     rows = []
     for i in range(n_pairs):
         sample = gen_pair(seed + i, cfg)
-        pair_id = f"pair_{i:04d}"
+        pair_id = _pair_id(i)
         names = (
             f"{pair_id}_imgA.ppm",
             f"{pair_id}_maskA.pgm",
@@ -270,15 +276,6 @@ def gen_dataset(seed: int, config: GenConfig, n_pairs: int, out_dir: str) -> lis
     return rows
 
 
-@dataclass
-class PairRecord:
-    pair_id: str
-    img_a: np.ndarray
-    img_b: np.ndarray
-    mask_a: np.ndarray
-    mask_b: np.ndarray
-
-
 def load_dataset(directory: str) -> list:
     """Read a generated dataset back via its manifest."""
     path = manifest_path(directory)
@@ -292,12 +289,12 @@ def load_dataset(directory: str) -> list:
                 continue
             pair_id, img_a, mask_a, img_b, mask_b = line.split("\t")
             records.append(
-                PairRecord(
-                    pair_id=pair_id,
+                PairSample(
                     img_a=read_image(os.path.join(directory, img_a)),
                     img_b=read_image(os.path.join(directory, img_b)),
                     mask_a=read_mask(os.path.join(directory, mask_a)),
                     mask_b=read_mask(os.path.join(directory, mask_b)),
+                    pair_id=pair_id,
                 )
             )
     return records
@@ -305,16 +302,4 @@ def load_dataset(directory: str) -> list:
 
 def make_pairs(seed: int, config: GenConfig, n_pairs: int) -> list:
     """In-memory dataset with the same seeding scheme as :func:`gen_dataset`."""
-    records = []
-    for i in range(n_pairs):
-        sample = gen_pair(seed + i, config)
-        records.append(
-            PairRecord(
-                pair_id=f"pair_{i:04d}",
-                img_a=sample.img_a,
-                img_b=sample.img_b,
-                mask_a=sample.mask_a,
-                mask_b=sample.mask_b,
-            )
-        )
-    return records
+    return [replace(gen_pair(seed + i, config), pair_id=_pair_id(i)) for i in range(n_pairs)]

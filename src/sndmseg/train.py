@@ -30,9 +30,9 @@ from .errors import (
     ShapeMismatchError,
 )
 from .losses import LOSSES, LossConfig
-from .metrics import ItemMetrics, MetricsReport, mean_of_items
-from .network import NetConfig, NetParams, build_forward, forward_pair, init_params, load_net, save_net
-from .raster import _atomic_write, threshold_to_mask
+from .metrics import MetricsReport, mean_of_items
+from .network import NetConfig, NetParams, build_forward, forward_pair, init_params, load_net
+from .raster import _atomic_write
 from .sndm import sndm_encode
 from .synth import GenConfig, make_pairs
 
@@ -212,7 +212,6 @@ def train(
     rng = np.random.Generator(np.random.Philox(np.uint64(cfg.seed)))
     scheduler = PlateauScheduler(cfg.lr, cfg.plateau_patience, cfg.lr_factor, cfg.min_improvement)
     history: list[EpochStats] = []
-    best_val = np.inf
     best_epoch = 0
     best_params = params.clone()
     n = len(train_records)
@@ -238,17 +237,16 @@ def train(
         train_loss = loss_sum / max(seen, 1)
         val_loss = _dataset_loss(val_records, val_targets, params, net_config, loss_fn, loss_config, cfg.batch_size)
 
-        scheduler.update(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
+        if val_loss < scheduler.best:
             best_epoch = epoch
             best_params = params.clone()
+        scheduler.update(val_loss)
 
         # lr column reports the rate used during this epoch; schedule
         # reductions take effect from the next row
         history.append(EpochStats(epoch, train_loss, val_loss, lr, time.perf_counter() - tic))
 
-    return TrainResult(best_params, net_config, history, best_epoch, float(best_val))
+    return TrainResult(best_params, net_config, history, best_epoch, float(scheduler.best))
 
 
 def write_history_csv(history, path: str) -> None:
@@ -302,17 +300,13 @@ def evaluate_checkpoint(path: str, records, batch_size: int = 8) -> MetricsRepor
     return evaluate(params, net_config, records, batch_size=batch_size)
 
 
-def save_result(path: str, result: TrainResult) -> None:
-    save_net(path, result.net_config, result.params)
-
-
 # ---------------------------------------------------------------------------
 # ablation harness
 
-ABLATION_VARIANTS = (
-    ("baseline", False, "mask-sigmoid", "dice"),
-    ("baseline_plus", True, "mask-sigmoid", "dice"),
-    ("full", True, "sndm-tanh", "iou3d-edge"),
+ABLATION_VARIANTS = (  # (name, dense connections, loss id); LOSS_HEADS fixes the head
+    ("baseline", False, "dice"),
+    ("baseline_plus", True, "dice"),
+    ("full", True, "iou3d-edge"),
 )
 
 
@@ -337,13 +331,12 @@ def _ablation_datasets(seed: int, cfg: AblationConfig):
 
 
 def _ablation_job(args):
-    run, seed, variant, cfg = args
-    name, dense, head, loss_id = variant
-    train_set, val_set, test_set = _ablation_datasets(seed, cfg)
+    run, seed, variant, cfg, (train_set, val_set, test_set) = args
+    name, dense, loss_id = variant
     net_config = NetConfig(
         input_size=cfg.image_size,
         dense_connections=dense,
-        output_head=head,
+        output_head=LOSS_HEADS[loss_id],
     )
     train_cfg = TrainConfig(
         batch_size=cfg.batch_size,
@@ -372,17 +365,17 @@ def worker_count(total_jobs: int) -> int:
 def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationConfig()) -> dict:
     """Train every variant for ``runs`` seeds and tabulate mean metrics.
 
+    Each seed's datasets are generated once and shared by its variants.
     Jobs are independent; with more than one worker they run in parallel
     processes, each pinned to a single BLAS thread.
     """
     if runs < 1:
         raise InvalidConfigError(f"runs must be >= 1, got {runs}")
-    jobs = [
-        (run, base_seed + run, variant, config)
-        for run in range(runs)
-        for variant in ABLATION_VARIANTS
-    ]
-    workers = worker_count(len(jobs))
+    workers = worker_count(runs * len(ABLATION_VARIANTS))
+    jobs = []
+    for run in range(runs):
+        datasets = _ablation_datasets(base_seed + run, config)
+        jobs += [(run, base_seed + run, variant, config, datasets) for variant in ABLATION_VARIANTS]
     if workers == 1:
         outcomes = [_ablation_job(job) for job in jobs]
     else:
@@ -407,7 +400,7 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
             "jaccard": jac,
         }
     rows = []
-    for name, _, _, _ in ABLATION_VARIANTS:
+    for name, _, _ in ABLATION_VARIANTS:
         precisions = [per_run[run][name]["precision"] for run in range(runs)]
         jaccards = [per_run[run][name]["jaccard"] for run in range(runs)]
         rows.append(

@@ -125,8 +125,16 @@ def test_config_file_merging(tmp_path, capsys):
 
 def test_config_file_bad_line(tmp_path, capsys):
     config = tmp_path / "settings.cfg"
-    config.write_text("pairs 2\n")
-    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")]) == 1
+    for text in (b"pairs 2\n", b"# header\n = 2\n", b"pairs = 2\n\xff\xfe\n"):
+        config.write_bytes(text)
+        assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidConfig: ") and f"{config}:" in err
+        assert not (tmp_path / "d").exists()
+
+
+def test_gradcheck_bad_lam_is_domain_error(capsys):
+    assert main(["gradcheck", "--lam", "0.5", "--trials", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: InvalidConfig: ")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sndmseg.errors import ShapeMismatchError
+from sndmseg.errors import InvalidConfigError, ShapeMismatchError
 from sndmseg.losses import (
     LOSSES,
     LossConfig,
@@ -32,6 +32,9 @@ def test_penalty_factor_branches():
     assert penalty_factor(0.5, 1.0, cfg) == 1.0
     assert penalty_factor(-0.5, 1.0, cfg) == 5.0
     assert penalty_factor(0.0, 1.0, cfg) == 5.0
+    pred = np.array([[0.5, -0.5], [0.0, -0.2]])
+    gt = np.array([[1.0, 1.0], [-1.0, -0.3]])
+    assert penalty_factor(pred, gt, cfg).tolist() == [[1.0, 5.0], [5.0, 1.0]]
 
 
 def test_dice_hand_values():
@@ -137,12 +140,14 @@ def test_shape_mismatch():
 
 
 def test_loss_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         LossConfig(lam=0.5).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         LossConfig(epsilon=0.0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError):
         LossConfig(epsilon=1e-3).validate()
+    with pytest.raises(InvalidConfigError):
+        grad_check_loss("hinge", trials=1)
 
 
 def test_grad_shape_matches_pred():

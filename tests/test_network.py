@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sndmseg import autodiff as ad
 from sndmseg.errors import BatchTooSmallError, CheckpointCorruptError, InvalidConfigError, ShapeMismatchError
 from sndmseg.network import (
     ADAPTER_CHANNELS,
+    OUTPUT_HEADS,
     NetConfig,
     build_forward,
+    config_from_header,
+    config_to_header,
     correlation,
     forward_pair,
     grad_check_net,
@@ -185,23 +191,33 @@ def test_gradient_reaches_every_parameter():
             assert np.abs(tensor.grad).max() > 0.0, name
 
 
+def _correlate(feat_a, feat_b):
+    """Correlation of two (C, H, W) float64 maps as a joint batch of one pair."""
+    corr = correlation(ad.Tensor(np.stack([feat_a, feat_b]).astype(np.float64))).data
+    return corr[0], corr[1]
+
+
 def test_correlation_properties():
     # orthonormal spatial vectors: similarity is the identity pattern
     eye = np.eye(4, dtype=np.float64).reshape(4, 2, 2)
-    corr_a, corr_b = correlation(eye, eye)
+    corr_a, corr_b = _correlate(eye, eye)
     assert corr_a.shape == (4, 2, 2)
     assert np.allclose(corr_a.reshape(4, 4), np.eye(4), atol=1e-9)
     # constant identical features: all ones
     const = np.ones((3, 2, 2))
-    corr_a, _ = correlation(const, const)
+    corr_a, _ = _correlate(const, const)
     assert np.allclose(corr_a, 1.0, atol=1e-9)
     # transpose symmetry on random input
     rng = np.random.Generator(np.random.Philox(83))
     fa = rng.normal(size=(5, 3, 3))
     fb = rng.normal(size=(5, 3, 3))
-    corr_a, corr_b = correlation(fa, fb)
+    corr_a, corr_b = _correlate(fa, fb)
     assert np.allclose(corr_a.reshape(9, 9), corr_b.reshape(9, 9).T, atol=1e-12)
     assert corr_a.min() >= -1.0 - 1e-9 and corr_a.max() <= 1.0 + 1e-9
+    # cosine similarity against a direct computation
+    unit_a = fa.reshape(5, 9) / np.linalg.norm(fa.reshape(5, 9), axis=0)
+    unit_b = fb.reshape(5, 9) / np.linalg.norm(fb.reshape(5, 9), axis=0)
+    assert np.allclose(corr_a.reshape(9, 9), unit_b.T @ unit_a, atol=1e-12)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -220,6 +236,34 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(
         forward_pair(img_a, img_b, params, cfg)[0], forward_pair(img_a, img_b, params2, cfg2)[0]
     )
+
+
+@st.composite
+def net_configs(draw):
+    levels = draw(st.integers(1, 4))
+    return NetConfig(
+        input_size=draw(st.integers(1, 16)) * 2**levels,
+        widths=tuple(draw(st.lists(st.integers(1, 512), min_size=levels, max_size=levels))),
+        levels=levels,
+        dense_connections=draw(st.booleans()),
+        output_head=draw(st.sampled_from(OUTPUT_HEADS)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(net_configs())
+def test_config_header_round_trip(config):
+    assert config_from_header(config_to_header(config)) == config
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.builds(lambda c, extra: config_to_header(c) + extra, net_configs(), st.text())))
+def test_config_header_parses_or_is_corrupt(text):
+    try:
+        config = config_from_header(text)
+    except CheckpointCorruptError:
+        return
+    assert config == config.validate()
 
 
 def test_checkpoint_rejects_mismatched_names(tmp_path):

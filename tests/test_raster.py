@@ -33,6 +33,16 @@ def test_read_mask_128_is_foreground(tmp_path):
     assert read_mask(str(path)).tolist() == [[False]]
 
 
+def test_read_mask_threshold_follows_maxval(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n2 1\n1\n" + bytes([1, 0]))
+    assert read_mask(str(path)).tolist() == [[True, False]]
+    path.write_bytes(b"P5\n4 1\n255\n" + bytes([0, 127, 128, 255]))
+    assert read_mask(str(path)).tolist() == [[False, False, True, True]]
+    path.write_bytes(b"P5\n2 1\n15\n" + bytes([7, 8]))  # 2 * 8 > 15 >= 2 * 7
+    assert read_mask(str(path)).tolist() == [[False, True]]
+
+
 def test_read_mask_rejects_ascii_pgm(tmp_path):
     path = tmp_path / "m.pgm"
     path.write_bytes(b"P2\n1 1\n255\n255\n")

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from sndmseg import synth
 from sndmseg.errors import BatchTooSmallError, DatasetEmptyError, InvalidConfigError
 from sndmseg.losses import LossConfig
 from sndmseg.network import NetConfig, init_params
 from sndmseg.sndm import sndm_encode
 from sndmseg.synth import GenConfig, make_pairs
 from sndmseg.train import (
+    ABLATION_VARIANTS,
+    AblationConfig,
     AdamState,
     PlateauScheduler,
     TrainConfig,
+    ablation,
     adam_step,
     evaluate,
     reference_config,
@@ -184,3 +188,21 @@ def test_worker_count_honors_thread_cap(monkeypatch):
     assert worker_count(1) == 1
     monkeypatch.delenv("SNDM_THREADS")
     assert 1 <= worker_count(5) <= 5
+
+
+def test_ablation_generates_each_seed_once(monkeypatch):
+    calls = []
+    real_gen_pair = synth.gen_pair
+
+    def counting_gen_pair(seed, config):
+        calls.append(seed)
+        return real_gen_pair(seed, config)
+
+    monkeypatch.setattr(synth, "gen_pair", counting_gen_pair)
+    monkeypatch.setenv("SNDM_THREADS", "1")
+    cfg = AblationConfig(n_train=2, n_val=1, n_test=1, epochs=1, batch_size=2, image_size=16)
+    table = ablation(2, base_seed=5, config=cfg)
+    assert len(calls) == 2 * (cfg.n_train + cfg.n_val + cfg.n_test)
+    assert len(set(calls)) == len(calls)
+    assert [row["name"] for row in table["rows"]] == [variant[0] for variant in ABLATION_VARIANTS]
+    assert [run["seed"] for run in table["per_run"]] == [5, 6]

@@ -11,7 +11,10 @@ transposed convolution, per-channel batch normalization with running
 statistics, relu/tanh, 2x2 max pooling, concatenation/slicing, batched
 matrix multiply, per-position L2 channel normalization, elementwise
 add/mul, and sum/mean reductions. Convolutions are expressed as matrix
-multiplies so the heavy lifting stays in BLAS; the memory-bound ops
+multiplies so the heavy lifting stays in BLAS. The multi-channel 3x3
+conv runs one GEMM per batch item over a patch workspace that all items
+reuse, and takes its input gradient as the same conv of the output
+gradient with the flipped, transposed kernel. The memory-bound ops
 (batch norm, max pooling, the placement around the transposed conv's
 GEMM) are written to make as few passes over their tensors as they can,
 with every per-channel reduction accumulated in float64.
@@ -235,11 +238,12 @@ def concat(tensors, axis: int = 1) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
+        # each piece may keep its slice of g as a view: the slices are disjoint and g is not read again
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(lo, hi)
-                t.accumulate(g[tuple(index)])
+                t.accumulate_owned(g[tuple(index)])
 
     return _node(data, tuple(tensors), backward)
 
@@ -310,32 +314,66 @@ _TAP_OFFSETS = [(di, dj) for di in range(3) for dj in range(3)]
 _BLOCK_OFFSETS = [(i, j) for i in range(2) for j in range(2)]
 
 
+def _shifted_span(shift: int, n: int):
+    """(destination, source) slices of an axis of length n read at offset ``shift``, clipped to it."""
+    return slice(max(-shift, 0), n - max(shift, 0)), slice(max(shift, 0), n + min(shift, 0))
+
+
+def _item_patches(x: np.ndarray):
+    """Yield each item's patch matrix: (C*9, H*W) columns of its zero-padded 3x3 windows.
+
+    Every item is written into one workspace, allocated once per call, so
+    a yielded matrix is only valid until the next one. A tap's rows and
+    columns that fall outside the image are zeroed at allocation and never
+    written, which stands in for the zero padding.
+    """
+    batch, channels, height, width = x.shape
+    ws = np.zeros((channels, 9, height, width), dtype=x.dtype)
+    cols = ws.reshape(channels * 9, height * width)
+    taps = [(k, _shifted_span(di - 1, height), _shifted_span(dj - 1, width)) for k, (di, dj) in enumerate(_TAP_OFFSETS)]
+    for i in range(batch):
+        for k, (dst_rows, src_rows), (dst_cols, src_cols) in taps:
+            ws[:, k, dst_rows, dst_cols] = x[i, :, src_rows, src_cols]
+        yield cols
+
+
+def _conv_items(x: np.ndarray, wmat: np.ndarray) -> np.ndarray:
+    """(B, K, H*W): ``wmat`` (K, C*9) times each item's patch matrix, one GEMM per item."""
+    batch, _, height, width = x.shape
+    out = np.empty((batch, wmat.shape[0], height * width), dtype=np.result_type(x, wmat))
+    for i, cols in enumerate(_item_patches(x)):
+        np.matmul(wmat, cols, out=out[i])
+    return out
+
+
 def _conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Patch-matrix route: one batched GEMM over (C*9, H*W) columns."""
+    """Patch-matrix route: per item, one (C_out, C_in*9) @ (C_in*9, H*W) GEMM.
+
+    No patch matrix covers the whole batch: each item's patches go into
+    one reused workspace (:func:`_item_patches`) and its GEMM writes
+    straight into the output. dX is the forward conv of the output
+    gradient with the flipped, transposed kernel (C_in, C_out*9), so it
+    needs neither a gradient patch matrix nor a col2im scatter. dW
+    rebuilds each item's patches and accumulates the items' GEMMs in
+    batch order.
+    """
     batch, channels, height, width = x.data.shape
     c_out = weight.data.shape[0]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((batch, channels, 9, height, width), dtype=x.dtype)
-    for k, (di, dj) in enumerate(_TAP_OFFSETS):
-        cols[:, :, k] = xp[:, :, di : di + height, dj : dj + width]
-    cols = cols.reshape(batch, channels * 9, height * width)
-    wmat = weight.data.reshape(c_out, channels * 9)
-    out = np.matmul(wmat, cols) + bias.data.reshape(-1, 1)
+    out = _conv_items(x.data, weight.data.reshape(c_out, channels * 9))
+    out += bias.data.reshape(-1, 1)
     data = out.reshape(batch, c_out, height, width)
 
     def backward(g):
         gm = g.reshape(batch, c_out, height * width)
         if bias.requires_grad:
             bias.accumulate(gm.sum(axis=(0, 2)))
-        if weight.requires_grad:
-            dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
-            weight.accumulate_owned(dw.reshape(weight.data.shape))
         if x.requires_grad:
-            dcols = np.matmul(wmat.T, gm).reshape(batch, channels, 9, height, width)
-            dxp = np.zeros((batch, channels, height + 2, width + 2), dtype=g.dtype)
-            for k, (di, dj) in enumerate(_TAP_OFFSETS):
-                dxp[:, :, di : di + height, dj : dj + width] += dcols[:, :, k]
-            x.accumulate_owned(np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1]))
+            # flipped tap (di, dj) of output channel o reads weight[o, :, 2 - di, 2 - dj]
+            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(channels, c_out * 9)
+            x.accumulate_owned(_conv_items(g, wflip).reshape(x.data.shape))
+        if weight.requires_grad:
+            dw = sum(np.matmul(gm[i], cols.T) for i, cols in enumerate(_item_patches(x.data)))
+            weight.accumulate_owned(dw.reshape(weight.data.shape))
 
     return _node(data, (x, weight, bias), backward)
 

@@ -23,6 +23,10 @@ class TruncatedPayloadError(SndmError):
     code = "TruncatedPayload"
 
 
+class NonFiniteError(SndmError):
+    code = "NonFinite"
+
+
 class IoFailureError(SndmError):
     code = "IoFailure"
 

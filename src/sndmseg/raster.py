@@ -9,8 +9,9 @@ On disk, masks are binary PGM (P5, written as 0/255, read as foreground
 above maxval/2), images are binary PPM (P6), and float maps use a small
 container: the magic bytes b"SNDM", width and height as 32-bit
 little-endian unsigned integers, then width*height 32-bit little-endian
-IEEE-754 floats in row-major order. Config files and checkpoint headers
-share one flat ``key = value`` text format.
+IEEE-754 floats in row-major order. The reader, like the writer, takes
+only finite values, and no bytes past the last float. Config files and
+checkpoint headers share one flat ``key = value`` text format.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     IoFailureError,
     MalformedHeaderError,
     MissingFileError,
+    NonFiniteError,
     ShapeMismatchError,
     TruncatedPayloadError,
 )
@@ -50,7 +52,7 @@ def as_float_map(values) -> np.ndarray:
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise ShapeMismatchError(f"float map must be 2-d and nonempty, got shape {v.shape}")
     if not np.isfinite(v).all():
-        raise ValueError("float map contains non-finite values")
+        raise NonFiniteError("float map contains non-finite values")
     return v
 
 
@@ -238,7 +240,10 @@ def read_float_map(path: str) -> np.ndarray:
     if width < 1 or height < 1:
         raise MalformedHeaderError(f"{path}: bad dimensions {width}x{height}")
     expected = 12 + 4 * width * height
-    if len(data) < expected:
+    if len(data) != expected:
         raise TruncatedPayloadError(f"{path}: expected {expected} bytes, got {len(data)}")
-    flat = np.frombuffer(data[12:expected], dtype="<f4")
-    return flat.reshape(height, width).astype(np.float32)
+    flat = np.frombuffer(data[12:], dtype="<f4")
+    try:
+        return as_float_map(flat.reshape(height, width).astype(np.float32))
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{path}: {exc}") from None

@@ -366,8 +366,9 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
     """Train every variant for ``runs`` seeds and tabulate mean metrics.
 
     Each seed's datasets are generated once and shared by its variants.
-    Jobs are independent; with more than one worker they run in parallel
-    processes, each pinned to a single BLAS thread.
+    Jobs are independent and run in spawned worker processes, each pinned
+    to a single BLAS thread, so the table does not depend on the worker
+    count.
     """
     if runs < 1:
         raise InvalidConfigError(f"runs must be >= 1, got {runs}")
@@ -376,22 +377,20 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
     for run in range(runs):
         datasets = _ablation_datasets(base_seed + run, config)
         jobs += [(run, base_seed + run, variant, config, datasets) for variant in ABLATION_VARIANTS]
-    if workers == 1:
-        outcomes = [_ablation_job(job) for job in jobs]
-    else:
-        saved = {key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        os.environ["OMP_NUM_THREADS"] = "1"
-        try:
-            context = multiprocessing.get_context("spawn")
-            with context.Pool(processes=workers) as pool:
-                outcomes = pool.map(_ablation_job, jobs)
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
+    # even one worker is a spawned process: BLAS threads change the summation order
+    saved = {key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OMP_NUM_THREADS"] = "1"
+    try:
+        context = multiprocessing.get_context("spawn")
+        with context.Pool(processes=workers) as pool:
+            outcomes = pool.map(_ablation_job, jobs)
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
 
     per_run: dict = {}
     for run, name, prec, jac in outcomes:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,30 @@ def test_concat_slice_transpose_reshape_gradients():
     assert finite_difference_check(graph2, [tr]) < 1e-6
 
 
+def test_concat_piece_with_a_second_consumer():
+    # an encoder skip feeds both a decoder concat and the next max pool
+    x = RNG.normal(size=(2, 3, 4, 4))
+    y = RNG.normal(size=(2, 2, 4, 4))
+    mult = RNG.normal(size=(2, 5, 4, 4))
+    mult_pool = RNG.normal(size=(2, 3, 2, 2))
+
+    def branches(ts):
+        skip = ad.tanh(ts[0])
+        joined = ad.tsum(ad.mul(ad.concat([skip, ts[1]], axis=1), ad.Tensor(mult)))
+        pooled = ad.tsum(ad.mul(ad.max_pool2(skip), ad.Tensor(mult_pool)))
+        return joined, pooled
+
+    # both orders, so either backward can be the one that finds the gradient already set
+    assert finite_difference_check(lambda ts: ad.add(*branches(ts)), [x, y]) < 1e-6
+    assert finite_difference_check(lambda ts: ad.add(*branches(ts)[::-1]), [x, y]) < 1e-6
+    # the pieces keep views of the concat's gradient instead of copies
+    a, b = ad.Tensor(x, requires_grad=True), ad.Tensor(y, requires_grad=True)
+    joined = ad.concat([a, b], axis=1)
+    ad.tsum(ad.mul(joined, ad.Tensor(mult))).backward()
+    assert np.shares_memory(a.grad, joined.grad) and np.shares_memory(b.grad, joined.grad)
+    assert np.array_equal(a.grad, mult[:, :3]) and np.array_equal(b.grad, mult[:, 3:])
+
+
 def test_matmul_gradients():
     a = RNG.normal(size=(2, 4, 3))
     b = RNG.normal(size=(2, 3, 5))
@@ -113,6 +139,72 @@ def test_conv2d_gradients_both_routes():
     b_head = RNG.normal(size=(1,))
     graph2 = lambda ts: ad.tsum(ad.mul(ad.conv2d(ts[0], ts[1], ts[2]), ad.Tensor(mult_head)))  # noqa: E731
     assert finite_difference_check(graph2, [x, w_head, b_head]) < 1e-6
+
+
+@pytest.mark.parametrize("c_in, c_out", [(3, 6), (6, 3)])
+def test_conv2d_gradients_non_square(c_in, c_out):
+    # the patch workspace holds C_in taps forward and C_out taps for dX
+    x = RNG.normal(size=(3, c_in, 5, 7))
+    w = RNG.normal(size=(c_out, c_in, 3, 3)) * 0.5
+    b = RNG.normal(size=(c_out,))
+    mult = RNG.normal(size=(3, c_out, 5, 7))
+    graph = lambda ts: ad.tsum(ad.mul(ad.conv2d(ts[0], ts[1], ts[2]), ad.Tensor(mult)))  # noqa: E731
+    assert finite_difference_check(graph, [x, w, b], samples=12) < 1e-6
+
+
+def test_conv2d_im2col_float32_matches_float64():
+    x = RNG.normal(size=(3, 7, 10, 12))
+    w = RNG.normal(size=(5, 7, 3, 3)) * 0.5
+    b = RNG.normal(size=(5,))
+    mult = RNG.normal(size=(3, 5, 10, 12))
+
+    def run(dtype):
+        ts = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in (x, w, b)]
+        y = ad.conv2d(*ts)
+        ad.tsum(ad.mul(y, ad.Tensor(mult.astype(dtype)))).backward()
+        return [y.data] + [t.grad for t in ts]
+
+    for got, want in zip(run(np.float32), run(np.float64)):
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+
+def test_conv2d_batch_item_equals_item_alone_bitwise():
+    # the Siamese A/B swap is bit-exact only if an item's conv ignores its batch neighbors
+    rng = np.random.Generator(np.random.Philox(3))
+    x = rng.normal(size=(4, 6, 9, 8)).astype(np.float32)
+    w = ad.Tensor(rng.normal(size=(5, 6, 3, 3)).astype(np.float32))
+    b = ad.Tensor(rng.normal(size=(5,)).astype(np.float32))
+    g = rng.normal(size=(4, 5, 9, 8)).astype(np.float32)
+
+    def run(items):
+        xt = ad.Tensor(x[items], requires_grad=True)
+        y = ad.conv2d(xt, w, b)
+        y._backward(g[items])
+        return y.data, xt.grad
+
+    y_all, dx_all = run(slice(None))
+    for i in range(4):
+        y_one, dx_one = run(slice(i, i + 1))
+        assert np.array_equal(y_all[i : i + 1], y_one) and np.array_equal(dx_all[i : i + 1], dx_one)
+
+
+def test_conv2d_memory_stays_below_one_batch_patch_matrix():
+    rng = np.random.Generator(np.random.Philox(5))
+    batch, channels, size = 8, 16, 64
+    x = ad.Tensor(rng.normal(size=(batch, channels, size, size)).astype(np.float32), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(channels, channels, 3, 3)).astype(np.float32), requires_grad=True)
+    b = ad.Tensor(np.zeros(channels, np.float32), requires_grad=True)
+    g = np.ones((batch, channels, size, size), np.float32)
+    patch_matrix_bytes = batch * channels * 9 * size * size * 4  # about 19 MB
+    tracemalloc.start()
+    try:
+        y = ad.conv2d(x, w, b)
+        y._backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and w.grad is not None
+    assert peak < patch_matrix_bytes / 2, peak
 
 
 def test_conv_transpose_gradients():

@@ -65,6 +65,21 @@ def test_encode_degenerate_mask_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: DegenerateMask: ")
 
 
+def test_decode_rejects_non_finite_and_overlong_maps(tmp_path, capsys):
+    header = b"SNDM" + (2).to_bytes(4, "little") + (1).to_bytes(4, "little")
+    cases = (
+        (np.array([0.5, np.nan], dtype="<f4").tobytes(), "error: NonFinite: "),
+        (np.array([0.5, -0.5], dtype="<f4").tobytes() + b"junk", "error: TruncatedPayload: "),
+    )
+    for payload, prefix in cases:
+        path = tmp_path / "m.sndmf"
+        path.write_bytes(header + payload)
+        out = tmp_path / "back.pgm"
+        assert main(["sndm-decode", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not out.exists()
+
+
 def test_gen_data_writes_dataset(tmp_path, capsys):
     out = tmp_path / "data"
     assert main(["gen-data", "--pairs", "3", "--seed", "5", "--size", "32", "--out", str(out)]) == 0

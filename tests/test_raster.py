@@ -5,6 +5,7 @@ from sndmseg.errors import (
     IoFailureError,
     MalformedHeaderError,
     MissingFileError,
+    NonFiniteError,
     ShapeMismatchError,
     TruncatedPayloadError,
 )
@@ -120,6 +121,31 @@ def test_float_map_bad_magic_and_truncation(tmp_path):
         read_float_map(str(path))
     path.write_bytes(b"SNDM" + (4).to_bytes(4, "little") + (4).to_bytes(4, "little") + bytes(8))
     with pytest.raises(TruncatedPayloadError):
+        read_float_map(str(path))
+
+
+def _float_map_bytes(width, height, payload: bytes) -> bytes:
+    return b"SNDM" + width.to_bytes(4, "little") + height.to_bytes(4, "little") + payload
+
+
+def test_float_map_length_must_be_exact(tmp_path):
+    path = tmp_path / "m.sndmf"
+    good = np.arange(6, dtype="<f4").tobytes()  # 3x2 payload, 24 bytes
+    for payload, got in ((good[:-1], 35), (good + b"\x00", 37), (good + good, 60)):
+        path.write_bytes(_float_map_bytes(3, 2, payload))
+        with pytest.raises(TruncatedPayloadError) as info:
+            read_float_map(str(path))
+        assert "expected 36 bytes" in str(info.value) and f"got {got}" in str(info.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_map_reader_refuses_what_the_writer_refuses(tmp_path, bad):
+    values = np.array([[0.5, bad], [-0.25, 1.0]], dtype=np.float32)
+    with pytest.raises(NonFiniteError):
+        write_float_map(values, str(tmp_path / "w.sndmf"))
+    path = tmp_path / "r.sndmf"
+    path.write_bytes(_float_map_bytes(2, 2, values.astype("<f4").tobytes()))
+    with pytest.raises(NonFiniteError, match=str(path)):
         read_float_map(str(path))
 
 

@@ -206,3 +206,12 @@ def test_ablation_generates_each_seed_once(monkeypatch):
     assert len(set(calls)) == len(calls)
     assert [row["name"] for row in table["rows"]] == [variant[0] for variant in ABLATION_VARIANTS]
     assert [run["seed"] for run in table["per_run"]] == [5, 6]
+
+
+def test_ablation_table_does_not_depend_on_worker_count(monkeypatch):
+    cfg = AblationConfig(n_train=4, n_val=2, n_test=2, epochs=1, image_size=32)
+    tables = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SNDM_THREADS", workers)
+        tables.append(ablation(1, base_seed=0, config=cfg))
+    assert tables[0] == tables[1]

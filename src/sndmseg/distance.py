@@ -21,6 +21,8 @@ from scipy import ndimage
 from .errors import EmptyForegroundError
 from .raster import as_mask
 
+BRUTE_CHUNK_BYTES = 32 << 20  # work-block budget of edt_squared_brute
+
 
 def boundary_mask(mask) -> np.ndarray:
     """Bool map of boundary pixels (foreground with a background 4-neighbor)."""
@@ -60,21 +62,26 @@ def edt(mask) -> np.ndarray:
     return np.sqrt(edt_squared(mask).astype(np.float64))
 
 
-def edt_squared_brute(mask, chunk_rows: int = 256) -> np.ndarray:
+def edt_squared_brute(mask) -> np.ndarray:
     """Brute-force oracle: min over all boundary pixels of the integer squared distance.
 
-    O(pixels * |boundary|); use for verification only.
+    O(pixels * |boundary|); use for verification only. Pixels are taken in
+    row-major chunks whose two (chunk, |boundary|) int64 work blocks fit in
+    ``BRUTE_CHUNK_BYTES``, so memory stays bounded on large masks.
     """
     b = boundary_set(mask)
     h, w = as_mask(mask).shape
     by = b[:, 0].astype(np.int64)
     bx = b[:, 1].astype(np.int64)
-    cols = np.arange(w, dtype=np.int64)
-    dx2 = (cols[:, None] - bx[None, :]) ** 2  # (w, |B|)
-    out = np.empty((h, w), dtype=np.int64)
-    for start in range(0, h, chunk_rows):
-        rows = np.arange(start, min(start + chunk_rows, h), dtype=np.int64)
-        dy2 = (rows[:, None] - by[None, :]) ** 2  # (rows, |B|)
-        d2 = dy2[:, None, :] + dx2[None, :, :]
-        out[start : start + len(rows)] = d2.min(axis=2)
-    return out
+    chunk = max(1, BRUTE_CHUNK_BYTES // (2 * 8 * len(b)))
+    out = np.empty(h * w, dtype=np.int64)
+    for start in range(0, h * w, chunk):
+        pixels = np.arange(start, min(start + chunk, h * w), dtype=np.int64)
+        d2 = pixels[:, None] // w - by
+        d2 *= d2
+        dx = pixels[:, None] % w - bx
+        dx *= dx
+        d2 += dx
+        d2.min(axis=1, out=out[start : start + len(pixels)])
+        del d2, dx  # free both blocks before the next chunk allocates its own
+    return out.reshape(h, w)

@@ -4,7 +4,8 @@ Optimization is Adam with decoupled weight decay. The learning rate
 halves whenever the validation loss has not improved (strictly lower by
 at least 1e-6) for ``plateau_patience`` consecutive epochs; the stale
 counter resets after each halving. The retained checkpoint is the one
-with the minimum validation loss seen during the run.
+with the minimum validation loss seen during the run. A non-finite
+training-step or validation loss stops the run with ``NonFiniteError``.
 
 Everything downstream of a (configuration, seed) pair is deterministic:
 shuffling uses a counter-based generator, reductions keep a fixed order,
@@ -27,6 +28,7 @@ from .errors import (
     BatchTooSmallError,
     DatasetEmptyError,
     InvalidConfigError,
+    NonFiniteError,
     ShapeMismatchError,
 )
 from .losses import LOSSES, LossConfig
@@ -229,13 +231,18 @@ def train(
             img_a, img_b, gt_a, gt_b = _stack_batch(train_records, train_targets, indices)
             out = build_forward(img_a, img_b, params, net_config, mode="train")
             loss = (ad.map_loss(out.pred_a, gt_a, loss_fn, loss_config) + ad.map_loss(out.pred_b, gt_b, loss_fn, loss_config)) * 0.5
+            step_loss = float(loss.data)
+            if not np.isfinite(step_loss):
+                raise NonFiniteError(f"training loss is {step_loss} in epoch {epoch} at batch {start // cfg.batch_size}")
             loss.backward()
             grads = {name: tensor.grad for name, tensor in out.param_tensors.items()}
             adam_step(params.values, grads, state, lr, cfg.weight_decay)
-            loss_sum += float(loss.data) * len(indices)
+            loss_sum += step_loss * len(indices)
             seen += len(indices)
         train_loss = loss_sum / max(seen, 1)
         val_loss = _dataset_loss(val_records, val_targets, params, net_config, loss_fn, loss_config, cfg.batch_size)
+        if not np.isfinite(val_loss):
+            raise NonFiniteError(f"validation loss is {val_loss} after epoch {epoch}")
 
         if val_loss < scheduler.best:
             best_epoch = epoch

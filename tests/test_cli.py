@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from sndmseg import cli
 from sndmseg.cli import main
 from sndmseg.raster import read_float_map, read_mask, write_mask
 from sndmseg.sndm import sndm_encode
-from sndmseg.synth import gen_dataset, GenConfig
+from sndmseg.synth import gen_dataset, GenConfig, load_dataset
 
 
 @pytest.fixture
@@ -127,6 +128,26 @@ def test_train_eval_cycle(tmp_path, capsys):
     assert len(payload["items"]) == 3
     out = capsys.readouterr().out
     assert "jaccard=" in out
+
+
+def test_train_non_finite_input_is_domain_error(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "train"
+    val = tmp_path / "val"
+    gen_dataset(100, GenConfig(image_size=32), 4, str(data))
+    gen_dataset(200, GenConfig(image_size=32), 2, str(val))
+
+    def load_with_nan(directory):
+        records = load_dataset(directory)
+        if directory == str(data):
+            records[0].img_a[3, 4, 0] = np.nan  # PPM cannot hold NaN; inject it after reading
+        return records
+
+    monkeypatch.setattr(cli, "load_dataset", load_with_nan)
+    ckpt = tmp_path / "model.ckpt"
+    args = ["train", "--data", str(data), "--val", str(val), "--size", "32", "--widths", "6,10", "--epochs", "1"]
+    assert main(args + ["--out", str(ckpt)]) == 1
+    assert capsys.readouterr().err.startswith("error: NonFinite: training loss is nan")
+    assert not ckpt.exists()
 
 
 def test_config_file_merging(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sndmseg import distance
 from sndmseg.distance import boundary_mask, boundary_set, edt, edt_squared, edt_squared_brute
 from sndmseg.errors import EmptyForegroundError
 
@@ -104,3 +106,22 @@ def test_edt_is_one_lipschitz():
     d = edt(mask)
     assert np.abs(np.diff(d, axis=0)).max() <= 1.0 + 1e-12
     assert np.abs(np.diff(d, axis=1)).max() <= 1.0 + 1e-12
+
+
+def test_brute_force_memory_stays_within_budget(monkeypatch):
+    budget = 1 << 20
+    monkeypatch.setattr(distance, "BRUTE_CHUNK_BYTES", budget)
+    yy, xx = np.mgrid[:256, :256]
+    mask = (yy - 127.5) ** 2 + (xx - 120.0) ** 2 < 100.0**2
+    expected = edt_squared(mask)
+    tracemalloc.start()
+    try:
+        got = edt_squared_brute(mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    # the work blocks, the int64 output, and about 150 KB of small arrays and
+    # numpy reduction buffers that do not grow with the budget; the former
+    # 256-row chunks took about 300 MB here
+    assert peak <= budget + got.nbytes + (512 << 10), peak

@@ -1,11 +1,57 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from sndmseg.errors import InvalidConfigError, MissingFileError
-from sndmseg.synth import GenConfig, gen_dataset, gen_pair, load_dataset, make_pairs
+from sndmseg.synth import GenConfig, _coverage, gen_dataset, gen_pair, load_dataset, make_pairs
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+def point_in_polygon(px, py, poly):
+    """Per-point even-odd oracle: a (points, edges) crossing matrix."""
+    x1, y1 = poly[:, 0], poly[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    crosses = (y1[None, :] > py[:, None]) != (y2[None, :] > py[:, None])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x_at = x1[None, :] + (py[:, None] - y1[None, :]) * (x2 - x1)[None, :] / (y2 - y1)[None, :]
+    hits = crosses & (px[:, None] < x_at)
+    return hits.sum(axis=1) % 2 == 1
+
+
+def oracle_coverage(poly, size):
+    """Mask at pixel centers plus four separate subsample passes, accumulated in float."""
+    centers = np.arange(size) + 0.5
+    cx, cy = np.meshgrid(centers, centers)
+    mask = point_in_polygon(cx.ravel(), cy.ravel(), poly).reshape(size, size)
+    cover = np.zeros((size, size), dtype=np.float64)
+    for ox in (0.25, 0.75):
+        for oy in (0.25, 0.75):
+            gx, gy = np.meshgrid(np.arange(size) + ox, np.arange(size) + oy)
+            cover += point_in_polygon(gx.ravel(), gy.ravel(), poly).reshape(size, size)
+    return mask, cover / 4.0
+
+
+@st.composite
+def polygons(draw):
+    """(size, polygon) with vertices off and on sample rows, some horizontal edges, some outside the image."""
+    size = draw(st.integers(16, 130))
+    lo, hi = -0.25 * size, 1.25 * size
+    on_sample = st.builds(
+        lambda k, frac: k + frac,
+        st.integers(int(lo), int(hi)),
+        st.sampled_from((0.0, 0.25, 0.5, 0.75)),
+    )
+    coord = st.one_of(st.floats(lo, hi, allow_nan=False), on_sample)
+    n = draw(st.integers(3, 12))
+    pts = np.array([[draw(coord), draw(coord)] for _ in range(n)])
+    flat = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    for i in range(1, n):
+        if flat[i]:  # horizontal edge from vertex i-1 to vertex i
+            pts[i, 1] = pts[i - 1, 1]
+    return size, pts
 
 
 def test_determinism_bit_identical():
@@ -31,6 +77,48 @@ def test_mask_validity_sweep():
         for img in (sample.img_a, sample.img_b):
             assert img.dtype == np.float32
             assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+def assert_matches_oracle(poly, size):
+    for got, want in zip(_coverage(poly, size), oracle_coverage(poly, size)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygons())
+def test_scanline_rasterizer_matches_per_point_oracle(case):
+    size, poly = case
+    assert_matches_oracle(poly, size)
+
+
+def test_rasterizer_edge_cases_match_oracle():
+    cases = [
+        # axis-aligned square with every vertex on a sample row or column
+        np.array([[4.25, 4.25], [20.75, 4.25], [20.75, 20.75], [4.25, 20.75]]),
+        # vertices on pixel-center rows, horizontal top and bottom edges
+        np.array([[2.5, 3.5], [30.0, 3.5], [18.0, 11.5], [30.0, 25.5], [2.5, 25.5]]),
+        # reaching past every border
+        np.array([[-10.0, -7.3], [45.2, -3.0], [40.0, 50.0], [-5.0, 38.75]]),
+        # self-intersecting bow tie
+        np.array([[3.0, 3.0], [28.0, 28.0], [28.0, 3.0], [3.0, 28.0]]),
+    ]
+    for size in (16, 17, 33):
+        for poly in cases:
+            assert_matches_oracle(poly, size)
+
+
+def test_ellipse_fallback_when_no_pose_fits():
+    cfg = GenConfig(image_size=64, object_scale=(3.0, 3.0))  # margin exceeds half the image
+    size = cfg.image_size
+    centers = np.arange(size) + 0.5
+    gx, gy = np.meshgrid(centers, centers)
+    ellipse = ((gx - size / 2) / (0.30 * size)) ** 2 + ((gy - size / 2) / (0.20 * size)) ** 2 <= 1.0
+    first = gen_pair(5, cfg)
+    for sample in (first, gen_pair(5, cfg), gen_pair(6, cfg)):
+        for mask in (sample.mask_a, sample.mask_b):
+            assert mask.tobytes() == first.mask_a.tobytes()
+            assert np.array_equal(mask, ellipse)
+            assert 0.02 <= mask.mean() <= 0.6
 
 
 def test_pose_varies_between_branches():

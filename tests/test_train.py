@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sndmseg import synth
-from sndmseg.errors import BatchTooSmallError, DatasetEmptyError, InvalidConfigError
+from sndmseg.errors import BatchTooSmallError, DatasetEmptyError, InvalidConfigError, NonFiniteError
 from sndmseg.losses import LossConfig
 from sndmseg.network import NetConfig, init_params
 from sndmseg.sndm import sndm_encode
@@ -114,6 +114,14 @@ def test_train_rerun_is_identical():
     ]
     for name in first.params.values:
         assert np.array_equal(first.params.values[name], second.params.values[name])
+
+
+@pytest.mark.parametrize("split, phrase", [(0, "training loss is nan"), (1, "validation loss is nan")])
+def test_non_finite_loss_stops_training(split, phrase):
+    sets = tiny_sets(6, 3)
+    sets[split][1].img_b[5, 7, 2] = np.nan
+    with pytest.raises(NonFiniteError, match=phrase):
+        train(*sets, TINY_NET, TrainConfig(max_epochs=2, seed=11))
 
 
 def test_best_checkpoint_is_min_val_loss():

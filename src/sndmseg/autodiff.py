@@ -14,10 +14,17 @@ add/mul, and sum/mean reductions. Convolutions are expressed as matrix
 multiplies so the heavy lifting stays in BLAS. The multi-channel 3x3
 conv runs one GEMM per batch item over a patch workspace that all items
 reuse, and takes its input gradient as the same conv of the output
-gradient with the flipped, transposed kernel. The memory-bound ops
-(batch norm, max pooling, the placement around the transposed conv's
-GEMM) are written to make as few passes over their tensors as they can,
-with every per-channel reduction accumulated in float64.
+gradient with the flipped, transposed kernel. The single-output head
+conv reads its input unpadded: its tap GEMMs zero the entries that would
+read padding. The memory-bound ops (batch norm, max pooling, the
+placement around the transposed conv's GEMM) are written to make as few
+passes over their tensors as they can, with every per-channel reduction
+accumulated in float64.
+
+A forward-only pass does no training-only work: max pooling builds its
+argmax index only under a gradient, and an eval forward folds each batch
+norm into the conv before it (:func:`fold_batch_norm`), so no batch-norm
+pass runs at all.
 
 Training runs in float32; feed float64 arrays when checking gradients,
 since 32-bit noise masks real defects.
@@ -381,43 +388,52 @@ def _conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def _conv2d_head(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Single-output-channel route (the prediction head).
 
-    Forward runs nine tap-shifted matrix multiplies over the flat padded
-    input at the padded row pitch (gap columns discarded), since a patch
-    matrix would dwarf the actual work here. Backward lays the output
-    gradient out once per tap at the same pitch (zero in the gap
-    columns), so dW and dX are each a single GEMM against those taps.
+    Forward runs nine tap-shifted matrix multiplies over the flat,
+    unpadded input at row pitch W, since a patch matrix would dwarf the
+    actual work here. A tap's (B, 1, H*W) product covers only the outputs
+    whose reads stay inside the flat range, and its entries in the column
+    where the shift wraps across rows are zeroed; together those zeros
+    stand in for the zero padding. Backward lays the output gradient out
+    once per tap with the same zeros, so dW and dX are each a single GEMM
+    against those taps and dX comes out unpadded.
     """
     batch, channels, height, width = x.data.shape
-    pitch = width + 2
-    flat = (height + 2) * pitch
-    span = (height - 1) * pitch + width
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    xf = xp.reshape(batch, channels, flat)
-    acc = np.zeros((batch, 1, height * pitch), dtype=x.dtype)
-    for di, dj in _TAP_OFFSETS:
-        start = di * pitch + dj
-        acc[:, :, :span] += np.matmul(weight.data[:, :, di, dj], xf[:, :, start : start + span])
-    data = acc.reshape(batch, 1, height, pitch)[:, :, :, :width] + bias.data.reshape(1, -1, 1, 1)
+    n = height * width
+    xf = x.data.reshape(batch, channels, n)
+    # tap k: output p reads flat input p + shift over the outputs ``dst`` whose read stays in
+    # range; a column shift of -1 (+1) wraps output column 0 (W - 1) into the neighboring row
+    taps = []
+    for k, (di, dj) in enumerate(_TAP_OFFSETS):
+        shift = (di - 1) * width + (dj - 1)
+        dst, src = _shifted_span(shift, n)
+        if dst.start < dst.stop:
+            taps.append((k, di, dj, shift, dst, src, {0: 0, 2: width - 1}.get(dj)))
+    acc = np.zeros((batch, 1, n), dtype=x.dtype)
+    for _, di, dj, _, dst, src, wrap in taps:
+        prod = np.matmul(weight.data[:, :, di, dj], xf[:, :, src])
+        if wrap is not None:
+            prod[:, :, (wrap - dst.start) % width :: width] = 0
+        acc[:, :, dst] += prod
+    data = acc.reshape(batch, 1, height, width) + bias.data.reshape(1, -1, 1, 1)
 
     def backward(g):
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2, 3)))
         if not (weight.requires_grad or x.requires_grad):
             return
-        gp = np.zeros((batch, height, pitch), dtype=g.dtype)
-        gp[:, :, :width] = g[:, 0]
-        gp = gp.reshape(batch, height * pitch)
-        # taps[b, k, p] = g at the output that reads padded input p through tap k
-        taps = np.zeros((batch, 9, flat), dtype=g.dtype)
-        for k, (di, dj) in enumerate(_TAP_OFFSETS):
-            start = di * pitch + dj
-            taps[:, k, start : start + span] = gp[:, :span]
+        gf = g.reshape(batch, n)
+        # laid[b, k, q] = g at the output that reads input q through tap k
+        laid = np.zeros((batch, 9, n), dtype=g.dtype)
+        for k, _, _, shift, dst, src, wrap in taps:
+            laid[:, k, src] = gf[:, dst]
+            if wrap is not None:
+                laid[:, k, (wrap + shift) % width :: width] = 0
         if weight.requires_grad:
-            dw = np.matmul(xf, taps.transpose(0, 2, 1)).sum(axis=0)
+            dw = np.matmul(xf, laid.transpose(0, 2, 1)).sum(axis=0)
             weight.accumulate_owned(dw.reshape(weight.data.shape))
         if x.requires_grad:
-            dxp = np.matmul(weight.data.reshape(channels, 9), taps)
-            x.accumulate_owned(dxp.reshape(batch, channels, height + 2, pitch)[:, :, 1:-1, 1:-1])
+            dx = np.matmul(weight.data.reshape(channels, 9), laid)
+            x.accumulate_owned(dx.reshape(x.data.shape))
 
     return _node(data, (x, weight, bias), backward)
 
@@ -474,25 +490,54 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2; ties route the gradient to the first maximum."""
+    """2x2 max pooling, stride 2; ties route the gradient to the first maximum.
+
+    The argmax index that routes the gradient is built only when ``x``
+    requires a gradient; a forward-only pass makes just the max.
+    """
     batch, channels, height, width = x.data.shape
     if height % 2 or width % 2:
         raise ShapeMismatchError(f"max_pool2 needs even spatial dims, got {height}x{width}")
     # window position k = 2 * row + col, each a strided view of x
     views = [x.data[:, :, i::2, j::2] for i, j in _BLOCK_OFFSETS]
     data = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+    if not x.requires_grad:
+        return Tensor(data)
     idx = np.full(data.shape, 3, dtype=np.int8)
     for k in (2, 1, 0):  # lower positions overwrite, so ties keep the first maximum
         idx[views[k] == data] = k
 
     def backward(g):
-        if x.requires_grad:
-            dx = np.empty(x.data.shape, dtype=g.dtype)
-            for k, (i, j) in enumerate(_BLOCK_OFFSETS):
-                dx[:, :, i::2, j::2] = np.where(idx == k, g, 0)
-            x.accumulate_owned(dx)
+        dx = np.empty(x.data.shape, dtype=g.dtype)
+        for k, (i, j) in enumerate(_BLOCK_OFFSETS):
+            dx[:, :, i::2, j::2] = np.where(idx == k, g, 0)
+        x.accumulate_owned(dx)
 
     return _node(data, (x,), backward)
+
+
+def _bn_affine(gamma, beta, mean, var, eps):
+    """(inv_std, scale, shift) of batch norm as one per-channel multiply-add x * scale + shift."""
+    inv_std = 1.0 / np.sqrt(var + eps)
+    scale = gamma * inv_std
+    return inv_std, scale, beta - scale * mean
+
+
+def fold_batch_norm(weight, bias, gamma, beta, running_mean, running_var, out_axis: int, eps: float = 1e-5):
+    """Eval-mode batch norm folded into the preceding conv: (weight * scale, bias * scale + shift).
+
+    ``out_axis`` is the weight's output-channel axis: 0 for a conv2d
+    weight, 1 for a conv_transpose2d weight. The conv with the returned
+    arrays equals eval-mode :func:`batch_norm` of the conv's output, up to
+    rounding. Statistics are cast to the weight's dtype, as
+    :func:`batch_norm` casts them to its input's.
+    """
+    mean = running_mean.astype(weight.dtype, copy=False)
+    var = running_var.astype(weight.dtype, copy=False)
+    _, scale, shift = _bn_affine(gamma, beta, mean, var, eps)
+    broadcast = [1] * weight.ndim
+    broadcast[out_axis] = -1
+    return weight * scale.reshape(broadcast), bias * scale + shift
 
 
 def batch_norm(
@@ -511,7 +556,10 @@ def batch_norm(
     In training mode the batch statistics normalize the input and, when
     ``update_stats`` is set, update the running buffers in place
     (running = momentum * running + (1 - momentum) * batch). In eval mode
-    the op is a pure per-channel affine map of the running statistics.
+    the op is a pure per-channel affine map of the running statistics;
+    the network's eval forward does not call it but folds that same map
+    into the preceding convolution (:func:`fold_batch_norm`), and this
+    mode stays as the reference the fold is tested against.
     """
     n = x.data.size // x.data.shape[1]
     if training:
@@ -527,10 +575,7 @@ def batch_norm(
     else:
         mean = running_mean.astype(x.dtype, copy=False)
         var = running_var.astype(x.dtype, copy=False)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    # fold normalize + affine into one per-channel multiply-add
-    scale = gamma.data * inv_std
-    shift = beta.data - scale * mean
+    inv_std, scale, shift = _bn_affine(gamma.data, beta.data, mean, var, eps)
     data = x.data * scale[None, :, None, None] + shift[None, :, None, None]
 
     def backward(g):
@@ -654,6 +699,7 @@ __all__ = [
     "conv_transpose2d",
     "max_pool2",
     "batch_norm",
+    "fold_batch_norm",
     "map_loss",
     "save_checkpoint",
     "load_checkpoint",

@@ -50,16 +50,19 @@ def boundary_set(mask) -> np.ndarray:
 def edt_squared(mask) -> np.ndarray:
     """Exact integer squared Euclidean distance to the nearest boundary pixel."""
     b = boundary_mask(mask)
-    nearest = ndimage.distance_transform_edt(~b, return_distances=False, return_indices=True)
+    # one (2, H, W) int64 work block: row and column offsets to the nearest boundary pixel, squared in place
+    sq = ndimage.distance_transform_edt(~b, return_distances=False, return_indices=True).astype(np.int64)
     h, w = b.shape
-    dy = nearest[0].astype(np.int64) - np.arange(h, dtype=np.int64)[:, None]
-    dx = nearest[1].astype(np.int64) - np.arange(w, dtype=np.int64)[None, :]
-    return dy * dy + dx * dx
+    sq[0] -= np.arange(h, dtype=np.int64)[:, None]
+    sq[1] -= np.arange(w, dtype=np.int64)
+    sq *= sq
+    return sq[0] + sq[1]  # a new array, so the work block is freed
 
 
 def edt(mask) -> np.ndarray:
     """Euclidean distance map in pixel units (float64, zero on boundary pixels)."""
-    return np.sqrt(edt_squared(mask).astype(np.float64))
+    d = edt_squared(mask).astype(np.float64)
+    return np.sqrt(d, out=d)
 
 
 def edt_squared_brute(mask) -> np.ndarray:

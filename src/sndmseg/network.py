@@ -11,7 +11,8 @@ deconv+BN+ReLU resolution adapters, the outputs of preceding decoder
 modules — all of them when dense connections are on, only the immediately
 preceding one otherwise. The raw input image is concatenated immediately
 before the final 3x3 convolution, whose activation is tanh for the
-signed-map head or sigmoid for the mask head.
+signed-map head or sigmoid for the mask head. In eval mode each batch
+norm is folded into the weights and bias of the conv or deconv before it.
 
 Both branches share every parameter, so swapping the two input images
 swaps the two outputs exactly.
@@ -199,7 +200,12 @@ def build_forward(
     update_stats: bool | None = None,
     requires_grad: bool | None = None,
 ) -> ForwardPair:
-    """Run both branches jointly and return prediction tensors (B, 1, H, W) each."""
+    """Run both branches jointly and return prediction tensors (B, 1, H, W) each.
+
+    Eval mode records no graph: it folds every batch norm into the conv or
+    deconv before it and runs no batch-norm pass, so ``requires_grad`` must
+    stay off there.
+    """
     cfg = config.validate()
     if mode not in ("train", "eval"):
         raise InvalidConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -208,6 +214,8 @@ def build_forward(
         update_stats = training
     if requires_grad is None:
         requires_grad = training
+    if requires_grad and not training:
+        raise InvalidConfigError("eval mode folds batch norm into the convolutions and cannot record gradients")
     a = _as_batch(img_a, cfg.input_size, "img_a")
     b = _as_batch(img_b, cfg.input_size, "img_b")
     if a.shape != b.shape:
@@ -220,36 +228,23 @@ def build_forward(
     pt = {name: ad.Tensor(value, requires_grad=requires_grad) for name, value in params.values.items()}
     bufs = params.buffers
 
-    def conv_bn_relu(x, conv_name, bn_name):
-        y = ad.conv2d(x, pt[f"{conv_name}.weight"], pt[f"{conv_name}.bias"])
-        y = ad.batch_norm(
-            y,
-            pt[f"{bn_name}.gamma"],
-            pt[f"{bn_name}.beta"],
-            bufs[f"{bn_name}.running_mean"],
-            bufs[f"{bn_name}.running_var"],
-            training=training,
-            momentum=BN_MOMENTUM,
-            eps=BN_EPS,
-            update_stats=update_stats,
-        )
+    def normalized(op, x, layer, bn, out_axis):
+        """relu(batch_norm(op(x))) for the conv or deconv ``layer`` and its batch norm ``bn``."""
+        weight, bias, gamma, beta = pt[f"{layer}.weight"], pt[f"{layer}.bias"], pt[f"{bn}.gamma"], pt[f"{bn}.beta"]
+        mean, var = bufs[f"{bn}.running_mean"], bufs[f"{bn}.running_var"]
+        if not training:
+            folded = ad.fold_batch_norm(weight.data, bias.data, gamma.data, beta.data, mean, var, out_axis, BN_EPS)
+            return ad.relu(op(x, *map(ad.Tensor, folded)))
+        y = op(x, weight, bias)
+        y = ad.batch_norm(y, gamma, beta, mean, var, training=True, momentum=BN_MOMENTUM, eps=BN_EPS, update_stats=update_stats)
         return ad.relu(y)
+
+    def conv_bn_relu(x, conv_name, bn_name):
+        return normalized(ad.conv2d, x, conv_name, bn_name, out_axis=0)
 
     def adapter(x, src, dst):
         for name in _adapter_names(src, dst, dst - src):
-            x = ad.conv_transpose2d(x, pt[f"{name}.deconv.weight"], pt[f"{name}.deconv.bias"])
-            x = ad.batch_norm(
-                x,
-                pt[f"{name}.bn.gamma"],
-                pt[f"{name}.bn.beta"],
-                bufs[f"{name}.bn.running_mean"],
-                bufs[f"{name}.bn.running_var"],
-                training=training,
-                momentum=BN_MOMENTUM,
-                eps=BN_EPS,
-                update_stats=update_stats,
-            )
-            x = ad.relu(x)
+            x = normalized(ad.conv_transpose2d, x, f"{name}.deconv", f"{name}.bn", out_axis=1)
         return x
 
     # joint batch: branch A occupies items [0, B), branch B items [B, 2B)

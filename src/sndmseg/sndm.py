@@ -30,7 +30,7 @@ def sndm_encode(mask) -> np.ndarray:
     if not m.any() or m.all():
         raise DegenerateMaskError("mask must contain both foreground and background")
     d = edt(m)
-    out = np.empty(m.shape, dtype=np.float64)
+    out = np.empty(m.shape, dtype=np.float32)
     for region, sign in ((m, 1.0), (~m, -1.0)):
         dv = d[region]
         lo = dv.min()
@@ -38,10 +38,16 @@ def sndm_encode(mask) -> np.ndarray:
         if hi == lo:
             out[region] = sign
         else:
-            # (hi - dv) / (hi - lo) is exactly 1.0 at dv == lo and 0.0 at
-            # dv == hi, so +/-1.0 and +/-0.1 are attained bit-exactly
-            out[region] = sign * (0.1 + 0.9 * ((hi - dv) / (hi - lo)))
-    return out.astype(np.float32)
+            # sign * (0.1 + 0.9 * ((hi - dv) / (hi - lo))) in place; (hi - dv) / (hi - lo)
+            # is exactly 1.0 at dv == lo and 0.0 at dv == hi, so +/-1.0 and +/-0.1 are
+            # attained bit-exactly
+            np.subtract(hi, dv, out=dv)
+            dv /= hi - lo
+            dv *= 0.9
+            dv += 0.1
+            dv *= sign
+            out[region] = dv
+    return out
 
 
 def sndm_decode(values) -> np.ndarray:

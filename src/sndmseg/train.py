@@ -5,7 +5,8 @@ halves whenever the validation loss has not improved (strictly lower by
 at least 1e-6) for ``plateau_patience`` consecutive epochs; the stale
 counter resets after each halving. The retained checkpoint is the one
 with the minimum validation loss seen during the run. A non-finite
-training-step or validation loss stops the run with ``NonFiniteError``.
+training-step loss, gradient norm or validation loss stops the run with
+``NonFiniteError``.
 
 Everything downstream of a (configuration, seed) pair is deterministic:
 shuffling uses a counter-based generator, reductions keep a fixed order,
@@ -176,6 +177,12 @@ def _stack_batch(records, targets, indices):
     return img_a, img_b, gt_a, gt_b
 
 
+def _global_norm(grads) -> float:
+    """L2 norm over all gradient arrays, accumulated in float64 (finite iff every entry is)."""
+    total = sum(float(np.einsum("i,i->", g.ravel(), g.ravel(), dtype=np.float64)) for g in grads if g is not None)
+    return float(np.sqrt(total))
+
+
 def _dataset_loss(records, targets, params, net_config, loss_fn, loss_cfg, batch_size):
     total = 0.0
     for start in range(0, len(records), batch_size):
@@ -236,6 +243,9 @@ def train(
                 raise NonFiniteError(f"training loss is {step_loss} in epoch {epoch} at batch {start // cfg.batch_size}")
             loss.backward()
             grads = {name: tensor.grad for name, tensor in out.param_tensors.items()}
+            norm = _global_norm(grads.values())
+            if not np.isfinite(norm):
+                raise NonFiniteError(f"gradient norm is {norm} in epoch {epoch} at batch {start // cfg.batch_size}")
             adam_step(params.values, grads, state, lr, cfg.weight_decay)
             loss_sum += step_loss * len(indices)
             seen += len(indices)

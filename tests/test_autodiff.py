@@ -168,6 +168,70 @@ def test_conv2d_im2col_float32_matches_float64():
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
 
+def _padded_head_reference(x, w, b, g):
+    """The head conv, its input gradient and its weight gradient over an explicitly zero-padded input."""
+    batch, _, height, width = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    y = np.zeros((batch, 1, height, width)) + b[0]
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for di in range(3):
+        for dj in range(3):
+            window = xp[:, :, di : di + height, dj : dj + width]
+            y[:, 0] += np.einsum("c,bchw->bhw", w[0, :, di, dj], window)
+            dw[0, :, di, dj] = np.einsum("bhw,bchw->c", g[:, 0], window)
+            dxp[:, :, di : di + height, dj : dj + width] += np.einsum("c,bhw->bchw", w[0, :, di, dj], g[:, 0])
+    return y, dxp[:, :, 1:-1, 1:-1], dw
+
+
+@pytest.mark.parametrize("height, width", [(1, 1), (1, 5), (5, 1), (3, 7), (64, 64)])
+def test_conv2d_head_matches_padded_reference(height, width):
+    rng = np.random.Generator(np.random.Philox(height * 100 + width))
+    x = rng.normal(size=(3, 5, height, width))
+    w = rng.normal(size=(1, 5, 3, 3))
+    b = rng.normal(size=(1,))
+    g = rng.normal(size=(3, 1, height, width))
+    ts = [ad.Tensor(a, requires_grad=True) for a in (x, w, b)]
+    y = ad.conv2d(*ts)
+    y._backward(g)
+    want_y, want_dx, want_dw = _padded_head_reference(x, w, b, g)
+    for got, want in ((y.data, want_y), (ts[0].grad, want_dx), (ts[1].grad, want_dw)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+    assert np.isclose(ts[2].grad[0], g.sum(), rtol=1e-12)
+    # dX is the unpadded input's shape, laid out contiguously
+    assert ts[0].grad.flags.c_contiguous
+
+
+@pytest.mark.parametrize("op, weight_shape, out_axis", [(ad.conv2d, (4, 3, 3, 3), 0), (ad.conv_transpose2d, (3, 4, 2, 2), 1)])
+def test_fold_batch_norm_matches_eval_batch_norm(op, weight_shape, out_axis):
+    rng = np.random.Generator(np.random.Philox(61))
+    x = rng.normal(size=(2, 3, 5, 6))
+    w = rng.normal(size=weight_shape)
+    b = rng.normal(size=4)
+    gamma = rng.normal(size=4) * 1.5
+    beta = rng.normal(size=4)
+    mean = rng.normal(size=4) * 2.0
+    var = np.abs(rng.normal(size=4)) * 3.0 + 0.05
+    for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+        cast = [a.astype(dtype) for a in (x, w, b, gamma, beta, mean, var)]
+        xt, wt, bt, gt, bet = map(ad.Tensor, cast[:5])
+        oracle = ad.batch_norm(op(xt, wt, bt), gt, bet, cast[5].copy(), cast[6].copy(), training=False).data
+        folded_w, folded_b = ad.fold_batch_norm(*cast[1:], out_axis=out_axis)
+        assert folded_w.dtype == dtype and folded_b.dtype == dtype
+        got = op(xt, ad.Tensor(folded_w), ad.Tensor(folded_b)).data
+        assert np.max(np.abs(got - oracle)) <= tol * np.max(np.abs(oracle)), dtype
+
+
+def test_max_pool_without_gradient_gives_the_same_bytes():
+    x = RNG.normal(size=(2, 3, 6, 8)).astype(np.float32)
+    x[0, 0, :2, :2] = 1.5  # a tied window
+    with_grad = ad.max_pool2(ad.Tensor(x, requires_grad=True))
+    without = ad.max_pool2(ad.Tensor(x))
+    assert without.data.tobytes() == with_grad.data.tobytes()
+    assert without._backward is None and with_grad._backward is not None
+
+
 def test_conv2d_batch_item_equals_item_alone_bitwise():
     # the Siamese A/B swap is bit-exact only if an item's conv ignores its batch neighbors
     rng = np.random.Generator(np.random.Philox(3))

@@ -150,6 +150,21 @@ def test_train_non_finite_input_is_domain_error(tmp_path, capsys, monkeypatch):
     assert not ckpt.exists()
 
 
+def test_train_non_finite_gradient_is_domain_error(tmp_path, capsys, monkeypatch):
+    from sndmseg.losses import LOSSES, LossReport
+
+    data = tmp_path / "train"
+    val = tmp_path / "val"
+    gen_dataset(100, GenConfig(image_size=32), 4, str(data))
+    gen_dataset(200, GenConfig(image_size=32), 2, str(val))
+    monkeypatch.setitem(LOSSES, "iou3d-edge", lambda pred, gt, cfg: LossReport(0.5, np.full(pred.shape, np.nan)))
+    ckpt = tmp_path / "model.ckpt"
+    args = ["train", "--data", str(data), "--val", str(val), "--size", "32", "--widths", "6,10", "--epochs", "1"]
+    assert main(args + ["--out", str(ckpt)]) == 1
+    assert capsys.readouterr().err.startswith("error: NonFinite: gradient norm is nan")
+    assert not ckpt.exists()
+
+
 def test_config_file_merging(tmp_path, capsys):
     config = tmp_path / "settings.cfg"
     config.write_text("# comment line\npairs = 2\nsize = 32\nseed = 9\n")

@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sndmseg import distance
 from sndmseg.distance import boundary_mask, boundary_set, edt, edt_squared, edt_squared_brute
@@ -125,3 +128,15 @@ def test_brute_force_memory_stays_within_budget(monkeypatch):
     # numpy reduction buffers that do not grow with the budget; the former
     # 256-row chunks took about 300 MB here
     assert peak <= budget + got.nbytes + (512 << 10), peak
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.bool_, st.tuples(st.integers(1, 64), st.integers(1, 64))).filter(lambda m: m.any()))
+def test_edt_matches_brute_force_and_owns_its_memory(mask):
+    d2 = edt_squared(mask)
+    d = edt(mask)
+    assert np.array_equal(d2, edt_squared_brute(mask))
+    assert d.tobytes() == np.sqrt(d2.astype(np.float64)).tobytes()
+    # neither result is a view that keeps a larger work buffer alive
+    for out in (d2, d):
+        assert out.shape == mask.shape and out.base is None and out.flags.owndata

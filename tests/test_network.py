@@ -154,6 +154,13 @@ def test_batch_too_small_in_train_mode():
     forward_pair(img_a, img_b, params, SMALL, mode="eval")  # eval is fine
 
 
+def test_eval_forward_cannot_record_gradients():
+    params = init_params(SMALL, seed=0)
+    img_a, img_b = batch_of_pairs(16, 2)
+    with pytest.raises(InvalidConfigError):
+        build_forward(img_a, img_b, params, SMALL, mode="eval", requires_grad=True)
+
+
 def test_shape_mismatch_errors():
     params = init_params(SMALL, seed=0)
     img_a, img_b = batch_of_pairs(16, 2)

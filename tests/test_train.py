@@ -3,12 +3,13 @@ import pytest
 
 from sndmseg import synth
 from sndmseg.errors import BatchTooSmallError, DatasetEmptyError, InvalidConfigError, NonFiniteError
-from sndmseg.losses import LossConfig
+from sndmseg.losses import LossConfig, LossReport
 from sndmseg.network import NetConfig, init_params
 from sndmseg.sndm import sndm_encode
 from sndmseg.synth import GenConfig, make_pairs
 from sndmseg.train import (
     ABLATION_VARIANTS,
+    LOSSES,
     AblationConfig,
     AdamState,
     PlateauScheduler,
@@ -122,6 +123,17 @@ def test_non_finite_loss_stops_training(split, phrase):
     sets[split][1].img_b[5, 7, 2] = np.nan
     with pytest.raises(NonFiniteError, match=phrase):
         train(*sets, TINY_NET, TrainConfig(max_epochs=2, seed=11))
+
+
+def nan_gradient_loss(pred, gt, cfg):
+    """A finite loss value whose gradient is NaN everywhere."""
+    return LossReport(0.5, np.full(pred.shape, np.nan))
+
+
+def test_non_finite_gradient_stops_training(monkeypatch):
+    monkeypatch.setitem(LOSSES, "iou3d-edge", nan_gradient_loss)
+    with pytest.raises(NonFiniteError, match="gradient norm is nan in epoch 1 at batch 0"):
+        train(*tiny_sets(6, 3), TINY_NET, TrainConfig(max_epochs=2, seed=11))
 
 
 def test_best_checkpoint_is_min_val_loss():

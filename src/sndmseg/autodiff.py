@@ -48,6 +48,8 @@ from .raster import _atomic_write, _read_bytes
 
 CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
+BN_MOMENTUM = 0.9  # running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch
+BN_EPS = 1e-5
 
 
 class Tensor:
@@ -516,14 +518,14 @@ def max_pool2(x: Tensor) -> Tensor:
     return _node(data, (x,), backward)
 
 
-def _bn_affine(gamma, beta, mean, var, eps):
+def _bn_affine(gamma, beta, mean, var):
     """(inv_std, scale, shift) of batch norm as one per-channel multiply-add x * scale + shift."""
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma * inv_std
     return inv_std, scale, beta - scale * mean
 
 
-def fold_batch_norm(weight, bias, gamma, beta, running_mean, running_var, out_axis: int, eps: float = 1e-5):
+def fold_batch_norm(weight, bias, gamma, beta, running_mean, running_var, out_axis: int):
     """Eval-mode batch norm folded into the preceding conv: (weight * scale, bias * scale + shift).
 
     ``out_axis`` is the weight's output-channel axis: 0 for a conv2d
@@ -534,7 +536,7 @@ def fold_batch_norm(weight, bias, gamma, beta, running_mean, running_var, out_ax
     """
     mean = running_mean.astype(weight.dtype, copy=False)
     var = running_var.astype(weight.dtype, copy=False)
-    _, scale, shift = _bn_affine(gamma, beta, mean, var, eps)
+    _, scale, shift = _bn_affine(gamma, beta, mean, var)
     broadcast = [1] * weight.ndim
     broadcast[out_axis] = -1
     return weight * scale.reshape(broadcast), bias * scale + shift
@@ -547,15 +549,11 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
-    update_stats: bool = True,
 ) -> Tensor:
     """Per-channel batch normalization over (batch, H, W).
 
-    In training mode the batch statistics normalize the input and, when
-    ``update_stats`` is set, update the running buffers in place
-    (running = momentum * running + (1 - momentum) * batch). In eval mode
+    In training mode the batch statistics normalize the input and update
+    the running buffers in place with momentum ``BN_MOMENTUM``. In eval mode
     the op is a pure per-channel affine map of the running statistics;
     the network's eval forward does not call it but folds that same map
     into the preceding convolution (:func:`fold_batch_norm`), and this
@@ -567,15 +565,14 @@ def batch_norm(
         mean = np.einsum("bchw->c", x.data, dtype=np.float64) / n
         var = np.maximum(np.einsum("bchw,bchw->c", x.data, x.data, dtype=np.float64) / n - mean * mean, 0.0)
         mean, var = mean.astype(x.dtype), var.astype(x.dtype)
-        if update_stats:
-            running_mean *= momentum
-            running_mean += (1.0 - momentum) * mean
-            running_var *= momentum
-            running_var += (1.0 - momentum) * var
+        running_mean *= BN_MOMENTUM
+        running_mean += (1.0 - BN_MOMENTUM) * mean
+        running_var *= BN_MOMENTUM
+        running_var += (1.0 - BN_MOMENTUM) * var
     else:
         mean = running_mean.astype(x.dtype, copy=False)
         var = running_var.astype(x.dtype, copy=False)
-    inv_std, scale, shift = _bn_affine(gamma.data, beta.data, mean, var, eps)
+    inv_std, scale, shift = _bn_affine(gamma.data, beta.data, mean, var)
     data = x.data * scale[None, :, None, None] + shift[None, :, None, None]
 
     def backward(g):

@@ -1,10 +1,14 @@
 """Command line interface.
 
 One binary, eight subcommands: gen-data, edt, sndm-encode, sndm-decode,
-train, eval, gradcheck, ablation. Options may come from a flat
-``key = value`` config file (``--config``); explicit flags win over file
-values, file values over defaults, and every merged value is validated
-before any work starts. Domain failures exit 1 with a single
+train, eval, gradcheck, ablation. Argparse declares every option once.
+``--config FILE`` names a flat ``key = value`` file whose keys are the
+subcommand's valued flags without the leading dashes (``batch-size = 8``);
+each value goes through that flag's own type and choices. A key that is
+no valued flag of the subcommand (a positional, ``--oracle``, ``--config``
+or a typo) fails. Flags win over file values; an option set by neither
+keeps the default of the class or function that owns it. Every value is
+validated before any work starts. Domain failures exit 1 with a single
 machine-parseable line ``error: <code>: <detail>``; usage problems exit 2.
 
 The environment variable SNDM_THREADS caps worker processes for the
@@ -14,7 +18,9 @@ ablation command (default: machine cores).
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,8 +48,8 @@ from .train import (
     write_metrics_json,
 )
 
-HEADS = {"sndm": "sndm-tanh", "mask": "mask-sigmoid"}
-DEFAULT_LOSS_FOR_HEAD = {"sndm": "iou3d-edge", "mask": "dice"}
+ARCHS = {"plain": False, "dense": True}  # --arch -> NetConfig.dense_connections
+HEADS = {"sndm": "sndm-tanh", "mask": "mask-sigmoid"}  # --head -> NetConfig.output_head
 GRADCHECK_THRESHOLDS = {"loss": 1e-4, "net": 1e-3}
 
 
@@ -62,54 +68,50 @@ def _parse_config_file(path: str) -> dict:
         raise InvalidConfigError(f"{path}:{exc}") from exc
 
 
-class _Settings:
-    """Merged view: explicit flags override config-file values override defaults."""
+def _apply_config_file(args) -> None:
+    """Set every flag that the command line left unset from the ``--config`` file."""
+    if args.config is None:
+        return
+    path = args.config
+    # argparse has no public list of a parser's actions
+    flags = {
+        option[2:]: action
+        for action in args.command_parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and action.nargs != 0 and action.dest != "config"
+    }
+    for key, raw in _parse_config_file(path).items():
+        action = flags.get(key)
+        if action is None:
+            raise InvalidConfigError(f"{path}: unknown key {key!r} for {args.command}")
+        try:
+            value = action.type(raw) if action.type else raw
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise InvalidConfigError(f"{path}: key {key!r}: cannot parse {raw!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise InvalidConfigError(f"{path}: key {key!r}: {raw!r} is not one of {', '.join(action.choices)}")
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = _parse_config_file(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, name: str, default, cast=str):
-        flag = getattr(self.args, name.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        if name in self.file:
-            raw = self.file[name]
-            try:
-                return cast(raw)
-            except ValueError as exc:
-                raise InvalidConfigError(f"config key {name!r}: cannot parse {raw!r}") from exc
-        return default
+def _given(args, **dests) -> dict:
+    """Owner field -> value of each named option that is set; the rest keep the owner's default."""
+    return {name: getattr(args, dest) for name, dest in dests.items() if getattr(args, dest) is not None}
 
-    def require(self, name: str, cast=str):
-        value = self.get(name, None, cast)
-        if value is None:
-            raise InvalidConfigError(f"missing required option --{name} (or config key {name!r})")
-        return value
+
+def _default_of(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+def _name_of(table: dict, value) -> str:
+    return next(name for name, entry in table.items() if entry == value)
 
 
 def _widths(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise InvalidConfigError(f"bad widths {text!r}; expected comma-separated integers") from exc
-
-
-def _net_config(settings: _Settings, dense_default: bool = True) -> NetConfig:
-    head = settings.get("head", "sndm")
-    if head not in HEADS:
-        raise InvalidConfigError(f"head must be one of {sorted(HEADS)}, got {head!r}")
-    arch = settings.get("arch", "dense" if dense_default else "plain")
-    if arch not in ("plain", "dense"):
-        raise InvalidConfigError(f"arch must be 'plain' or 'dense', got {arch!r}")
-    widths = settings.get("widths", (16, 32, 64), _widths)
-    return NetConfig(
-        input_size=settings.get("size", 64, int),
-        widths=widths,
-        levels=len(widths),
-        dense_connections=arch == "dense",
-        output_head=HEADS[head],
-    ).validate()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad widths {text!r}; expected comma-separated integers") from None
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +119,13 @@ def _net_config(settings: _Settings, dense_default: bool = True) -> NetConfig:
 
 
 def _cmd_gen_data(args) -> int:
-    settings = _Settings(args)
-    config = GenConfig(image_size=settings.get("size", 64, int)).validate()
-    pairs = settings.require("pairs", int)
-    out_dir = settings.require("out")
-    seed = settings.get("seed", 0, int)
-    rows = gen_dataset(seed, config, pairs, out_dir)
-    print(f"wrote {len(rows)} pairs to {out_dir}")
+    config = replace(GenConfig(), **_given(args, image_size="size")).validate()
+    rows = gen_dataset(args.seed or 0, config, args.pairs, args.out)
+    print(f"wrote {len(rows)} pairs to {args.out}")
     return 0
 
 
 def _cmd_edt(args) -> int:
-    settings = _Settings(args)
     mask = read_mask(args.mask)
     distance = edt(mask)
     if args.oracle:
@@ -138,67 +135,54 @@ def _cmd_edt(args) -> int:
             bad = int((mine != brute).sum())
             raise OracleMismatchError(f"{bad} pixels disagree with the brute-force oracle")
         print("oracle check passed: squared distances agree exactly")
-    write_float_map(distance.astype(np.float32), settings.require("out"))
+    write_float_map(distance.astype(np.float32), args.out)
     return 0
 
 
 def _cmd_sndm_encode(args) -> int:
-    settings = _Settings(args)
-    mask = read_mask(args.mask)
-    write_float_map(sndm_encode(mask), settings.require("out"))
+    write_float_map(sndm_encode(read_mask(args.mask)), args.out)
     return 0
 
 
 def _cmd_sndm_decode(args) -> int:
-    settings = _Settings(args)
-    values = read_float_map(args.map)
-    write_mask(sndm_decode(values), settings.require("out"))
+    write_mask(sndm_decode(read_float_map(args.map)), args.out)
     return 0
 
 
 def _cmd_train(args) -> int:
-    settings = _Settings(args)
-    net_config = _net_config(settings)
-    head = settings.get("head", "sndm")
-    preset = settings.get("preset", "toy")
-    if preset not in ("toy", "reference"):
-        raise InvalidConfigError(f"preset must be 'toy' or 'reference', got {preset!r}")
-    base = reference_config() if preset == "reference" else TrainConfig()
-    train_cfg = TrainConfig(
-        batch_size=settings.get("batch-size", base.batch_size, int),
-        lr=settings.get("lr", base.lr, float),
-        weight_decay=settings.get("weight-decay", base.weight_decay, float),
-        plateau_patience=settings.get("patience", base.plateau_patience, int),
-        lr_factor=settings.get("lr-factor", base.lr_factor, float),
-        max_epochs=settings.get("epochs", base.max_epochs, int),
-        loss_id=settings.get("loss", DEFAULT_LOSS_FOR_HEAD[head]),
-        seed=settings.get("seed", 0, int),
+    net = _given(args, input_size="size", widths="widths")
+    if args.widths is not None:
+        net["levels"] = len(args.widths)
+    if args.arch is not None:
+        net["dense_connections"] = ARCHS[args.arch]
+    if args.head is not None:
+        net["output_head"] = HEADS[args.head]
+    net_config = replace(NetConfig(), **net).validate()
+    if args.loss is None and args.head == "mask":
+        args.loss = "dice"  # the one loss for the mask head
+    train_cfg = replace(
+        reference_config() if args.preset == "reference" else TrainConfig(),
+        **_given(args, batch_size="batch_size", lr="lr", weight_decay="weight_decay", plateau_patience="patience"),
+        **_given(args, lr_factor="lr_factor", max_epochs="epochs", loss_id="loss", seed="seed"),
     ).validate()
-    loss_cfg = LossConfig(
-        lam=settings.get("lam", 5.0, float),
-        epsilon=settings.get("epsilon", 1e-8, float),
-    ).validate()
-    train_set = load_dataset(settings.require("data"))
-    val_set = load_dataset(settings.require("val"))
-    out_path = settings.require("out")
+    loss_cfg = replace(LossConfig(), **_given(args, lam="lam", epsilon="epsilon")).validate()
+    train_set = load_dataset(args.data)
+    val_set = load_dataset(args.val)
     result = train(train_set, val_set, net_config, train_cfg, loss_cfg)
-    save_net(out_path, net_config, result.params)
-    history_path = settings.get("history", out_path + ".history.csv")
+    save_net(args.out, net_config, result.params)
+    history_path = args.history or args.out + ".history.csv"
     write_history_csv(result.history, history_path)
     print(
         f"trained {train_cfg.max_epochs} epochs; best val loss {result.best_val_loss!r} "
-        f"at epoch {result.best_epoch}; checkpoint {out_path}; history {history_path}"
+        f"at epoch {result.best_epoch}; checkpoint {args.out}; history {history_path}"
     )
     return 0
 
 
 def _cmd_eval(args) -> int:
-    settings = _Settings(args)
-    ckpt = settings.require("ckpt")
-    report = evaluate_checkpoint(ckpt, load_dataset(settings.require("data")))
-    report_path = settings.get("report", None)
-    if report_path:
-        write_metrics_json(report, report_path)
+    report = evaluate_checkpoint(args.ckpt, load_dataset(args.data))
+    if args.report:
+        write_metrics_json(report, args.report)
     mean = report.mean()
     print(
         f"pairs={len(report.items)} precision={mean['precision']:.4f} "
@@ -208,19 +192,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    settings = _Settings(args)
-    target = settings.get("target", "loss")
-    if target not in GRADCHECK_THRESHOLDS:
-        raise InvalidConfigError(f"target must be 'loss' or 'net', got {target!r}")
-    trials = settings.get("trials", 100 if target == "loss" else 20, int)
-    seed = settings.get("seed", 0, int)
+    target = args.target or "loss"
+    given = _given(args, trials="trials", seed="seed")
     if target == "loss":
-        loss_id = settings.get("loss", "iou3d-edge")
-        cfg = LossConfig(lam=settings.get("lam", 5.0, float)).validate()
-        worst = grad_check_loss(loss_id, trials=trials, seed=seed, cfg=cfg)
+        loss_id = args.loss or TrainConfig.loss_id
+        cfg = replace(LossConfig(), **_given(args, lam="lam")).validate()
+        worst = grad_check_loss(loss_id, cfg=cfg, **given)
         label = f"loss {loss_id}"
     else:
-        worst = grad_check_net(trials=trials, seed=seed)
+        worst = grad_check_net(**given)
         label = "network"
     threshold = GRADCHECK_THRESHOLDS[target]
     print(f"gradcheck {label}: max relative error {worst:.3e} (threshold {threshold:.0e})")
@@ -228,20 +208,14 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablation(args) -> int:
-    settings = _Settings(args)
-    config = AblationConfig(
-        n_train=settings.get("train-pairs", AblationConfig.n_train, int),
-        n_val=settings.get("val-pairs", AblationConfig.n_val, int),
-        n_test=settings.get("test-pairs", AblationConfig.n_test, int),
-        epochs=settings.get("epochs", AblationConfig.epochs, int),
-        batch_size=settings.get("batch-size", AblationConfig.batch_size, int),
-        lr=settings.get("lr", AblationConfig.lr, float),
-        image_size=settings.get("size", AblationConfig.image_size, int),
+    config = replace(
+        AblationConfig(),
+        **_given(args, n_train="train_pairs", n_val="val_pairs", n_test="test_pairs", epochs="epochs"),
+        **_given(args, batch_size="batch_size", lr="lr", image_size="size"),
     )
-    table = ablation(settings.require("runs", int), settings.get("seed", 0, int), config)
-    out_path = settings.get("out", None)
-    if out_path:
-        write_ablation_json(table, out_path)
+    table = ablation(args.runs, config=config, **_given(args, base_seed="seed"))
+    if args.out:
+        write_ablation_json(table, args.out)
     for row in table["rows"]:
         print(f"{row['name']:>13}: precision={row['precision']:.4f} jaccard={row['jaccard']:.4f}")
     return 0
@@ -251,8 +225,12 @@ def _cmd_ablation(args) -> int:
 # parser
 
 
-def _add_config_flag(parser):
-    parser.add_argument("--config", metavar="FILE", help="flat key = value config file; flags override it")
+def _subcommand(sub, name: str, func, help_text: str, required: tuple = ()):
+    """A subcommand parser with ``--config``; ``required`` options must come from a flag or the file."""
+    parser = sub.add_parser(name, help=help_text, description=help_text)
+    parser.add_argument("--config", metavar="FILE", help="key = value file of this command's valued flags; flags override it")
+    parser.set_defaults(func=func, command_parser=parser, required=required)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,86 +241,75 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    p = _subcommand(sub, "gen-data", _cmd_gen_data, "generate a synthetic co-object pair dataset", ("pairs", "out"))
+    p.add_argument("--pairs", type=int, help="number of pairs to generate (required)")
+    p.add_argument("--seed", type=int, help="base seed; pair i uses seed+i (default 0)")
+    p.add_argument("--size", type=int, help=f"image side length (default {GenConfig.image_size})")
+    p.add_argument("--out", help="output directory (required)")
 
-    p = sub.add_parser("gen-data", help="generate a synthetic co-object pair dataset", formatter_class=fmt)
-    p.add_argument("--pairs", type=int, help="number of pairs to generate")
-    p.add_argument("--seed", type=int, help="base seed (pair i uses seed+i)")
-    p.add_argument("--size", type=int, help="image side length (default 64)")
-    p.add_argument("--out", help="output directory")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("edt", help="exact Euclidean distance transform of a mask", formatter_class=fmt)
+    p = _subcommand(sub, "edt", _cmd_edt, "exact Euclidean distance transform of a mask", ("out",))
     p.add_argument("mask", help="input PGM (P5) mask")
-    p.add_argument("--out", help="output float-map file")
+    p.add_argument("--out", help="output float-map file (required)")
     p.add_argument("--oracle", action="store_true", help="verify against the brute-force oracle")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_edt)
 
-    p = sub.add_parser("sndm-encode", help="encode a mask into a signed normalized distance map", formatter_class=fmt)
+    p = _subcommand(sub, "sndm-encode", _cmd_sndm_encode, "encode a mask into a signed normalized distance map", ("out",))
     p.add_argument("mask", help="input PGM (P5) mask")
-    p.add_argument("--out", help="output float-map file")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_sndm_encode)
+    p.add_argument("--out", help="output float-map file (required)")
 
-    p = sub.add_parser("sndm-decode", help="decode a signed map back into a mask", formatter_class=fmt)
+    p = _subcommand(sub, "sndm-decode", _cmd_sndm_decode, "decode a signed map back into a mask", ("out",))
     p.add_argument("map", help="input float-map file")
-    p.add_argument("--out", help="output PGM mask")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_sndm_decode)
+    p.add_argument("--out", help="output PGM mask (required)")
 
-    p = sub.add_parser("train", help="train the co-segmentation network", formatter_class=fmt)
-    p.add_argument("--data", help="training dataset directory (with manifest.tsv)")
-    p.add_argument("--val", help="validation dataset directory")
-    p.add_argument("--arch", choices=("plain", "dense"), help="decoder wiring (default dense)")
-    p.add_argument("--head", choices=("sndm", "mask"), help="output head (default sndm)")
-    p.add_argument("--loss", choices=sorted(LOSSES), help="loss id (default per head)")
+    reference = reference_config()
+    p = _subcommand(sub, "train", _cmd_train, "train the co-segmentation network", ("data", "val", "out"))
+    p.add_argument("--data", help="training dataset directory with manifest.tsv (required)")
+    p.add_argument("--val", help="validation dataset directory (required)")
+    p.add_argument("--arch", choices=tuple(ARCHS), help=f"decoder wiring (default {_name_of(ARCHS, NetConfig.dense_connections)})")
+    p.add_argument("--head", choices=tuple(HEADS), help=f"output head (default {_name_of(HEADS, NetConfig.output_head)})")
+    p.add_argument("--loss", choices=sorted(LOSSES), help=f"loss id (default {TrainConfig.loss_id}; dice for --head mask)")
     p.add_argument("--preset", choices=("toy", "reference"), help="hyperparameter preset (default toy)")
-    p.add_argument("--seed", type=int, help="seed for init and shuffling")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--batch-size", type=int, help="pairs per batch")
-    p.add_argument("--lr", type=float, help="initial learning rate")
-    p.add_argument("--weight-decay", type=float, help="decoupled weight decay")
-    p.add_argument("--patience", type=int, help="plateau epochs before halving the lr")
-    p.add_argument("--lr-factor", type=float, help="plateau multiplier")
-    p.add_argument("--lam", type=float, help="sign-mismatch penalty multiplier")
-    p.add_argument("--size", type=int, help="input resolution")
-    p.add_argument("--widths", type=_widths, help="encoder widths, comma separated")
-    p.add_argument("--out", help="checkpoint output path")
+    p.add_argument("--seed", type=int, help=f"seed for init and shuffling (default {TrainConfig.seed})")
+    p.add_argument("--epochs", type=int, help=f"training epochs (default {TrainConfig.max_epochs}; reference {reference.max_epochs})")
+    p.add_argument("--batch-size", type=int, help=f"pairs per batch (default {TrainConfig.batch_size})")
+    p.add_argument("--lr", type=float, help=f"initial learning rate (default {TrainConfig.lr}; reference {reference.lr})")
+    p.add_argument("--weight-decay", type=float, help=f"decoupled weight decay (default {TrainConfig.weight_decay})")
+    p.add_argument("--patience", type=int, help=f"plateau epochs before the lr drops (default {TrainConfig.plateau_patience})")
+    p.add_argument("--lr-factor", type=float, help=f"plateau multiplier (default {TrainConfig.lr_factor})")
+    p.add_argument("--lam", type=float, help=f"sign-mismatch penalty multiplier (default {LossConfig.lam})")
+    p.add_argument("--epsilon", type=float, help=f"loss denominator guard (default {LossConfig.epsilon})")
+    p.add_argument("--size", type=int, help=f"input resolution (default {NetConfig.input_size})")
+    p.add_argument("--widths", type=_widths, help=f"encoder widths, one per level (default {','.join(map(str, NetConfig.widths))})")
+    p.add_argument("--out", help="checkpoint output path (required)")
     p.add_argument("--history", help="history CSV path (default <out>.history.csv)")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset", formatter_class=fmt)
-    p.add_argument("--ckpt", help="checkpoint path")
-    p.add_argument("--data", help="dataset directory")
+    p = _subcommand(sub, "eval", _cmd_eval, "evaluate a checkpoint on a dataset", ("ckpt", "data"))
+    p.add_argument("--ckpt", help="checkpoint path (required)")
+    p.add_argument("--data", help="dataset directory (required)")
     p.add_argument("--report", help="metrics JSON output path")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification", formatter_class=fmt)
-    p.add_argument("--target", choices=("loss", "net"), help="what to check (default loss)")
-    p.add_argument("--loss", choices=sorted(LOSSES), help="loss id for --target loss")
-    p.add_argument("--trials", type=int, help="random trials / sampled parameters")
-    p.add_argument("--seed", type=int, help="seed")
-    p.add_argument("--lam", type=float, help="penalty multiplier for penalized losses")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_gradcheck)
+    p = _subcommand(sub, "gradcheck", _cmd_gradcheck, "finite-difference gradient verification")
+    p.add_argument("--target", choices=tuple(GRADCHECK_THRESHOLDS), help="what to check (default loss)")
+    p.add_argument("--loss", choices=sorted(LOSSES), help=f"loss id for --target loss (default {TrainConfig.loss_id})")
+    p.add_argument(
+        "--trials",
+        type=int,
+        help=f"random trials or sampled parameters (default {_default_of(grad_check_loss, 'trials')} "
+        f"for loss, {_default_of(grad_check_net, 'trials')} for net)",
+    )
+    p.add_argument("--seed", type=int, help=f"seed (default {_default_of(grad_check_loss, 'seed')})")
+    p.add_argument("--lam", type=float, help=f"penalty multiplier for penalized losses (default {LossConfig.lam})")
 
-    p = sub.add_parser("ablation", help="train baseline / baseline+ / full and tabulate metrics", formatter_class=fmt)
-    p.add_argument("--runs", type=int, help="seeds per variant")
-    p.add_argument("--seed", type=int, help="base seed")
+    p = _subcommand(sub, "ablation", _cmd_ablation, "train baseline / baseline+ / full and tabulate metrics", ("runs",))
+    p.add_argument("--runs", type=int, help="seeds per variant (required)")
+    p.add_argument("--seed", type=int, help=f"base seed (default {_default_of(ablation, 'base_seed')})")
     p.add_argument("--out", help="table JSON output path")
-    p.add_argument("--epochs", type=int, help="epochs per job")
-    p.add_argument("--train-pairs", type=int, help="training pairs per run")
-    p.add_argument("--val-pairs", type=int, help="validation pairs per run")
-    p.add_argument("--test-pairs", type=int, help="held-out pairs per run")
-    p.add_argument("--batch-size", type=int, help="pairs per batch")
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--size", type=int, help="image side length")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_ablation)
+    p.add_argument("--epochs", type=int, help=f"epochs per job (default {AblationConfig.epochs})")
+    p.add_argument("--train-pairs", type=int, help=f"training pairs per run (default {AblationConfig.n_train})")
+    p.add_argument("--val-pairs", type=int, help=f"validation pairs per run (default {AblationConfig.n_val})")
+    p.add_argument("--test-pairs", type=int, help=f"held-out pairs per run (default {AblationConfig.n_test})")
+    p.add_argument("--batch-size", type=int, help=f"pairs per batch (default {AblationConfig.batch_size})")
+    p.add_argument("--lr", type=float, help=f"learning rate (default {AblationConfig.lr})")
+    p.add_argument("--size", type=int, help=f"image side length (default {AblationConfig.image_size})")
 
     return parser
 
@@ -357,6 +324,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        _apply_config_file(args)
+        missing = [name for name in args.required if getattr(args, name) is None]
+        if missing:
+            raise InvalidConfigError(f"missing required option --{missing[0]} (or config key {missing[0]!r})")
         return args.func(args)
     except SndmError as exc:
         detail = " ".join(str(exc).split()) or exc.code

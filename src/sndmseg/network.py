@@ -34,8 +34,6 @@ from .errors import (
 from .raster import parse_key_values
 
 ADAPTER_CHANNELS = 16  # width of every dense-connection resolution adapter
-BN_MOMENTUM = 0.9
-BN_EPS = 1e-5
 
 OUTPUT_HEADS = ("sndm-tanh", "mask-sigmoid")
 
@@ -191,31 +189,18 @@ def _as_batch(images, size: int, name: str) -> np.ndarray:
     return arr
 
 
-def build_forward(
-    img_a,
-    img_b,
-    params: NetParams,
-    config: NetConfig,
-    mode: str = "eval",
-    update_stats: bool | None = None,
-    requires_grad: bool | None = None,
-) -> ForwardPair:
+def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str = "eval") -> ForwardPair:
     """Run both branches jointly and return prediction tensors (B, 1, H, W) each.
 
-    Eval mode records no graph: it folds every batch norm into the conv or
-    deconv before it and runs no batch-norm pass, so ``requires_grad`` must
-    stay off there.
+    Train mode records the graph for every parameter, normalizes with
+    batch statistics and updates the running buffers in place. Eval mode
+    records no graph: it folds every batch norm into the conv or deconv
+    before it and runs no batch-norm pass.
     """
     cfg = config.validate()
     if mode not in ("train", "eval"):
         raise InvalidConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     training = mode == "train"
-    if update_stats is None:
-        update_stats = training
-    if requires_grad is None:
-        requires_grad = training
-    if requires_grad and not training:
-        raise InvalidConfigError("eval mode folds batch norm into the convolutions and cannot record gradients")
     a = _as_batch(img_a, cfg.input_size, "img_a")
     b = _as_batch(img_b, cfg.input_size, "img_b")
     if a.shape != b.shape:
@@ -225,7 +210,7 @@ def build_forward(
         raise BatchTooSmallError(f"training mode needs batch >= 2 for batch norm, got {batch}")
     dtype = a.dtype
 
-    pt = {name: ad.Tensor(value, requires_grad=requires_grad) for name, value in params.values.items()}
+    pt = {name: ad.Tensor(value, requires_grad=training) for name, value in params.values.items()}
     bufs = params.buffers
 
     def normalized(op, x, layer, bn, out_axis):
@@ -233,11 +218,9 @@ def build_forward(
         weight, bias, gamma, beta = pt[f"{layer}.weight"], pt[f"{layer}.bias"], pt[f"{bn}.gamma"], pt[f"{bn}.beta"]
         mean, var = bufs[f"{bn}.running_mean"], bufs[f"{bn}.running_var"]
         if not training:
-            folded = ad.fold_batch_norm(weight.data, bias.data, gamma.data, beta.data, mean, var, out_axis, BN_EPS)
+            folded = ad.fold_batch_norm(weight.data, bias.data, gamma.data, beta.data, mean, var, out_axis)
             return ad.relu(op(x, *map(ad.Tensor, folded)))
-        y = op(x, weight, bias)
-        y = ad.batch_norm(y, gamma, beta, mean, var, training=True, momentum=BN_MOMENTUM, eps=BN_EPS, update_stats=update_stats)
-        return ad.relu(y)
+        return ad.relu(ad.batch_norm(op(x, weight, bias), gamma, beta, mean, var, training=True))
 
     def conv_bn_relu(x, conv_name, bn_name):
         return normalized(ad.conv2d, x, conv_name, bn_name, out_axis=0)
@@ -283,9 +266,9 @@ def build_forward(
     )
 
 
-def forward_pair(img_a, img_b, params: NetParams, config: NetConfig, mode: str = "eval"):
-    """Predicted maps for both images as (B, H, W) float arrays."""
-    out = build_forward(img_a, img_b, params, config, mode=mode, requires_grad=False)
+def forward_pair(img_a, img_b, params: NetParams, config: NetConfig):
+    """Eval-mode predicted maps for both images as (B, H, W) float arrays."""
+    out = build_forward(img_a, img_b, params, config, mode="eval")
     return out.pred_a.data[:, 0], out.pred_b.data[:, 0]
 
 
@@ -309,18 +292,15 @@ def correlation(joint: ad.Tensor) -> ad.Tensor:
     return ad.concat([corr_a, corr_b], axis=0)
 
 
-def grad_check_net(
-    trials: int = 20,
-    seed: int = 0,
-    config: NetConfig | None = None,
-    step: float = 1e-6,
-) -> float:
+def grad_check_net(trials: int = 20, seed: int = 0) -> float:
     """Finite-difference check of the full network + loss gradient.
 
     Runs a small dense configuration in float64, train-mode batch norm and
     the correlation block included, perturbs ``trials`` randomly chosen
-    parameter entries, and returns the worst error relative to
-    max(|analytic|, |numeric|, 1e-3).
+    parameter entries by a central difference of step 1e-6, and returns
+    the worst error relative to max(|analytic|, |numeric|, 1e-3). Every
+    probe runs on its own clone of the parameters; train mode never reads
+    the running buffers it updates.
 
     The penalized edge loss is discontinuous where a predicted pixel
     changes sign or crosses its label, so — as in the loss-level check —
@@ -332,7 +312,8 @@ def grad_check_net(
     from .sndm import sndm_encode
     from .synth import GenConfig, gen_pair
 
-    cfg = (config or NetConfig(input_size=16, widths=(4, 6), levels=2)).validate()
+    cfg = NetConfig(input_size=16, widths=(4, 6), levels=2)
+    step = 1e-6
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     params = init_params(cfg, seed=seed).astype(np.float64)
     loss_cfg = LossConfig()
@@ -343,7 +324,7 @@ def grad_check_net(
     gt_a = np.stack([sndm_encode(s.mask_a) for s in samples]).astype(np.float64)
     gt_b = np.stack([sndm_encode(s.mask_b) for s in samples]).astype(np.float64)
 
-    base = build_forward(img_a, img_b, params, cfg, mode="train", update_stats=False, requires_grad=False)
+    base = build_forward(img_a, img_b, params, cfg, mode="train")
     safe = {}
     for key, preds, gts in (("a", base.pred_a.data, gt_a), ("b", base.pred_b.data, gt_b)):
         p0 = preds[:, 0]
@@ -362,13 +343,13 @@ def grad_check_net(
     loss_a_fn = edge_loss_masked("a")
     loss_b_fn = edge_loss_masked("b")
 
-    def loss_value(p: NetParams, requires_grad: bool):
-        out = build_forward(img_a, img_b, p, cfg, mode="train", update_stats=False, requires_grad=requires_grad)
+    def loss_value(p: NetParams):
+        out = build_forward(img_a, img_b, p, cfg, mode="train")
         la = ad.map_loss(out.pred_a, gt_a, loss_a_fn, loss_cfg)
         lb = ad.map_loss(out.pred_b, gt_b, loss_b_fn, loss_cfg)
         return (la + lb) * 0.5, out
 
-    loss, out = loss_value(params, requires_grad=True)
+    loss, out = loss_value(params)
     loss.backward()
     analytic = {name: tensor.grad for name, tensor in out.param_tensors.items()}
 
@@ -377,8 +358,8 @@ def grad_check_net(
         plus.values[name][idx] += h
         minus = params.clone()
         minus.values[name][idx] -= h
-        n_plus, _ = loss_value(plus, requires_grad=False)
-        n_minus, _ = loss_value(minus, requires_grad=False)
+        n_plus, _ = loss_value(plus)
+        n_minus, _ = loss_value(minus)
         return (float(n_plus.data) - float(n_minus.data)) / (2.0 * h)
 
     names = sorted(params.values)

@@ -109,7 +109,7 @@ def _read_bytes(path: str) -> bytes:
             return handle.read()
     except FileNotFoundError as exc:
         raise MissingFileError(f"no such file: {path}") from exc
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
 
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidConfigError, IoFailureError, MissingFileError
-from .raster import _atomic_write, read_image, read_mask, write_image, write_mask
+from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError, MissingFileError
+from .raster import _atomic_write, _read_bytes, read_image, read_mask, write_image, write_mask
 
 FG_FRACTION = (0.02, 0.6)
 MAX_ATTEMPTS = 32
@@ -263,6 +263,8 @@ def gen_dataset(seed: int, config: GenConfig, n_pairs: int, out_dir: str) -> lis
     rewrites byte-identical files. Returns the manifest rows.
     """
     cfg = config.validate()
+    if n_pairs < 1:
+        raise InvalidConfigError(f"need at least one pair, got {n_pairs}")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -288,26 +290,33 @@ def gen_dataset(seed: int, config: GenConfig, n_pairs: int, out_dir: str) -> lis
 
 
 def load_dataset(directory: str) -> list:
-    """Read a generated dataset back via its manifest."""
+    """Read a generated dataset back via its manifest (UTF-8, 5 tab-separated fields per line)."""
     path = manifest_path(directory)
     if not os.path.isfile(path):
         raise MissingFileError(f"no manifest at {path}")
+    data = _read_bytes(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data[: exc.start].count(b"\n") + 1
+        raise MalformedHeaderError(f"{path}:{lineno}: not UTF-8 text") from None
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            pair_id, img_a, mask_a, img_b, mask_b = line.split("\t")
-            records.append(
-                PairSample(
-                    img_a=read_image(os.path.join(directory, img_a)),
-                    img_b=read_image(os.path.join(directory, img_b)),
-                    mask_a=read_mask(os.path.join(directory, mask_a)),
-                    mask_b=read_mask(os.path.join(directory, mask_b)),
-                    pair_id=pair_id,
-                )
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise MalformedHeaderError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}")
+        pair_id, img_a, mask_a, img_b, mask_b = fields
+        records.append(
+            PairSample(
+                img_a=read_image(os.path.join(directory, img_a)),
+                img_b=read_image(os.path.join(directory, img_b)),
+                mask_a=read_mask(os.path.join(directory, mask_a)),
+                mask_b=read_mask(os.path.join(directory, mask_b)),
+                pair_id=pair_id,
             )
+        )
     return records
 
 

@@ -1,8 +1,8 @@
 """Training, evaluation, and the ablation harness.
 
 Optimization is Adam with decoupled weight decay. The learning rate
-halves whenever the validation loss has not improved (strictly lower by
-at least 1e-6) for ``plateau_patience`` consecutive epochs; the stale
+halves whenever the validation loss has not improved (lower by at least
+``MIN_IMPROVEMENT``) for ``plateau_patience`` consecutive epochs; the stale
 counter resets after each halving. The retained checkpoint is the one
 with the minimum validation loss seen during the run. A non-finite
 training-step loss, gradient norm or validation loss stops the run with
@@ -11,7 +11,9 @@ training-step loss, gradient norm or validation loss stops the run with
 Everything downstream of a (configuration, seed) pair is deterministic:
 shuffling uses a counter-based generator, reductions keep a fixed order,
 and history/metric files are written with repr-exact floats, so reruns
-produce byte-identical outputs.
+produce byte-identical outputs. That holds for one numpy/scipy build and
+one BLAS thread count: BLAS splits its sums by thread, so another thread
+count gives other float32 roundings, and no artifact records the count.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ LOSS_HEADS = {
     "iou3d-pen": "sndm-tanh",
     "iou3d-edge": "sndm-tanh",
 }
+MIN_IMPROVEMENT = 1e-6  # a validation loss must fall by this much to reset the plateau counter
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,6 @@ class TrainConfig:
     max_epochs: int = 40
     loss_id: str = "iou3d-edge"
     seed: int = 0
-    min_improvement: float = 1e-6
 
     def validate(self) -> "TrainConfig":
         if self.batch_size < 2:
@@ -120,7 +122,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float, weight_dec
 class PlateauScheduler:
     """Halve (by ``factor``) after ``patience`` consecutive epochs without improvement.
 
-    Improvement means a validation loss at least ``min_improvement`` below
+    Improvement means a validation loss at least ``MIN_IMPROVEMENT`` below
     the best seen so far; the stale counter resets after each reduction,
     so another full ``patience`` run of bad epochs is needed for the next.
     """
@@ -128,12 +130,11 @@ class PlateauScheduler:
     lr: float
     patience: int
     factor: float
-    min_improvement: float = 1e-6
     best: float = np.inf
     stale: int = 0
 
     def update(self, val_loss: float) -> float:
-        if val_loss <= self.best - self.min_improvement:
+        if val_loss <= self.best - MIN_IMPROVEMENT:
             self.stale = 0
         else:
             self.stale += 1
@@ -188,7 +189,7 @@ def _dataset_loss(records, targets, params, net_config, loss_fn, loss_cfg, batch
     for start in range(0, len(records), batch_size):
         indices = range(start, min(start + batch_size, len(records)))
         img_a, img_b, gt_a, gt_b = _stack_batch(records, targets, indices)
-        out = build_forward(img_a, img_b, params, net_config, mode="eval", requires_grad=False)
+        out = build_forward(img_a, img_b, params, net_config, mode="eval")
         loss_a = ad.map_loss(out.pred_a, gt_a, loss_fn, loss_cfg)
         loss_b = ad.map_loss(out.pred_b, gt_b, loss_fn, loss_cfg)
         total += (float(loss_a.data) + float(loss_b.data)) * 0.5 * len(indices)
@@ -219,7 +220,7 @@ def train(
     params = init_params(net_config, seed=cfg.seed)
     state = AdamState()
     rng = np.random.Generator(np.random.Philox(np.uint64(cfg.seed)))
-    scheduler = PlateauScheduler(cfg.lr, cfg.plateau_patience, cfg.lr_factor, cfg.min_improvement)
+    scheduler = PlateauScheduler(cfg.lr, cfg.plateau_patience, cfg.lr_factor)
     history: list[EpochStats] = []
     best_epoch = 0
     best_params = params.clone()
@@ -298,7 +299,7 @@ def evaluate(
     if not records:
         raise DatasetEmptyError("evaluation set is empty")
     if forward_fn is None:
-        forward_fn = lambda a, b: forward_pair(a, b, params, net_config, mode="eval")  # noqa: E731
+        forward_fn = lambda a, b: forward_pair(a, b, params, net_config)  # noqa: E731
     head = net_config.output_head
     report = MetricsReport()
     for start in range(0, len(records), batch_size):

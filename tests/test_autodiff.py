@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sndmseg.autodiff as ad
-from sndmseg.errors import CheckpointCorruptError, NoForwardPassError, ShapeMismatchError
+from sndmseg.errors import CheckpointCorruptError, NoForwardPassError, ShapeMismatchError, SndmError
 
 RNG = np.random.Generator(np.random.Philox(101))
 
@@ -348,7 +350,7 @@ def test_batch_norm_train_and_eval_gradients():
     mult = RNG.normal(size=(3, 4, 5, 5))
     rm, rv = np.zeros(4), np.ones(4)
     graph_train = lambda ts: ad.tsum(  # noqa: E731
-        ad.mul(ad.batch_norm(ts[0], ts[1], ts[2], rm.copy(), rv.copy(), training=True, update_stats=False), ad.Tensor(mult))
+        ad.mul(ad.batch_norm(ts[0], ts[1], ts[2], rm.copy(), rv.copy(), training=True), ad.Tensor(mult))
     )
     assert finite_difference_check(graph_train, [x, gamma, beta]) < 1e-6
     rm2 = RNG.normal(size=4) * 0.2
@@ -449,3 +451,36 @@ def test_checkpoint_corruption(tmp_path):
     trailing.write_bytes(bytes(data) + b"junk")
     with pytest.raises(CheckpointCorruptError):
         ad.load_checkpoint(str(trailing))
+
+
+@pytest.fixture(scope="module")
+def checkpoint_fuzz(tmp_path_factory):
+    """A fuzz target path plus the bytes of a small valid checkpoint."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    ad.save_checkpoint(str(path), "k = v\n", {"w": np.arange(6, dtype=np.float32).reshape(2, 3), "s": np.float32(1.0)})
+    return path, path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(("noise", "after-magic", "mutated")),
+    noise=st.binary(max_size=256),
+    at=st.integers(0, 255),
+    byte=st.integers(0, 255),
+    cut=st.integers(0, 256),
+)
+def test_load_checkpoint_parses_or_raises_domain_error(checkpoint_fuzz, kind, noise, at, byte, cut):
+    path, valid = checkpoint_fuzz
+    if kind == "noise":
+        data = noise
+    elif kind == "after-magic":
+        data = (valid[:8] + noise)[:256]
+    else:  # the valid checkpoint with one byte set and a random cut
+        mutated = bytearray(valid)
+        mutated[at % len(mutated)] = byte
+        data = bytes(mutated[:cut])
+    path.write_bytes(data)
+    try:
+        ad.load_checkpoint(str(path))
+    except SndmError:
+        pass

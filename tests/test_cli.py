@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 
 import numpy as np
@@ -5,9 +7,12 @@ import pytest
 
 from sndmseg import cli
 from sndmseg.cli import main
+from sndmseg.losses import LossConfig
+from sndmseg.network import NetConfig
 from sndmseg.raster import read_float_map, read_mask, write_mask
 from sndmseg.sndm import sndm_encode
 from sndmseg.synth import gen_dataset, GenConfig, load_dataset
+from sndmseg.train import AblationConfig, TrainConfig, ablation, reference_config
 
 
 @pytest.fixture
@@ -37,6 +42,9 @@ def test_help_lists_flags(capsys):
         assert main([command, "--help"]) == 0
         out = capsys.readouterr().out
         assert "--config" in out
+        assert "(default: None)" not in out
+    assert main(["train", "--help"]) == 0
+    assert f"(default {TrainConfig.max_epochs}; reference {reference_config().max_epochs})" in capsys.readouterr().out
 
 
 def test_edt_with_oracle(mask_file, tmp_path, capsys):
@@ -91,6 +99,27 @@ def test_gen_data_writes_dataset(tmp_path, capsys):
 def test_gen_data_requires_pairs(tmp_path, capsys):
     assert main(["gen-data", "--out", str(tmp_path / "d")]) == 1
     assert capsys.readouterr().err.startswith("error: InvalidConfig: ")
+
+
+def test_gen_data_rejects_fewer_than_one_pair(tmp_path, capsys):
+    for pairs in ("0", "-1"):
+        assert main(["gen-data", "--pairs", pairs, "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: InvalidConfig: need at least one pair, got {pairs}")
+        assert not (tmp_path / "d").exists()
+
+
+def test_eval_bad_manifest_is_domain_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    manifest = data / "manifest.tsv"
+    for payload, detail in (
+        (b"pair_0000\ta.ppm\tb.pgm\n", ":1: expected 5 tab-separated fields, got 3"),
+        (b"\n\npair_0000\xff\ta\tb\tc\td\n", ":3: not UTF-8 text"),
+    ):
+        manifest.write_bytes(payload)
+        assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: MalformedHeader: {manifest}{detail}\n"
 
 
 def test_gradcheck_loss_cli(capsys):
@@ -174,14 +203,82 @@ def test_config_file_merging(tmp_path, capsys):
     assert len((out / "manifest.tsv").read_text().splitlines()) == 3
 
 
-def test_config_file_bad_line(tmp_path, capsys):
+def test_config_file_bad_line(tmp_path, mask_file, capsys):
     config = tmp_path / "settings.cfg"
-    for text in (b"pairs 2\n", b"# header\n = 2\n", b"pairs = 2\n\xff\xfe\n"):
+    out = tmp_path / "out"
+    gen_data = ["gen-data", "--out", str(out)]
+    train = ["train", "--data", "d", "--val", "v", "--out", str(out)]
+    edt = ["edt", str(mask_file[0]), "--out", str(out)]
+    for argv, text, detail in (
+        (gen_data, b"pairs 2\n", ":"),
+        (gen_data, b"# header\n = 2\n", ":"),
+        (gen_data, b"pairs = 2\n\xff\xfe\n", ":"),
+        (gen_data, b"pairs = 2\nsede = 9\n", ": unknown key 'sede' for gen-data"),
+        (gen_data, b"pairs = 2\nconfig = other.cfg\n", ": unknown key 'config' for gen-data"),
+        (gen_data, b"pairs = x\n", ": key 'pairs': cannot parse 'x'"),
+        (train, b"widths = a,b\n", ": key 'widths': cannot parse 'a,b'"),
+        (train, b"arch = wide\n", ": key 'arch': 'wide' is not one of plain, dense"),
+        (train, b"epochs = x\n", ": key 'epochs': cannot parse 'x'"),
+        (edt, b"mask = m.pgm\n", ": unknown key 'mask' for edt"),  # positionals are no keys
+        (edt, b"oracle = 1\n", ": unknown key 'oracle' for edt"),  # nor are switches
+    ):
         config.write_bytes(text)
-        assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")]) == 1
+        assert main(argv + ["--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: InvalidConfig: ") and f"{config}:" in err
-        assert not (tmp_path / "d").exists()
+        assert err.startswith("error: InvalidConfig: ") and f"{config}{detail}" in err
+        assert not out.exists()
+
+
+def test_bad_widths_flag_is_usage_error(capsys):
+    assert main(["train", "--widths", "a,b"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --widths: bad widths 'a,b'" in err and "Traceback" not in err
+
+
+class _Called(Exception):
+    pass
+
+
+def _capture_call(monkeypatch, name):
+    """Replace ``cli.<name>`` by a stub that records its bound arguments and stops the command."""
+    real = getattr(cli, name)
+    calls = []
+
+    @functools.wraps(real)  # keeps the signature that --help reads defaults from
+    def stub(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        raise _Called
+
+    monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+def test_options_reach_their_owner_configs(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "load_dataset", lambda directory: [])
+    calls = _capture_call(monkeypatch, "train")
+    required = ["train", "--data", "d", "--val", "v", "--out", str(tmp_path / "m.ckpt")]
+    config = tmp_path / "settings.cfg"
+    config.write_text("lr = 0.5\nepsilon = 1e-6\nbatch-size = 6\nwidths = 8,16\narch = plain\n")
+    for extra in ([], ["--preset", "reference"], ["--head", "mask"], ["--config", str(config), "--lr", "0.25"]):
+        with pytest.raises(_Called):
+            main(required + extra)
+    plain, reference, mask, from_file = calls
+    # unset options keep the defaults of the classes that own them
+    assert (plain["net_config"], plain["train_config"], plain["loss_config"]) == (NetConfig(), TrainConfig(), LossConfig())
+    assert reference["train_config"] == reference_config()
+    assert mask["net_config"].output_head == "mask-sigmoid" and mask["train_config"].loss_id == "dice"
+    # file values fill only the flags not given
+    assert from_file["train_config"] == TrainConfig(lr=0.25, batch_size=6)
+    assert from_file["loss_config"] == LossConfig(epsilon=1e-6)
+    assert from_file["net_config"] == NetConfig(widths=(8, 16), levels=2, dense_connections=False)
+
+    calls = _capture_call(monkeypatch, "ablation")
+    with pytest.raises(_Called):
+        main(["ablation", "--runs", "1"])
+    default_seed = inspect.signature(ablation).parameters["base_seed"].default
+    assert calls == [{"runs": 1, "base_seed": default_seed, "config": AblationConfig()}]
 
 
 def test_gradcheck_bad_lam_is_domain_error(capsys):

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sndmseg import autodiff as ad
-from sndmseg.errors import BatchTooSmallError, CheckpointCorruptError, InvalidConfigError, ShapeMismatchError
+from sndmseg.errors import (
+    BatchTooSmallError,
+    CheckpointCorruptError,
+    InvalidConfigError,
+    NoForwardPassError,
+    ShapeMismatchError,
+)
 from sndmseg.network import (
     ADAPTER_CHANNELS,
     OUTPUT_HEADS,
@@ -151,14 +157,20 @@ def test_batch_too_small_in_train_mode():
     img_a, img_b = batch_of_pairs(16, 1)
     with pytest.raises(BatchTooSmallError):
         build_forward(img_a, img_b, params, SMALL, mode="train")
-    forward_pair(img_a, img_b, params, SMALL, mode="eval")  # eval is fine
+    forward_pair(img_a, img_b, params, SMALL)  # eval is fine
 
 
-def test_eval_forward_cannot_record_gradients():
+def test_eval_forward_records_no_graph():
     params = init_params(SMALL, seed=0)
+    before = params.clone()
     img_a, img_b = batch_of_pairs(16, 2)
-    with pytest.raises(InvalidConfigError):
-        build_forward(img_a, img_b, params, SMALL, mode="eval", requires_grad=True)
+    out = build_forward(img_a, img_b, params, SMALL, mode="eval")
+    assert not any(t.requires_grad for t in out.param_tensors.values())
+    assert not out.pred_a.requires_grad and not out.pred_a._parents
+    with pytest.raises(NoForwardPassError):
+        ad.tsum(out.pred_a).backward()
+    for name, value in before.buffers.items():  # eval leaves the running statistics alone
+        assert np.array_equal(params.buffers[name], value), name
 
 
 def test_shape_mismatch_errors():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sndmseg.errors import (
     IoFailureError,
@@ -7,6 +9,7 @@ from sndmseg.errors import (
     MissingFileError,
     NonFiniteError,
     ShapeMismatchError,
+    SndmError,
     TruncatedPayloadError,
 )
 from sndmseg.raster import (
@@ -176,3 +179,27 @@ def test_image_round_trip_quantized(tmp_path):
     path2 = tmp_path / "j.ppm"
     write_image(back, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+PNM_AND_FLOAT_MAP_PREFIXES = (b"P5\n", b"P6\n", b"P5 3 2 255\n", b"P6 2 2 255\n", b"SNDM", b"SNDM\x02\x00\x00\x00\x01\x00\x00\x00")
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.bin"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=256),
+        st.builds(lambda head, tail: (head + tail)[:256], st.sampled_from(PNM_AND_FLOAT_MAP_PREFIXES), st.binary(max_size=256)),
+    )
+)
+def test_readers_parse_or_raise_domain_errors(fuzz_file, data):
+    fuzz_file.write_bytes(data)
+    for reader in (read_mask, read_image, read_float_map):
+        try:
+            reader(str(fuzz_file))
+        except SndmError:
+            pass

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from sndmseg.errors import InvalidConfigError, MissingFileError
+from sndmseg.errors import InvalidConfigError, MissingFileError, SndmError
 from sndmseg.synth import GenConfig, _coverage, gen_dataset, gen_pair, load_dataset, make_pairs
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -167,3 +167,38 @@ def test_load_dataset_round_trip(tmp_path):
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(MissingFileError):
         load_dataset(str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    """A one-pair dataset whose manifest each fuzz example overwrites, plus its file names."""
+    out = tmp_path_factory.mktemp("fuzz")
+    (row,) = gen_dataset(3, GenConfig(image_size=16), 1, str(out))
+    return out, row
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    raw=st.binary(max_size=256),
+    lines=st.lists(
+        st.lists(
+            st.one_of(st.sampled_from(range(5)), st.sampled_from(("", "..", "/", "a\x00")), st.text(max_size=6)),
+            min_size=4,
+            max_size=6,
+        ),
+        max_size=5,
+    ),
+    use_raw=st.booleans(),
+)
+def test_load_dataset_manifest_parses_or_raises_domain_error(fuzz_dataset, raw, lines, use_raw):
+    out, row = fuzz_dataset
+    if use_raw:
+        data = raw
+    else:  # tab-separated lines of real file names (by index) and free text
+        text = "\n".join("\t".join(row[f] if isinstance(f, int) else f for f in fields) for fields in lines)
+        data = text.encode("utf-8")[:256]
+    (out / "manifest.tsv").write_bytes(data)
+    try:
+        load_dataset(str(out))
+    except SndmError:
+        pass

@@ -65,7 +65,7 @@ def test_plateau_halves_exactly_on_patience():
 
 
 def test_plateau_improvement_threshold():
-    sched = PlateauScheduler(lr=1.0, patience=2, factor=0.5, min_improvement=1e-6)
+    sched = PlateauScheduler(lr=1.0, patience=2, factor=0.5)
     sched.update(1.0)
     assert sched.update(1.0 - 5e-7) == 1.0  # below threshold: stale
     assert sched.update(1.0 - 4e-7) == 0.5  # second stale epoch halves

@@ -97,31 +97,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # operator sugar; scalars become constant leaves
-    def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0, self.dtype))
-
-    def __sub__(self, other):
-        return add(self, -_wrap(other, self.dtype))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
-
-
-def _wrap(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -214,7 +191,8 @@ def tanh(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     """Composed from tanh: 0.5 * (tanh(x/2) + 1)."""
-    return tanh(x * 0.5) * 0.5 + 0.5
+    half = Tensor(np.asarray(0.5, dtype=x.dtype))
+    return add(mul(tanh(mul(x, half)), half), half)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -628,7 +606,7 @@ def save_checkpoint(path: str, header_text: str, tensors: dict) -> None:
     chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(header)), header]
     chunks.append(struct.pack("<I", len(tensors)))
     for name, value in tensors.items():
-        arr = np.ascontiguousarray(value, dtype="<f4")
+        arr = np.asarray(value, dtype="<f4")  # keeps a 0-d tensor 0-d; tobytes() is row-major
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)
@@ -662,11 +640,11 @@ def load_checkpoint(path: str):
             pos += 4
             shape = struct.unpack(f"<{ndim}I", data[pos : pos + 4 * ndim])
             pos += 4 * ndim
-            n_bytes = 4 * int(np.prod(shape, dtype=np.int64)) if ndim else 4
-            flat = np.frombuffer(data[pos : pos + n_bytes], dtype="<f4")
-            if flat.size != max(1, int(np.prod(shape, dtype=np.int64))):
+            size = int(np.prod(shape, dtype=np.int64))  # 1 for a 0-d tensor, 0 for an empty one
+            flat = np.frombuffer(data[pos : pos + 4 * size], dtype="<f4")
+            if flat.size != size:
                 raise CheckpointCorruptError(f"{path}: truncated tensor {name!r}")
-            pos += n_bytes
+            pos += 4 * size
             tensors[name] = flat.reshape(shape).astype(np.float32)
         if pos != len(data):
             raise CheckpointCorruptError(f"{path}: {len(data) - pos} trailing bytes after the last tensor")

@@ -27,6 +27,10 @@ class NonFiniteError(SndmError):
     code = "NonFinite"
 
 
+class OutOfRangeError(SndmError):
+    code = "OutOfRange"
+
+
 class IoFailureError(SndmError):
     code = "IoFailure"
 

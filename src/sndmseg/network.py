@@ -15,11 +15,15 @@ signed-map head or sigmoid for the mask head. In eval mode each batch
 norm is folded into the weights and bias of the conv or deconv before it.
 
 Both branches share every parameter, so swapping the two input images
-swaps the two outputs exactly.
+swaps the two outputs exactly. They run as one joint batch from the input
+to the prediction: branch A in items [0, B), branch B in items [B, 2B).
+Training takes one loss over that joint prediction, the mean over both
+branches; only the correlation block and :func:`forward_pair` split it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,15 +171,6 @@ def init_params(config: NetConfig, seed: int = 0) -> NetParams:
     return params
 
 
-@dataclass
-class ForwardPair:
-    """Outputs of one Siamese forward: prediction tensors plus the parameter nodes."""
-
-    pred_a: ad.Tensor
-    pred_b: ad.Tensor
-    param_tensors: dict
-
-
 def _as_batch(images, size: int, name: str) -> np.ndarray:
     arr = np.asarray(images)
     if arr.ndim == 3:
@@ -189,8 +184,13 @@ def _as_batch(images, size: int, name: str) -> np.ndarray:
     return arr
 
 
-def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str = "eval") -> ForwardPair:
-    """Run both branches jointly and return prediction tensors (B, 1, H, W) each.
+def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str = "eval"):
+    """Run both branches as one joint batch; return ``(pred, param_tensors)``.
+
+    ``pred`` is the (2B, 1, H, W) prediction tensor with branch A in items
+    [0, B) and branch B in items [B, 2B), so one loss over ``pred`` and the
+    A targets stacked on the B targets is the mean over both branches.
+    ``param_tensors`` maps each parameter name to its graph node.
 
     Train mode records the graph for every parameter, normalizes with
     batch statistics and updates the running buffers in place. Eval mode
@@ -259,17 +259,18 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     head = ad.conv2d(ad.concat(pieces, axis=1), pt["head.conv.weight"], pt["head.conv.bias"])
     pred = ad.tanh(head) if cfg.output_head == "sndm-tanh" else ad.sigmoid(head)
 
-    return ForwardPair(
-        pred_a=ad.slice_batch(pred, 0, batch),
-        pred_b=ad.slice_batch(pred, batch, 2 * batch),
-        param_tensors=pt,
-    )
+    return pred, pt
 
 
 def forward_pair(img_a, img_b, params: NetParams, config: NetConfig):
-    """Eval-mode predicted maps for both images as (B, H, W) float arrays."""
-    out = build_forward(img_a, img_b, params, config, mode="eval")
-    return out.pred_a.data[:, 0], out.pred_b.data[:, 0]
+    """Eval-mode predicted maps for both images as (B, H, W) float arrays.
+
+    Splits the joint prediction of :func:`build_forward`: its first B items
+    are branch A, the rest branch B.
+    """
+    pred, _ = build_forward(img_a, img_b, params, config, mode="eval")
+    batch = pred.data.shape[0] // 2
+    return pred.data[:batch, 0], pred.data[batch:, 0]
 
 
 def correlation(joint: ad.Tensor) -> ad.Tensor:
@@ -296,17 +297,18 @@ def grad_check_net(trials: int = 20, seed: int = 0) -> float:
     """Finite-difference check of the full network + loss gradient.
 
     Runs a small dense configuration in float64, train-mode batch norm and
-    the correlation block included, perturbs ``trials`` randomly chosen
-    parameter entries by a central difference of step 1e-6, and returns
-    the worst error relative to max(|analytic|, |numeric|, 1e-3). Every
-    probe runs on its own clone of the parameters; train mode never reads
-    the running buffers it updates.
+    the correlation block included, with one loss over the joint
+    prediction of both branches as in training. It perturbs ``trials``
+    randomly chosen parameter entries by a central difference of step
+    1e-6 and returns the worst error relative to max(|analytic|,
+    |numeric|, 1e-3). Every probe runs on its own clone of the
+    parameters; train mode never reads the running buffers it updates.
 
     The penalized edge loss is discontinuous where a predicted pixel
     changes sign or crosses its label, so — as in the loss-level check —
     pixels within 1e-2 of those sets (at the unperturbed parameters) are
-    masked out of the checked loss; the mask is frozen data, keeping the
-    function identical across the +/-h evaluations.
+    masked out of the checked loss; the mask (one per joint item) is frozen
+    data, keeping the function identical across the +/-h evaluations.
     """
     from .losses import LossConfig, edge_weights, loss_iou3d_weighted
     from .sndm import sndm_encode
@@ -321,37 +323,25 @@ def grad_check_net(trials: int = 20, seed: int = 0) -> float:
     samples = [gen_pair(int(rng.integers(1 << 30)), GenConfig(image_size=cfg.input_size)) for _ in range(2)]
     img_a = np.stack([s.img_a for s in samples]).astype(np.float64)
     img_b = np.stack([s.img_b for s in samples]).astype(np.float64)
-    gt_a = np.stack([sndm_encode(s.mask_a) for s in samples]).astype(np.float64)
-    gt_b = np.stack([sndm_encode(s.mask_b) for s in samples]).astype(np.float64)
+    # joint targets in the prediction's item order: the A maps, then the B maps
+    gt = np.stack([sndm_encode(s.mask_a) for s in samples] + [sndm_encode(s.mask_b) for s in samples]).astype(np.float64)
 
-    base = build_forward(img_a, img_b, params, cfg, mode="train")
-    safe = {}
-    for key, preds, gts in (("a", base.pred_a.data, gt_a), ("b", base.pred_b.data, gt_b)):
-        p0 = preds[:, 0]
-        safe[key] = (np.abs(p0) > 1e-2) & (np.abs(p0 - gts) > 1e-2)
+    base, _ = build_forward(img_a, img_b, params, cfg, mode="train")
+    p0 = base.data[:, 0]
+    safe = (np.abs(p0) > 1e-2) & (np.abs(p0 - gt) > 1e-2)
+    keeps = itertools.cycle(safe)  # map_loss visits the items in order, once per call
 
-    def edge_loss_masked(which):
-        counter = {"i": 0}
-
-        def fn(pred, gt, inner_cfg):
-            keep = safe[which][counter["i"] % safe[which].shape[0]]
-            counter["i"] += 1
-            return loss_iou3d_weighted(pred, gt, lambda p, g, c: edge_weights(p, g, c) * keep, inner_cfg)
-
-        return fn
-
-    loss_a_fn = edge_loss_masked("a")
-    loss_b_fn = edge_loss_masked("b")
+    def edge_loss_masked(pred, target, inner_cfg):
+        keep = next(keeps)
+        return loss_iou3d_weighted(pred, target, lambda p, g, c: edge_weights(p, g, c) * keep, inner_cfg)
 
     def loss_value(p: NetParams):
-        out = build_forward(img_a, img_b, p, cfg, mode="train")
-        la = ad.map_loss(out.pred_a, gt_a, loss_a_fn, loss_cfg)
-        lb = ad.map_loss(out.pred_b, gt_b, loss_b_fn, loss_cfg)
-        return (la + lb) * 0.5, out
+        pred, pt = build_forward(img_a, img_b, p, cfg, mode="train")
+        return ad.map_loss(pred, gt, edge_loss_masked, loss_cfg), pt
 
-    loss, out = loss_value(params)
+    loss, pt = loss_value(params)
     loss.backward()
-    analytic = {name: tensor.grad for name, tensor in out.param_tensors.items()}
+    analytic = {name: tensor.grad for name, tensor in pt.items()}
 
     def central(name, idx, h):
         plus = params.clone()

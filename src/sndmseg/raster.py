@@ -27,6 +27,7 @@ from .errors import (
     MalformedHeaderError,
     MissingFileError,
     NonFiniteError,
+    OutOfRangeError,
     ShapeMismatchError,
     TruncatedPayloadError,
 )
@@ -61,8 +62,10 @@ def as_image(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float32)
     if v.ndim != 3 or v.shape[2] != 3 or v.shape[0] < 1 or v.shape[1] < 1:
         raise ShapeMismatchError(f"image must have shape (H, W, 3), got {v.shape}")
-    if not np.isfinite(v).all() or v.min() < 0.0 or v.max() > 1.0:
-        raise ValueError("image values must be finite and in [0, 1]")
+    if not np.isfinite(v).all():
+        raise NonFiniteError("image contains non-finite values")
+    if v.min() < 0.0 or v.max() > 1.0:
+        raise OutOfRangeError(f"image values must lie in [0, 1], got [{v.min()}, {v.max()}]")
     return v
 
 

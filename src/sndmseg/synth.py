@@ -290,7 +290,12 @@ def gen_dataset(seed: int, config: GenConfig, n_pairs: int, out_dir: str) -> lis
 
 
 def load_dataset(directory: str) -> list:
-    """Read a generated dataset back via its manifest (UTF-8, 5 tab-separated fields per line)."""
+    """Read a generated dataset back via its manifest (UTF-8, 5 tab-separated fields per line).
+
+    Every file field must be a plain file name: the files live in
+    ``directory`` itself, so a path that is absolute, has a directory part
+    or is ``.``/``..`` is a malformed manifest.
+    """
     path = manifest_path(directory)
     if not os.path.isfile(path):
         raise MissingFileError(f"no manifest at {path}")
@@ -308,6 +313,9 @@ def load_dataset(directory: str) -> list:
         if len(fields) != 5:
             raise MalformedHeaderError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}")
         pair_id, img_a, mask_a, img_b, mask_b = fields
+        for name in fields[1:]:
+            if name in ("", ".", "..") or name != os.path.basename(name):
+                raise MalformedHeaderError(f"{path}:{lineno}: file field {name!r} is not a file name in the dataset directory")
         records.append(
             PairSample(
                 img_a=read_image(os.path.join(directory, img_a)),

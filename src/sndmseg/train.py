@@ -1,5 +1,8 @@
 """Training, evaluation, and the ablation harness.
 
+Each step runs the two branches of a batch of B pairs as one joint
+forward and takes one loss over the joint prediction: the mean over the
+2B maps of both branches. The validation loss is the same mean.
 Optimization is Adam with decoupled weight decay. The learning rate
 halves whenever the validation loss has not improved (lower by at least
 ``MIN_IMPROVEMENT``) for ``plateau_patience`` consecutive epochs; the stale
@@ -171,11 +174,11 @@ def _targets_for(records, head: str):
 
 
 def _stack_batch(records, targets, indices):
+    """Images of both branches plus the joint targets: the A maps, then the B maps."""
     img_a = np.stack([records[i].img_a for i in indices])
     img_b = np.stack([records[i].img_b for i in indices])
-    gt_a = np.stack([targets[i][0] for i in indices])
-    gt_b = np.stack([targets[i][1] for i in indices])
-    return img_a, img_b, gt_a, gt_b
+    gt = np.stack([targets[i][0] for i in indices] + [targets[i][1] for i in indices])
+    return img_a, img_b, gt
 
 
 def _global_norm(grads) -> float:
@@ -188,11 +191,9 @@ def _dataset_loss(records, targets, params, net_config, loss_fn, loss_cfg, batch
     total = 0.0
     for start in range(0, len(records), batch_size):
         indices = range(start, min(start + batch_size, len(records)))
-        img_a, img_b, gt_a, gt_b = _stack_batch(records, targets, indices)
-        out = build_forward(img_a, img_b, params, net_config, mode="eval")
-        loss_a = ad.map_loss(out.pred_a, gt_a, loss_fn, loss_cfg)
-        loss_b = ad.map_loss(out.pred_b, gt_b, loss_fn, loss_cfg)
-        total += (float(loss_a.data) + float(loss_b.data)) * 0.5 * len(indices)
+        img_a, img_b, gt = _stack_batch(records, targets, indices)
+        pred, _ = build_forward(img_a, img_b, params, net_config, mode="eval")
+        total += float(ad.map_loss(pred, gt, loss_fn, loss_cfg).data) * len(indices)
     return total / len(records)
 
 
@@ -236,14 +237,14 @@ def train(
             indices = order[start : start + cfg.batch_size]
             if len(indices) < 2:
                 continue  # batch norm needs at least two items
-            img_a, img_b, gt_a, gt_b = _stack_batch(train_records, train_targets, indices)
-            out = build_forward(img_a, img_b, params, net_config, mode="train")
-            loss = (ad.map_loss(out.pred_a, gt_a, loss_fn, loss_config) + ad.map_loss(out.pred_b, gt_b, loss_fn, loss_config)) * 0.5
+            img_a, img_b, gt = _stack_batch(train_records, train_targets, indices)
+            pred, param_tensors = build_forward(img_a, img_b, params, net_config, mode="train")
+            loss = ad.map_loss(pred, gt, loss_fn, loss_config)
             step_loss = float(loss.data)
             if not np.isfinite(step_loss):
                 raise NonFiniteError(f"training loss is {step_loss} in epoch {epoch} at batch {start // cfg.batch_size}")
             loss.backward()
-            grads = {name: tensor.grad for name, tensor in out.param_tensors.items()}
+            grads = {name: tensor.grad for name, tensor in param_tensors.items()}
             norm = _global_norm(grads.values())
             if not np.isfinite(norm):
                 raise NonFiniteError(f"gradient norm is {norm} in epoch {epoch} at batch {start // cfg.batch_size}")

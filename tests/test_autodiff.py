@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sndmseg.autodiff as ad
 from sndmseg.errors import CheckpointCorruptError, NoForwardPassError, ShapeMismatchError, SndmError
@@ -421,18 +422,40 @@ def test_determinism_bitwise():
         assert np.array_equal(a, b)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    tensors = {
-        "a.weight": RNG.normal(size=(3, 2, 3, 3)).astype(np.float32),
-        "b.bias": RNG.normal(size=(7,)).astype(np.float32),
+def _fixed_checkpoint():
+    rng = np.random.Generator(np.random.Philox(101))
+    return "key = value\n", {
+        "a.weight": rng.normal(size=(3, 2, 3, 3)).astype(np.float32),
+        "b.bias": rng.normal(size=(7,)).astype(np.float32),
     }
-    path = tmp_path / "model.ckpt"
-    ad.save_checkpoint(str(path), "key = value\n", tensors)
-    header, back = ad.load_checkpoint(str(path))
-    assert header == "key = value\n"
-    assert set(back) == set(tensors)
-    for name in tensors:
-        assert np.array_equal(back[name], tensors[name])
+
+
+@pytest.fixture(scope="module")
+def round_trip_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip") / "model.ckpt"
+
+
+@settings(max_examples=150, deadline=None)
+@example(checkpoint=_fixed_checkpoint())
+@given(
+    checkpoint=st.tuples(
+        st.text(),
+        st.dictionaries(
+            st.text(),
+            hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=5), elements=st.floats(width=32)),
+            max_size=4,
+        ),
+    )
+)
+def test_checkpoint_round_trip(round_trip_path, checkpoint):
+    header, tensors = checkpoint
+    ad.save_checkpoint(str(round_trip_path), header, tensors)
+    header_back, back = ad.load_checkpoint(str(round_trip_path))
+    assert header_back == header
+    assert list(back) == list(tensors)
+    for name, value in tensors.items():
+        assert back[name].dtype == np.float32 and back[name].shape == value.shape
+        assert np.array_equal(back[name].view(np.uint32), value.view(np.uint32)), name
 
 
 def test_checkpoint_corruption(tmp_path):

@@ -1,6 +1,9 @@
 import functools
 import inspect
 import json
+import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ import pytest
 from sndmseg import cli
 from sndmseg.cli import main
 from sndmseg.losses import LossConfig
-from sndmseg.network import NetConfig
-from sndmseg.raster import read_float_map, read_mask, write_mask
+from sndmseg.network import NetConfig, init_params, save_net
+from sndmseg.raster import read_float_map, read_mask, write_float_map, write_mask
 from sndmseg.sndm import sndm_encode
 from sndmseg.synth import gen_dataset, GenConfig, load_dataset
 from sndmseg.train import AblationConfig, TrainConfig, ablation, reference_config
@@ -120,6 +123,79 @@ def test_eval_bad_manifest_is_domain_error(tmp_path, capsys):
         assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"), "--data", str(data)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: MalformedHeader: {manifest}{detail}\n"
+
+
+def test_eval_manifest_path_out_of_the_dataset_is_domain_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    (row,) = gen_dataset(3, GenConfig(image_size=16), 1, str(data))
+    (data / "sub").mkdir()
+    for target in (tmp_path / row[1], data / "sub" / row[1]):  # real images where the bad fields point
+        target.write_bytes((data / row[1]).read_bytes())
+    for field in (str(tmp_path / row[1]), f"../{row[1]}", f"sub/{row[1]}"):
+        (data / "manifest.tsv").write_text("\t".join((row[0], field, *row[2:])) + "\n")
+        assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: MalformedHeader: {data / 'manifest.tsv'}:1: file field '{field}'")
+        assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A valid mask, float map, config file, dataset and checkpoint, keyed by what each path argument takes."""
+    root = tmp_path_factory.mktemp("inputs")
+    mask = np.zeros((9, 9), dtype=bool)
+    mask[2:7, 3:6] = True
+    write_mask(mask, str(root / "mask.pgm"))
+    write_float_map(sndm_encode(mask), str(root / "map.sndmf"))
+    (root / "settings.cfg").write_text("# no keys\n")
+    gen_dataset(100, GenConfig(image_size=16), 2, str(root / "data"))
+    net = NetConfig(input_size=16, widths=(4, 6), levels=2)
+    save_net(str(root / "net.ckpt"), net, init_params(net))
+    return {"mask": root / "mask.pgm", "map": root / "map.sndmf", "config": root / "settings.cfg", "data": root / "data", "ckpt": root / "net.ckpt"}
+
+
+# (command line with PATH for the argument under test and OUT for the output, what the argument takes)
+PATH_ARGUMENTS = {
+    "edt mask": (["edt", "PATH", "--out", "OUT"], "mask"),
+    "sndm-encode mask": (["sndm-encode", "PATH", "--out", "OUT"], "mask"),
+    "sndm-decode map": (["sndm-decode", "PATH", "--out", "OUT"], "map"),
+    "eval --ckpt": (["eval", "--ckpt", "PATH", "--data", "data", "--report", "OUT"], "ckpt"),
+    "eval --data": (["eval", "--ckpt", "ckpt", "--data", "PATH", "--report", "OUT"], "data"),
+    "train --data": (["train", "--data", "PATH", "--val", "data", "--size", "16", "--widths", "4,6", "--out", "OUT"], "data"),
+    "train --val": (["train", "--data", "data", "--val", "PATH", "--size", "16", "--widths", "4,6", "--out", "OUT"], "data"),
+    "--config": (["sndm-encode", "mask", "--out", "OUT", "--config", "PATH"], "config"),
+}
+
+
+@pytest.mark.parametrize(
+    "argument, kind",
+    # an empty config file sets no key, which is valid
+    [(a, k) for a in PATH_ARGUMENTS for k in ("empty", "directory", "unreadable") if (a, k) != ("--config", "empty")],
+)
+def test_bad_path_argument_is_one_error_line(tmp_path, capsys, valid_inputs, argument, kind):
+    argv, takes = PATH_ARGUMENTS[argument]
+    if kind == "unreadable" and os.geteuid() == 0:
+        pytest.skip("root reads files and directories whose mode is 000")
+    bad = tmp_path / "bad"
+    if kind == "empty":
+        bad.write_bytes(b"")
+    elif kind == "directory":
+        bad.mkdir()
+    else:  # a valid input that its mode makes unreadable
+        source = valid_inputs[takes]
+        (shutil.copytree if source.is_dir() else shutil.copyfile)(source, bad)
+        bad.chmod(0)
+    out = tmp_path / "out"
+    names = {"PATH": str(bad), "OUT": str(out), **{key: str(path) for key, path in valid_inputs.items()}}
+    try:
+        code = main([names.get(word, word) for word in argv])
+    finally:
+        bad.chmod(0o700)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert re.fullmatch(r"error: [A-Za-z]+: [^\n]+\n", captured.err), captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
 
 
 def test_gradcheck_loss_cli(capsys):

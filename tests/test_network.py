@@ -164,11 +164,12 @@ def test_eval_forward_records_no_graph():
     params = init_params(SMALL, seed=0)
     before = params.clone()
     img_a, img_b = batch_of_pairs(16, 2)
-    out = build_forward(img_a, img_b, params, SMALL, mode="eval")
-    assert not any(t.requires_grad for t in out.param_tensors.values())
-    assert not out.pred_a.requires_grad and not out.pred_a._parents
+    pred, param_tensors = build_forward(img_a, img_b, params, SMALL, mode="eval")
+    assert pred.shape == (4, 1, 16, 16)
+    assert not any(t.requires_grad for t in param_tensors.values())
+    assert not pred.requires_grad and not pred._parents
     with pytest.raises(NoForwardPassError):
-        ad.tsum(out.pred_a).backward()
+        ad.tsum(pred).backward()
     for name, value in before.buffers.items():  # eval leaves the running statistics alone
         assert np.array_equal(params.buffers[name], value), name
 
@@ -182,10 +183,21 @@ def test_shape_mismatch_errors():
         forward_pair(img_a, img_b[:1], params, SMALL)
 
 
-def test_gradient_reaches_every_parameter():
-    import sndmseg.autodiff as ad
-    from sndmseg.losses import LossConfig, loss_iou3d_edge, loss_dice
+def _train_batch(cfg, seed=50):
+    """Two pairs at the config's size with the head's joint targets: the A maps, then the B maps."""
     from sndmseg.sndm import sndm_encode
+
+    samples = [gen_pair(seed + i, GenConfig(image_size=cfg.input_size)) for i in range(2)]
+    img_a = np.stack([s.img_a for s in samples])
+    img_b = np.stack([s.img_b for s in samples])
+    masks = [s.mask_a for s in samples] + [s.mask_b for s in samples]
+    if cfg.output_head == "sndm-tanh":
+        return img_a, img_b, np.stack([sndm_encode(m) for m in masks])
+    return img_a, img_b, np.stack([m.astype(np.float32) for m in masks])
+
+
+def test_gradient_reaches_every_parameter():
+    from sndmseg.losses import LossConfig, loss_dice, loss_iou3d_edge
 
     for dense, head, loss_fn in (
         (True, "sndm-tanh", loss_iou3d_edge),
@@ -193,21 +205,48 @@ def test_gradient_reaches_every_parameter():
     ):
         cfg = NetConfig(input_size=16, widths=(4, 6), levels=2, dense_connections=dense, output_head=head)
         params = init_params(cfg, seed=4)
-        samples = [gen_pair(50 + i, GenConfig(image_size=16)) for i in range(2)]
-        img_a = np.stack([s.img_a for s in samples])
-        img_b = np.stack([s.img_b for s in samples])
-        if head == "sndm-tanh":
-            gt_a = np.stack([sndm_encode(s.mask_a) for s in samples])
-            gt_b = np.stack([sndm_encode(s.mask_b) for s in samples])
-        else:
-            gt_a = np.stack([s.mask_a.astype(np.float32) for s in samples])
-            gt_b = np.stack([s.mask_b.astype(np.float32) for s in samples])
-        out = build_forward(img_a, img_b, params, cfg, mode="train")
-        loss = (ad.map_loss(out.pred_a, gt_a, loss_fn, LossConfig()) + ad.map_loss(out.pred_b, gt_b, loss_fn, LossConfig())) * 0.5
-        loss.backward()
-        for name, tensor in out.param_tensors.items():
+        img_a, img_b, gt = _train_batch(cfg)
+        pred, param_tensors = build_forward(img_a, img_b, params, cfg, mode="train")
+        ad.map_loss(pred, gt, loss_fn, LossConfig()).backward()
+        for name, tensor in param_tensors.items():
             assert tensor.grad is not None, name
             assert np.abs(tensor.grad).max() > 0.0, name
+
+
+@pytest.mark.parametrize("loss_id", ["iou3d-edge", "dice"])
+def test_joint_loss_matches_mean_of_branch_losses(loss_id):
+    """One loss over the joint prediction gives the gradients of the mean of two per-branch losses, bit for bit."""
+    from sndmseg.losses import LOSSES, LossConfig
+    from sndmseg.train import LOSS_HEADS
+
+    loss_fn, head = LOSSES[loss_id], LOSS_HEADS[loss_id]
+    cfg = NetConfig(input_size=16, widths=(4, 6), levels=2, output_head=head)
+    img_a, img_b, gt = _train_batch(cfg, seed=70)
+    batch = img_a.shape[0]
+
+    def run(construction):
+        params = init_params(cfg, seed=8)
+        pred, param_tensors = build_forward(img_a, img_b, params, cfg, mode="train")
+        loss = construction(pred)
+        loss.backward()
+        return loss.data, {name: t.grad for name, t in param_tensors.items()}
+
+    def joint(pred):
+        return ad.map_loss(pred, gt, loss_fn, LossConfig())
+
+    def per_branch(pred):
+        loss_a = ad.map_loss(ad.slice_batch(pred, 0, batch), gt[:batch], loss_fn, LossConfig())
+        loss_b = ad.map_loss(ad.slice_batch(pred, batch, 2 * batch), gt[batch:], loss_fn, LossConfig())
+        return ad.mul(ad.add(loss_a, loss_b), ad.Tensor(np.float32(0.5)))
+
+    joint_loss, joint_grads = run(joint)
+    branch_loss, branch_grads = run(per_branch)
+    assert joint_loss.dtype == branch_loss.dtype == np.float32
+    ulps = abs(int(joint_loss.view(np.int32)) - int(branch_loss.view(np.int32)))
+    assert ulps <= 2, (joint_loss, branch_loss)
+    assert joint_grads.keys() == branch_grads.keys()
+    for name, grad in joint_grads.items():
+        assert grad.dtype == np.float32 and np.array_equal(grad, branch_grads[name]), name
 
 
 def _correlate(feat_a, feat_b):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import sndmseg
 from sndmseg.errors import (
     IoFailureError,
     MalformedHeaderError,
     MissingFileError,
     NonFiniteError,
+    OutOfRangeError,
     ShapeMismatchError,
     SndmError,
     TruncatedPayloadError,
@@ -21,6 +24,7 @@ from sndmseg.raster import (
     write_image,
     write_mask,
 )
+from strategies import masks, with_examples
 
 
 def test_read_mask_threshold_rule(tmp_path):
@@ -79,13 +83,23 @@ def test_read_mask_rejects_16bit(tmp_path):
         read_mask(str(path))
 
 
-def test_mask_round_trip(tmp_path):
-    rng = np.random.Generator(np.random.Philox(3))
-    for trial in range(20):
-        mask = rng.random((int(rng.integers(1, 40)), int(rng.integers(1, 40)))) < 0.5
-        path = tmp_path / f"m{trial}.pgm"
-        write_mask(mask, str(path))
-        assert np.array_equal(read_mask(str(path)), mask)
+def _seeded_masks(seed=3, count=20):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [rng.random((int(rng.integers(1, 40)), int(rng.integers(1, 40)))) < 0.5 for _ in range(count)]
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip")
+
+
+@settings(max_examples=150, deadline=None)
+@with_examples(_seeded_masks())
+@given(masks())
+def test_mask_round_trip(round_trip_dir, mask):
+    path = round_trip_dir / "m.pgm"
+    write_mask(mask, str(path))
+    assert np.array_equal(read_mask(str(path)), mask)
 
 
 def test_mask_write_idempotent(tmp_path):
@@ -107,10 +121,22 @@ def test_float_map_file_layout(tmp_path):
     assert np.frombuffer(data[12:], dtype="<f4")[0] == np.float32(0.5)
 
 
-def test_float_map_round_trip_bit_identical(tmp_path):
-    rng = np.random.Generator(np.random.Philox(9))
-    values = (rng.random((13, 7), dtype=np.float32) * 2 - 1).astype(np.float32)
-    path = tmp_path / "m.sndmf"
+def _seeded_float_map(seed=9):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return (rng.random((13, 7), dtype=np.float32) * 2 - 1).astype(np.float32)
+
+
+@settings(max_examples=150, deadline=None)
+@example(_seeded_float_map())
+@given(
+    hnp.arrays(
+        np.float32,
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        elements=st.floats(allow_nan=False, allow_infinity=False, width=32),
+    )
+)
+def test_float_map_round_trip_bit_identical(round_trip_dir, values):
+    path = round_trip_dir / "m.sndmf"
     write_float_map(values, str(path))
     back = read_float_map(str(path))
     assert back.dtype == np.float32
@@ -179,6 +205,16 @@ def test_image_round_trip_quantized(tmp_path):
     path2 = tmp_path / "j.ppm"
     write_image(back, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteError), (np.inf, NonFiniteError), (2.0, OutOfRangeError), (-0.5, OutOfRangeError)])
+def test_write_image_rejects_bad_values_with_domain_errors(tmp_path, bad, error):
+    image = np.full((3, 4, 3), 0.5, dtype=np.float32)
+    image[1, 2, 0] = bad
+    path = tmp_path / "i.ppm"
+    with pytest.raises(error):
+        sndmseg.write_image(image, str(path))
+    assert list(tmp_path.iterdir()) == []
 
 
 PNM_AND_FLOAT_MAP_PREFIXES = (b"P5\n", b"P6\n", b"P5 3 2 255\n", b"P6 2 2 255\n", b"SNDM", b"SNDM\x02\x00\x00\x00\x01\x00\x00\x00")

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sndmseg.distance import boundary_mask
 from sndmseg.errors import DegenerateMaskError
 from sndmseg.sndm import sndm_decode, sndm_encode
+from strategies import two_class_masks, with_examples
 
 ROW_MASK = np.array([[False, False, True, True, True, False, False]])
 ROW_CODES = [-0.1, -1.0, 1.0, 0.1, 1.0, -1.0, -0.1]
@@ -39,24 +41,29 @@ def test_single_class_masks_rejected():
         sndm_encode(np.zeros((4, 4), dtype=bool))
 
 
-def test_range_invariant_and_boundary_attainment():
-    rng = np.random.Generator(np.random.Philox(41))
-    for _ in range(50):
-        mask = random_two_class(rng, int(rng.integers(2, 33)), int(rng.integers(2, 33)))
-        encoded = sndm_encode(mask).astype(np.float64)
-        mag = np.abs(encoded)
-        assert mag.min() >= 0.1 - 1e-7
-        assert mag.max() <= 1.0
-        assert (encoded[mask] > 0).all() and (encoded[~mask] < 0).all()
-        assert (encoded[boundary_mask(mask)] == 1.0).all()
-        assert (encoded[~mask] == -1.0).any()
+def _seeded_masks(seed, count, sides):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [random_two_class(rng, *sides(rng)) for _ in range(count)]
 
 
-def test_round_trip_random_masks():
-    rng = np.random.Generator(np.random.Philox(43))
-    for _ in range(100):
-        mask = random_two_class(rng, 32, 32)
-        assert np.array_equal(sndm_decode(sndm_encode(mask)), mask)
+@settings(max_examples=150, deadline=None)
+@with_examples(_seeded_masks(41, 50, lambda rng: (int(rng.integers(2, 33)), int(rng.integers(2, 33)))))
+@given(two_class_masks())
+def test_range_invariant_and_boundary_attainment(mask):
+    encoded = sndm_encode(mask).astype(np.float64)
+    mag = np.abs(encoded)
+    assert mag.min() >= 0.1 - 1e-7
+    assert mag.max() <= 1.0
+    assert (encoded[mask] > 0).all() and (encoded[~mask] < 0).all()
+    assert (encoded[boundary_mask(mask)] == 1.0).all()
+    assert (encoded[~mask] == -1.0).any()
+
+
+@settings(max_examples=150, deadline=None)
+@with_examples(_seeded_masks(43, 100, lambda rng: (32, 32)))
+@given(two_class_masks())
+def test_round_trip_random_masks(mask):
+    assert np.array_equal(sndm_decode(sndm_encode(mask)), mask)
 
 
 def test_round_trip_exhaustive_3x3():

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from sndmseg.errors import InvalidConfigError, MissingFileError, SndmError
+from sndmseg.errors import InvalidConfigError, MalformedHeaderError, MissingFileError, SndmError
 from sndmseg.synth import GenConfig, _coverage, gen_dataset, gen_pair, load_dataset, make_pairs
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -167,6 +169,18 @@ def test_load_dataset_round_trip(tmp_path):
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(MissingFileError):
         load_dataset(str(tmp_path))
+
+
+def test_load_dataset_rejects_paths_out_of_the_directory(tmp_path):
+    out = tmp_path / "data"
+    (row,) = gen_dataset(3, GenConfig(image_size=16), 1, str(out))
+    (out / "sub").mkdir()
+    for target in (tmp_path / row[1], out / "sub" / row[1]):  # real images where the bad fields point
+        target.write_bytes((out / row[1]).read_bytes())
+    for field in (str(tmp_path / row[1]), f"../{row[1]}", f"sub/{row[1]}"):
+        (out / "manifest.tsv").write_text("\t".join((row[0], field, *row[2:])) + "\n")
+        with pytest.raises(MalformedHeaderError, match=f"manifest.tsv:1: file field '{re.escape(field)}'"):
+            load_dataset(str(out))
 
 
 @pytest.fixture(scope="module")

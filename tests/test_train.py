@@ -4,7 +4,7 @@ import pytest
 from sndmseg import synth
 from sndmseg.errors import BatchTooSmallError, DatasetEmptyError, InvalidConfigError, NonFiniteError
 from sndmseg.losses import LossConfig, LossReport
-from sndmseg.network import NetConfig, init_params
+from sndmseg.network import NetConfig, forward_pair, init_params
 from sndmseg.sndm import sndm_encode
 from sndmseg.synth import GenConfig, make_pairs
 from sndmseg.train import (
@@ -115,6 +115,19 @@ def test_train_rerun_is_identical():
     ]
     for name in first.params.values:
         assert np.array_equal(first.params.values[name], second.params.values[name])
+
+
+def test_val_loss_pairs_each_branch_with_its_own_target():
+    train_set, val_set = tiny_sets(6, 3)
+    result = train(train_set, val_set, TINY_NET, TrainConfig(max_epochs=1, seed=5))
+    preds = forward_pair(np.stack([r.img_a for r in val_set]), np.stack([r.img_b for r in val_set]), result.params, TINY_NET)
+    masks = ([r.mask_a for r in val_set], [r.mask_b for r in val_set])
+    per_map = [
+        LOSSES["iou3d-edge"](pred, sndm_encode(mask), LossConfig()).value
+        for branch_preds, branch_masks in zip(preds, masks)
+        for pred, mask in zip(branch_preds, branch_masks)
+    ]
+    assert result.history[0].val_loss == pytest.approx(np.mean(per_map), rel=1e-6)
 
 
 @pytest.mark.parametrize("split, phrase", [(0, "training loss is nan"), (1, "validation loss is nan")])

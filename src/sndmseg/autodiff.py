@@ -15,11 +15,15 @@ multiplies so the heavy lifting stays in BLAS. The multi-channel 3x3
 conv runs one GEMM per batch item over a patch workspace that all items
 reuse, and takes its input gradient as the same conv of the output
 gradient with the flipped, transposed kernel. The single-output head
-conv reads its input unpadded: its tap GEMMs zero the entries that would
-read padding. The memory-bound ops (batch norm, max pooling, the
-placement around the transposed conv's GEMM) are written to make as few
-passes over their tensors as they can, with every per-channel reduction
-accumulated in float64.
+conv (:func:`head_conv`) takes its input as a list of channel pieces, so
+the network's decoder outputs and image feed it without a concatenated
+copy; it reads them unpadded, one GEMM per piece for all nine taps, and
+zeroes the tap entries that would read padding. The transposed conv
+computes one output phase at a time into a reused block. The
+memory-bound ops (batch norm, max pooling, the placement around the
+transposed conv's GEMMs) are written to make as few passes over their
+tensors as they can, with every per-channel reduction accumulated in
+float64.
 
 A forward-only pass does no training-only work: max pooling builds its
 argmax index only under a gradient, and an eval forward folds each batch
@@ -365,21 +369,33 @@ def _conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(data, (x, weight, bias), backward)
 
 
-def _conv2d_head(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Single-output-channel route (the prediction head).
+def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
+    """Single-output-channel 3x3 conv (the prediction head) over its input's channel pieces.
 
-    Forward runs nine tap-shifted matrix multiplies over the flat,
-    unpadded input at row pitch W, since a patch matrix would dwarf the
-    actual work here. A tap's (B, 1, H*W) product covers only the outputs
-    whose reads stay inside the flat range, and its entries in the column
-    where the shift wraps across rows are zeroed; together those zeros
-    stand in for the zero padding. Backward lays the output gradient out
-    once per tap with the same zeros, so dW and dX are each a single GEMM
-    against those taps and dX comes out unpadded.
+    The pieces are (B, C_p, H, W) tensors whose channels, in order, make
+    up the conv's input; reading them in place spares the concatenated
+    copy. Forward runs one (9, C_p) @ (C_p, H*W) GEMM per piece and sums
+    the products into one (B, 9, H*W) array whose row k is tap k over the
+    flat, unpadded input at row pitch W. Each tap is then shifted into
+    place over the outputs whose reads stay inside the flat range, with
+    its entries in the column where the shift wraps across rows zeroed;
+    together those zeros stand in for the zero padding. Backward lays the
+    output gradient out once per tap with the same zeros, so each piece's
+    dX and its channel block of dW are a single GEMM against those taps.
     """
-    batch, channels, height, width = x.data.shape
+    pieces = list(pieces)
+    shapes = [p.data.shape for p in pieces]
+    if any(len(shape) != 4 or shape[:1] + shape[2:] != shapes[0][:1] + shapes[0][2:] for shape in shapes):
+        raise ShapeMismatchError(f"head_conv pieces must be (B, C_p, H, W) with one B, H and W, got {shapes}")
+    batch, _, height, width = shapes[0]
     n = height * width
-    xf = x.data.reshape(batch, channels, n)
+    c_out, channels, kh, kw = weight.data.shape
+    sizes = [shape[1] for shape in shapes]
+    if c_out != 1 or (kh, kw) != (3, 3) or sum(sizes) != channels:
+        raise ShapeMismatchError(f"head_conv weight {weight.data.shape} incompatible with pieces of {sizes} channels")
+    offsets = np.cumsum([0] + sizes)
+    wmat = weight.data.reshape(channels, 9)
+    flats = [p.data.reshape(batch, size, n) for p, size in zip(pieces, sizes)]
     # tap k: output p reads flat input p + shift over the outputs ``dst`` whose read stays in
     # range; a column shift of -1 (+1) wraps output column 0 (W - 1) into the neighboring row
     taps = []
@@ -387,42 +403,49 @@ def _conv2d_head(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         shift = (di - 1) * width + (dj - 1)
         dst, src = _shifted_span(shift, n)
         if dst.start < dst.stop:
-            taps.append((k, di, dj, shift, dst, src, {0: 0, 2: width - 1}.get(dj)))
-    acc = np.zeros((batch, 1, n), dtype=x.dtype)
-    for _, di, dj, _, dst, src, wrap in taps:
-        prod = np.matmul(weight.data[:, :, di, dj], xf[:, :, src])
-        if wrap is not None:
-            prod[:, :, (wrap - dst.start) % width :: width] = 0
-        acc[:, :, dst] += prod
-    data = acc.reshape(batch, 1, height, width) + bias.data.reshape(1, -1, 1, 1)
+            wrap = {0: 0, 2: width - 1}.get(dj)
+            taps.append((k, shift, dst, src, None if wrap is None else (wrap + shift) % width))
+    # taps_in[b, k, q] = the weights of tap k times input column q, summed over every piece's channels
+    taps_in = np.matmul(wmat[offsets[0] : offsets[1]].T, flats[0])
+    prod = np.empty_like(taps_in) if len(pieces) > 1 else None
+    for lo, hi, xf in zip(offsets[1:-1], offsets[2:], flats[1:]):
+        taps_in += np.matmul(wmat[lo:hi].T, xf, out=prod)
+    acc = np.zeros((batch, 1, n), dtype=taps_in.dtype)
+    for k, _, dst, src, wrapped in taps:
+        if wrapped is not None:
+            taps_in[:, k, wrapped::width] = 0
+        acc[:, 0, dst] += taps_in[:, k, src]
+    acc += bias.data
+    data = acc.reshape(batch, 1, height, width)
 
     def backward(g):
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2, 3)))
-        if not (weight.requires_grad or x.requires_grad):
+        if not (weight.requires_grad or any(p.requires_grad for p in pieces)):
             return
         gf = g.reshape(batch, n)
         # laid[b, k, q] = g at the output that reads input q through tap k
         laid = np.zeros((batch, 9, n), dtype=g.dtype)
-        for k, _, _, shift, dst, src, wrap in taps:
+        for k, shift, dst, src, wrapped in taps:
             laid[:, k, src] = gf[:, dst]
-            if wrap is not None:
-                laid[:, k, (wrap + shift) % width :: width] = 0
+            if wrapped is not None:
+                laid[:, k, wrapped::width] = 0
         if weight.requires_grad:
-            dw = np.matmul(xf, laid.transpose(0, 2, 1)).sum(axis=0)
+            dw = np.concatenate([np.matmul(xf, laid.transpose(0, 2, 1)).sum(axis=0) for xf in flats])
             weight.accumulate_owned(dw.reshape(weight.data.shape))
-        if x.requires_grad:
-            dx = np.matmul(weight.data.reshape(channels, 9), laid)
-            x.accumulate_owned(dx.reshape(x.data.shape))
+        for p, lo, hi in zip(pieces, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                p.accumulate_owned(np.matmul(wmat[lo:hi], laid).reshape(p.data.shape))
 
-    return _node(data, (x, weight, bias), backward)
+    return _node(data, (*pieces, weight, bias), backward)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1.
 
-    weight: (C_out, C_in, 3, 3); bias: (C_out,). Dispatches between two
-    algebraically identical formulations by output width.
+    weight: (C_out, C_in, 3, 3); bias: (C_out,). A single output channel
+    goes to :func:`head_conv` with the input as its one piece; wider
+    outputs take the patch-matrix route.
     """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"conv2d input must be (B, C, H, W), got {x.data.shape}")
@@ -430,7 +453,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if c_in != x.data.shape[1] or (kh, kw) != (3, 3):
         raise ShapeMismatchError(f"conv2d weight {weight.data.shape} incompatible with input {x.data.shape}")
     if c_out == 1:
-        return _conv2d_head(x, weight, bias)
+        return head_conv([x], weight, bias)
     return _conv2d_im2col(x, weight, bias)
 
 
@@ -438,20 +461,26 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """2x2 transposed convolution with stride 2 (exact x2 upsampling).
 
     weight: (C_in, C_out, 2, 2); bias: (C_out,). Output blocks do not
-    overlap, so forward and backward are plain matrix multiplies.
+    overlap, so forward and backward are plain matrix multiplies. Forward
+    computes one output phase at a time into a reused block, so no GEMM
+    output four times the block's size is held.
     """
     batch, channels, height, width = x.data.shape
     c_in, c_out, kh, kw = weight.data.shape
     if c_in != channels or (kh, kw) != (2, 2):
         raise ShapeMismatchError(f"conv_transpose2d weight {weight.data.shape} incompatible with input {x.data.shape}")
-    # per item, (C_out*2*2, C_in) @ (C_in, H*W): row (o, i, j) holds output pixels (2h+i, 2w+j)
+    # phase (i, j) holds output pixels (2h+i, 2w+j): per item, (C_out, C_in) @ (C_in, H*W)
     xm = x.data.reshape(batch, channels, height * width)
     wmat = weight.data.reshape(channels, c_out * 4)
-    ym = np.matmul(wmat.T, xm).reshape(batch, c_out, 2, 2, height, width)
-    data = np.empty((batch, c_out, 2 * height, 2 * width), dtype=ym.dtype)
-    bias_nchw = bias.data.reshape(1, -1, 1, 1)
+    phases = weight.data.transpose(2, 3, 0, 1).copy()  # phases[i, j].T is weight[:, :, i, j].T, BLAS-ready
+    dtype = np.result_type(x.data, weight.data)
+    data = np.empty((batch, c_out, 2 * height, 2 * width), dtype=dtype)
+    block = np.empty((batch, c_out, height * width), dtype=dtype)
+    bias_col = bias.data.reshape(-1, 1)
     for i, j in _BLOCK_OFFSETS:
-        np.add(ym[:, :, i, j], bias_nchw, out=data[:, :, i::2, j::2])
+        np.matmul(phases[i, j].T, xm, out=block)
+        block += bias_col
+        data[:, :, i::2, j::2] = block.reshape(batch, c_out, height, width)
 
     def backward(g):
         gm = np.empty((batch, c_out, 2, 2, height, width), dtype=g.dtype)
@@ -671,6 +700,7 @@ __all__ = [
     "matmul",
     "l2_normalize",
     "conv2d",
+    "head_conv",
     "conv_transpose2d",
     "max_pool2",
     "batch_norm",

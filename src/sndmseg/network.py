@@ -9,10 +9,12 @@ features concatenated with the branch's correlation map; every later
 module consumes the matching encoder skip plus, through small
 deconv+BN+ReLU resolution adapters, the outputs of preceding decoder
 modules — all of them when dense connections are on, only the immediately
-preceding one otherwise. The raw input image is concatenated immediately
-before the final 3x3 convolution, whose activation is tanh for the
-signed-map head or sigmoid for the mask head. In eval mode each batch
-norm is folded into the weights and bias of the conv or deconv before it.
+preceding one otherwise. The final 3x3 convolution reads the level-1
+skip, one adapter output per source module and the raw input image as
+its input's channel pieces, with no concatenated copy; its activation is
+tanh for the signed-map head or sigmoid for the mask head. In eval mode
+each batch norm is folded into the weights and bias of the conv or deconv
+before it, and the relu after it runs in place on the conv's output.
 
 Both branches share every parameter, so swapping the two input images
 swaps the two outputs exactly. They run as one joint batch from the input
@@ -219,7 +221,9 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
         mean, var = bufs[f"{bn}.running_mean"], bufs[f"{bn}.running_var"]
         if not training:
             folded = ad.fold_batch_norm(weight.data, bias.data, gamma.data, beta.data, mean, var, out_axis)
-            return ad.relu(op(x, *map(ad.Tensor, folded)))
+            y = op(x, *map(ad.Tensor, folded))
+            np.maximum(y.data, 0, out=y.data)  # the fresh conv output has no other reader
+            return y
         return ad.relu(ad.batch_norm(op(x, weight, bias), gamma, beta, mean, var, training=True))
 
     def conv_bn_relu(x, conv_name, bn_name):
@@ -253,10 +257,8 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
         outputs[module] = x
 
     last = cfg.levels + 1
-    image_in = ad.Tensor(joint)
-    pieces = [skips[0]] + [adapter(outputs[src], src, last) for src in _module_sources(cfg, last)]
-    pieces.append(image_in)
-    head = ad.conv2d(ad.concat(pieces, axis=1), pt["head.conv.weight"], pt["head.conv.bias"])
+    adapters = [adapter(outputs[src], src, last) for src in _module_sources(cfg, last)]
+    head = ad.head_conv([skips[0], *adapters, ad.Tensor(joint)], pt["head.conv.weight"], pt["head.conv.bias"])
     pred = ad.tanh(head) if cfg.output_head == "sndm-tanh" else ad.sigmoid(head)
 
     return pred, pt

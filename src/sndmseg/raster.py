@@ -58,15 +58,21 @@ def as_float_map(values) -> np.ndarray:
 
 
 def as_image(values) -> np.ndarray:
-    """Coerce to a valid (H, W, 3) float32 image with values in [0, 1]."""
-    v = np.asarray(values, dtype=np.float32)
+    """Coerce to a valid (H, W, 3) float32 image with values in [0, 1].
+
+    The values are checked in their own float dtype before the cast, so a
+    finite value too large for float32 is out of range, not an overflow.
+    """
+    v = np.asarray(values)
+    if v.dtype.kind != "f":
+        v = v.astype(np.float32)
     if v.ndim != 3 or v.shape[2] != 3 or v.shape[0] < 1 or v.shape[1] < 1:
         raise ShapeMismatchError(f"image must have shape (H, W, 3), got {v.shape}")
     if not np.isfinite(v).all():
         raise NonFiniteError("image contains non-finite values")
     if v.min() < 0.0 or v.max() > 1.0:
         raise OutOfRangeError(f"image values must lie in [0, 1], got [{v.min()}, {v.max()}]")
-    return v
+    return v.astype(np.float32, copy=False)
 
 
 def threshold_to_mask(values) -> np.ndarray:

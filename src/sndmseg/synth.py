@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError, MissingFileError
+from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError
 from .raster import _atomic_write, _read_bytes, read_image, read_mask, write_image, write_mask
 
 FG_FRACTION = (0.02, 0.6)
@@ -294,11 +294,11 @@ def load_dataset(directory: str) -> list:
 
     Every file field must be a plain file name: the files live in
     ``directory`` itself, so a path that is absolute, has a directory part
-    or is ``.``/``..`` is a malformed manifest.
+    or is ``.``/``..`` is a malformed manifest. A manifest that does not
+    exist is ``MissingFile``; one that exists but cannot be read is
+    ``IoFailure``.
     """
     path = manifest_path(directory)
-    if not os.path.isfile(path):
-        raise MissingFileError(f"no manifest at {path}")
     data = _read_bytes(path)
     try:
         text = data.decode("utf-8")

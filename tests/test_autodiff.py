@@ -194,16 +194,38 @@ def test_conv2d_head_matches_padded_reference(height, width):
     w = rng.normal(size=(1, 5, 3, 3))
     b = rng.normal(size=(1,))
     g = rng.normal(size=(3, 1, height, width))
-    ts = [ad.Tensor(a, requires_grad=True) for a in (x, w, b)]
-    y = ad.conv2d(*ts)
-    y._backward(g)
     want_y, want_dx, want_dw = _padded_head_reference(x, w, b, g)
-    for got, want in ((y.data, want_y), (ts[0].grad, want_dx), (ts[1].grad, want_dw)):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
-    assert np.isclose(ts[2].grad[0], g.sum(), rtol=1e-12)
-    # dX is the unpadded input's shape, laid out contiguously
-    assert ts[0].grad.flags.c_contiguous
+    # conv2d on the whole input, then head_conv on pieces whose channels make it up; piece
+    # index 1 of the three is frozen data and must get no gradient
+    for sizes in ((5,), (2, 1, 2), (4, 1)):
+        cuts = np.cumsum(sizes)[:-1]
+        frozen = 1 if len(sizes) == 3 else None
+        pieces = [ad.Tensor(p, requires_grad=k != frozen) for k, p in enumerate(np.split(x, cuts, axis=1))]
+        wt, bt = ad.Tensor(w, requires_grad=True), ad.Tensor(b, requires_grad=True)
+        y = ad.conv2d(pieces[0], wt, bt) if len(sizes) == 1 else ad.head_conv(pieces, wt, bt)
+        y._backward(g)
+        checks = [(y.data, want_y), (wt.grad, want_dw)]
+        for k, (piece, want) in enumerate(zip(pieces, np.split(want_dx, cuts, axis=1))):
+            if k == frozen:
+                assert piece.grad is None, sizes
+            else:
+                checks.append((piece.grad, want))
+                # dX is the unpadded piece's shape, laid out contiguously
+                assert piece.grad.flags.c_contiguous, sizes
+        for got, want in checks:
+            assert got.shape == want.shape, sizes
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0), sizes
+        assert np.isclose(bt.grad[0], g.sum(), rtol=1e-12), sizes
+
+
+def test_head_conv_rejects_pieces_that_do_not_fit():
+    w, b = ad.Tensor(np.ones((1, 5, 3, 3))), ad.Tensor(np.zeros(1))
+    good = ad.Tensor(np.ones((2, 3, 4, 4)))
+    for other in (np.ones((2, 3, 4, 4)), np.ones((2, 2, 4, 5)), np.ones((1, 2, 4, 4)), np.ones((2, 2, 4))):
+        with pytest.raises(ShapeMismatchError):
+            ad.head_conv([good, ad.Tensor(other)], w, b)
+    with pytest.raises(ShapeMismatchError):  # a wide weight is not a head
+        ad.head_conv([good, ad.Tensor(np.ones((2, 2, 4, 4)))], ad.Tensor(np.ones((2, 5, 3, 3))), ad.Tensor(np.zeros(2)))
 
 
 @pytest.mark.parametrize("op, weight_shape, out_axis", [(ad.conv2d, (4, 3, 3, 3), 0), (ad.conv_transpose2d, (3, 4, 2, 2), 1)])
@@ -283,6 +305,30 @@ def test_conv_transpose_gradients():
     assert finite_difference_check(graph, [x, w, b]) < 1e-6
     y = ad.conv_transpose2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
     assert y.data.shape == (2, 4, 10, 8)
+
+
+def _conv_transpose_one_gemm(x, w, b):
+    """The transposed conv as one (C_out*2*2, C_in) GEMM per item, then a strided bias add per output phase."""
+    batch, channels, height, width = x.shape
+    c_out = w.shape[1]
+    ym = np.matmul(w.reshape(channels, c_out * 4).T, x.reshape(batch, channels, height * width))
+    ym = ym.reshape(batch, c_out, 2, 2, height, width)
+    out = np.empty((batch, c_out, 2 * height, 2 * width), dtype=ym.dtype)
+    for i in range(2):
+        for j in range(2):
+            np.add(ym[:, :, i, j], b.reshape(1, -1, 1, 1), out=out[:, :, i::2, j::2])
+    return out
+
+
+@pytest.mark.parametrize("batch, c_in, c_out, height, width", [(2, 3, 4, 5, 4), (16, 64, 16, 8, 8), (4, 16, 16, 16, 16), (3, 7, 2, 1, 3)])
+def test_conv_transpose_forward_matches_one_gemm_bitwise(batch, c_in, c_out, height, width):
+    rng = np.random.Generator(np.random.Philox(c_in * 100 + c_out))
+    x = rng.normal(size=(batch, c_in, height, width)).astype(np.float32)
+    w = rng.normal(size=(c_in, c_out, 2, 2)).astype(np.float32)
+    b = rng.normal(size=(c_out,)).astype(np.float32)
+    got = ad.conv_transpose2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data
+    assert got.dtype == np.float32
+    assert got.tobytes() == _conv_transpose_one_gemm(x, w, b).tobytes()
 
 
 def test_max_pool_gradients_and_shape():

@@ -172,6 +172,14 @@ def test_eval_forward_records_no_graph():
         ad.tsum(pred).backward()
     for name, value in before.buffers.items():  # eval leaves the running statistics alone
         assert np.array_equal(params.buffers[name], value), name
+    # the eval relu runs in place on conv outputs; it must never reach the inputs or the parameters
+    images = [img.copy() for img in (img_a, img_b)]
+    forward_pair(img_a, img_b, params, SMALL)
+    for got, want in zip((img_a, img_b), images):
+        assert got.tobytes() == want.tobytes()
+    for kind in ("values", "buffers"):
+        for name, value in getattr(before, kind).items():
+            assert getattr(params, kind)[name].tobytes() == value.tobytes(), (kind, name)
 
 
 def test_shape_mismatch_errors():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -207,14 +209,19 @@ def test_image_round_trip_quantized(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-@pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteError), (np.inf, NonFiniteError), (2.0, OutOfRangeError), (-0.5, OutOfRangeError)])
+# 1e39 is finite but above the float32 maximum: the range check comes before the cast
+@pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteError), (np.inf, NonFiniteError), (2.0, OutOfRangeError), (-0.5, OutOfRangeError), (1e39, OutOfRangeError)])
 def test_write_image_rejects_bad_values_with_domain_errors(tmp_path, bad, error):
-    image = np.full((3, 4, 3), 0.5, dtype=np.float32)
-    image[1, 2, 0] = bad
     path = tmp_path / "i.ppm"
-    with pytest.raises(error):
-        sndmseg.write_image(image, str(path))
-    assert list(tmp_path.iterdir()) == []
+    fits_float32 = not np.isfinite(bad) or abs(bad) <= float(np.finfo(np.float32).max)
+    for dtype in (np.float32, np.float64) if fits_float32 else (np.float64,):
+        image = np.full((3, 4, 3), 0.5, dtype=dtype)
+        image[1, 2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from a cast
+            with pytest.raises(error):
+                sndmseg.write_image(image, str(path))
+        assert list(tmp_path.iterdir()) == [], dtype
 
 
 PNM_AND_FLOAT_MAP_PREFIXES = (b"P5\n", b"P6\n", b"P5 3 2 255\n", b"P6 2 2 255\n", b"SNDM", b"SNDM\x02\x00\x00\x00\x01\x00\x00\x00")

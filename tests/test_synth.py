@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from sndmseg.errors import InvalidConfigError, MalformedHeaderError, MissingFileError, SndmError
+from sndmseg.errors import InvalidConfigError, IoFailureError, MalformedHeaderError, MissingFileError, SndmError
 from sndmseg.synth import GenConfig, _coverage, gen_dataset, gen_pair, load_dataset, make_pairs
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -168,6 +168,14 @@ def test_load_dataset_round_trip(tmp_path):
 
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(MissingFileError):
+        load_dataset(str(tmp_path))
+
+
+def test_load_dataset_unreadable_manifest_is_io_failure(tmp_path):
+    # a manifest that exists but cannot be read is an I/O fault, not a missing file; a
+    # directory in its place cannot be read even by root, unlike a file at mode 000
+    (tmp_path / "manifest.tsv").mkdir()
+    with pytest.raises(IoFailureError, match="manifest.tsv"):
         load_dataset(str(tmp_path))
 
 

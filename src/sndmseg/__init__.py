@@ -33,7 +33,6 @@ from .raster import (
     read_float_map,
     read_image,
     read_mask,
-    threshold_to_mask,
     write_float_map,
     write_image,
     write_mask,
@@ -99,7 +98,6 @@ __all__ = [
     "save_net",
     "sndm_decode",
     "sndm_encode",
-    "threshold_to_mask",
     "train",
     "write_float_map",
     "write_image",

@@ -11,10 +11,10 @@ transposed convolution, per-channel batch normalization with running
 statistics, relu/tanh, 2x2 max pooling, concatenation/slicing, batched
 matrix multiply, per-position L2 channel normalization, elementwise
 add/mul, and sum/mean reductions. Convolutions are expressed as matrix
-multiplies so the heavy lifting stays in BLAS. The multi-channel 3x3
-conv runs one GEMM per batch item over a patch workspace that all items
-reuse, and takes its input gradient as the same conv of the output
-gradient with the flipped, transposed kernel. The single-output head
+multiplies so the heavy lifting stays in BLAS. The 3x3 conv runs one
+GEMM per batch item over a patch workspace that all items reuse, and
+takes its input gradient as the same conv of the output gradient with
+the flipped, transposed kernel. The single-output head
 conv (:func:`head_conv`) takes its input as a list of channel pieces, so
 the network's decoder outputs and image feed it without a concatenated
 copy; it reads them unpadded, one GEMM per piece for all nine taps, and
@@ -337,38 +337,6 @@ def _conv_items(x: np.ndarray, wmat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv2d_im2col(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Patch-matrix route: per item, one (C_out, C_in*9) @ (C_in*9, H*W) GEMM.
-
-    No patch matrix covers the whole batch: each item's patches go into
-    one reused workspace (:func:`_item_patches`) and its GEMM writes
-    straight into the output. dX is the forward conv of the output
-    gradient with the flipped, transposed kernel (C_in, C_out*9), so it
-    needs neither a gradient patch matrix nor a col2im scatter. dW
-    rebuilds each item's patches and accumulates the items' GEMMs in
-    batch order.
-    """
-    batch, channels, height, width = x.data.shape
-    c_out = weight.data.shape[0]
-    out = _conv_items(x.data, weight.data.reshape(c_out, channels * 9))
-    out += bias.data.reshape(-1, 1)
-    data = out.reshape(batch, c_out, height, width)
-
-    def backward(g):
-        gm = g.reshape(batch, c_out, height * width)
-        if bias.requires_grad:
-            bias.accumulate(gm.sum(axis=(0, 2)))
-        if x.requires_grad:
-            # flipped tap (di, dj) of output channel o reads weight[o, :, 2 - di, 2 - dj]
-            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(channels, c_out * 9)
-            x.accumulate_owned(_conv_items(g, wflip).reshape(x.data.shape))
-        if weight.requires_grad:
-            dw = sum(np.matmul(gm[i], cols.T) for i, cols in enumerate(_item_patches(x.data)))
-            weight.accumulate_owned(dw.reshape(weight.data.shape))
-
-    return _node(data, (x, weight, bias), backward)
-
-
 def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
     """Single-output-channel 3x3 conv (the prediction head) over its input's channel pieces.
 
@@ -441,20 +409,42 @@ def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """3x3 convolution, stride 1, zero padding 1.
+    """3x3 convolution, stride 1, zero padding 1, of any output width.
 
-    weight: (C_out, C_in, 3, 3); bias: (C_out,). A single output channel
-    goes to :func:`head_conv` with the input as its one piece; wider
-    outputs take the patch-matrix route.
+    weight: (C_out, C_in, 3, 3); bias: (C_out,). Per item, one
+    (C_out, C_in*9) @ (C_in*9, H*W) GEMM over a patch matrix; the network's
+    single-output prediction head calls :func:`head_conv` on its input
+    pieces instead. No patch matrix covers the whole batch: each item's
+    patches go into one reused workspace (:func:`_item_patches`) and its
+    GEMM writes straight into the output. dX is the forward conv of the
+    output gradient with the flipped, transposed kernel (C_in, C_out*9), so
+    it needs neither a gradient patch matrix nor a col2im scatter. dW
+    rebuilds each item's patches and accumulates the items' GEMMs in batch
+    order.
     """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"conv2d input must be (B, C, H, W), got {x.data.shape}")
     c_out, c_in, kh, kw = weight.data.shape
     if c_in != x.data.shape[1] or (kh, kw) != (3, 3):
         raise ShapeMismatchError(f"conv2d weight {weight.data.shape} incompatible with input {x.data.shape}")
-    if c_out == 1:
-        return head_conv([x], weight, bias)
-    return _conv2d_im2col(x, weight, bias)
+    batch, channels, height, width = x.data.shape
+    out = _conv_items(x.data, weight.data.reshape(c_out, channels * 9))
+    out += bias.data.reshape(-1, 1)
+    data = out.reshape(batch, c_out, height, width)
+
+    def backward(g):
+        gm = g.reshape(batch, c_out, height * width)
+        if bias.requires_grad:
+            bias.accumulate(gm.sum(axis=(0, 2)))
+        if x.requires_grad:
+            # flipped tap (di, dj) of output channel o reads weight[o, :, 2 - di, 2 - dj]
+            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(channels, c_out * 9)
+            x.accumulate_owned(_conv_items(g, wflip).reshape(x.data.shape))
+        if weight.requires_grad:
+            dw = sum(np.matmul(gm[i], cols.T) for i, cols in enumerate(_item_patches(x.data)))
+            weight.accumulate_owned(dw.reshape(weight.data.shape))
+
+    return _node(data, (x, weight, bias), backward)
 
 
 def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

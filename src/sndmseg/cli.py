@@ -6,10 +6,15 @@ train, eval, gradcheck, ablation. Argparse declares every option once.
 subcommand's valued flags without the leading dashes (``batch-size = 8``);
 each value goes through that flag's own type and choices. A key that is
 no valued flag of the subcommand (a positional, ``--oracle``, ``--config``
-or a typo) fails. Flags win over file values; an option set by neither
-keeps the default of the class or function that owns it. Every value is
-validated before any work starts. Domain failures exit 1 with a single
-machine-parseable line ``error: <code>: <detail>``; usage problems exit 2.
+or a typo) fails. The file is read like every other path argument: a
+missing one is ``MissingFile``, a directory or an unreadable file
+``IoFailure``. Flags win over file values; an option set by neither
+keeps the default of the class or function that owns it. ``train
+--loss`` also picks the output head (``train.LOSS_HEADS``): dice trains
+the sigmoid mask head, the three iou3d losses the tanh SNDM head. Every
+value is validated before any work starts. Domain failures exit 1 with a
+single machine-parseable line ``error: <code>: <detail>``; usage problems
+exit 2.
 
 The environment variable SNDM_THREADS caps worker processes for the
 ablation command (default: machine cores).
@@ -25,47 +30,26 @@ from dataclasses import replace
 import numpy as np
 
 from .distance import edt, edt_squared, edt_squared_brute
-from .errors import (
-    InvalidConfigError,
-    MissingFileError,
-    OracleMismatchError,
-    SndmError,
-)
+from .errors import InvalidConfigError, OracleMismatchError, SndmError
 from .losses import LOSSES, LossConfig, grad_check_loss
 from .network import NetConfig, grad_check_net, save_net
-from .raster import parse_key_values, read_float_map, read_mask, write_float_map, write_mask
+from .raster import _read_bytes, parse_key_values, read_float_map, read_mask, write_float_map, write_mask
 from .sndm import sndm_decode, sndm_encode
 from .synth import GenConfig, gen_dataset, load_dataset
 from .train import (
+    LOSS_HEADS,
     AblationConfig,
     TrainConfig,
     ablation,
     evaluate_checkpoint,
     reference_config,
     train,
-    write_ablation_json,
     write_history_csv,
-    write_metrics_json,
+    write_json,
 )
 
 ARCHS = {"plain": False, "dense": True}  # --arch -> NetConfig.dense_connections
-HEADS = {"sndm": "sndm-tanh", "mask": "mask-sigmoid"}  # --head -> NetConfig.output_head
 GRADCHECK_THRESHOLDS = {"loss": 1e-4, "net": 1e-3}
-
-
-def _parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except FileNotFoundError as exc:
-        raise MissingFileError(f"no such config file: {path}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        return parse_key_values(text)
-    except ValueError as exc:
-        raise InvalidConfigError(f"{path}:{exc}") from exc
 
 
 def _apply_config_file(args) -> None:
@@ -80,7 +64,11 @@ def _apply_config_file(args) -> None:
         for option in action.option_strings
         if option.startswith("--") and action.nargs != 0 and action.dest != "config"
     }
-    for key, raw in _parse_config_file(path).items():
+    try:  # UTF-8 `key = value` lines, read like every other path argument
+        entries = parse_key_values(_read_bytes(path).decode("utf-8"))
+    except ValueError as exc:  # a bad line, or UnicodeDecodeError
+        raise InvalidConfigError(f"{path}:{exc}") from exc
+    for key, raw in entries.items():
         action = flags.get(key)
         if action is None:
             raise InvalidConfigError(f"{path}: unknown key {key!r} for {args.command}")
@@ -155,11 +143,9 @@ def _cmd_train(args) -> int:
         net["levels"] = len(args.widths)
     if args.arch is not None:
         net["dense_connections"] = ARCHS[args.arch]
-    if args.head is not None:
-        net["output_head"] = HEADS[args.head]
+    if args.loss is not None:
+        net["output_head"] = LOSS_HEADS[args.loss]
     net_config = replace(NetConfig(), **net).validate()
-    if args.loss is None and args.head == "mask":
-        args.loss = "dice"  # the one loss for the mask head
     train_cfg = replace(
         reference_config() if args.preset == "reference" else TrainConfig(),
         **_given(args, batch_size="batch_size", lr="lr", weight_decay="weight_decay", plateau_patience="patience"),
@@ -182,7 +168,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     report = evaluate_checkpoint(args.ckpt, load_dataset(args.data))
     if args.report:
-        write_metrics_json(report, args.report)
+        write_json(report.to_json_dict(), args.report)
     mean = report.mean()
     print(
         f"pairs={len(report.items)} precision={mean['precision']:.4f} "
@@ -215,7 +201,7 @@ def _cmd_ablation(args) -> int:
     )
     table = ablation(args.runs, config=config, **_given(args, base_seed="seed"))
     if args.out:
-        write_ablation_json(table, args.out)
+        write_json(table, args.out)
     for row in table["rows"]:
         print(f"{row['name']:>13}: precision={row['precision']:.4f} jaccard={row['jaccard']:.4f}")
     return 0
@@ -265,8 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="training dataset directory with manifest.tsv (required)")
     p.add_argument("--val", help="validation dataset directory (required)")
     p.add_argument("--arch", choices=tuple(ARCHS), help=f"decoder wiring (default {_name_of(ARCHS, NetConfig.dense_connections)})")
-    p.add_argument("--head", choices=tuple(HEADS), help=f"output head (default {_name_of(HEADS, NetConfig.output_head)})")
-    p.add_argument("--loss", choices=sorted(LOSSES), help=f"loss id (default {TrainConfig.loss_id}; dice for --head mask)")
+    p.add_argument(
+        "--loss",
+        choices=sorted(LOSSES),
+        help=f"loss id; it also picks the output head: dice trains the sigmoid mask head, the iou3d losses "
+        f"the tanh SNDM head (default {TrainConfig.loss_id})",
+    )
     p.add_argument("--preset", choices=("toy", "reference"), help="hyperparameter preset (default toy)")
     p.add_argument("--seed", type=int, help=f"seed for init and shuffling (default {TrainConfig.seed})")
     p.add_argument("--epochs", type=int, help=f"training epochs (default {TrainConfig.max_epochs}; reference {reference.max_epochs})")

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, ShapeMismatchError
+from .seeding import seeded_rng
 from .sndm import sndm_encode
 
 
@@ -46,8 +47,8 @@ class LossConfig:
     epsilon: float = 1e-8
 
     def validate(self) -> "LossConfig":
-        if not self.lam >= 1.0:
-            raise InvalidConfigError(f"lam must be >= 1, got {self.lam}")
+        if not 1.0 <= self.lam < np.inf:
+            raise InvalidConfigError(f"lam must be finite and >= 1, got {self.lam}")
         if not 0.0 < self.epsilon <= 1e-4:
             raise InvalidConfigError(f"epsilon must be in (0, 1e-4], got {self.epsilon}")
         return self
@@ -159,12 +160,14 @@ def grad_check_loss(
     a central difference of step 1e-4. Sample points keep every pixel away
     from the nondifferentiable sets (|p - g| > 1e-2 and |p| > 1e-2).
     Returns the maximum error relative to the largest gradient magnitude
-    of each sampled map.
+    of each sampled map; a non-finite error makes the result NaN or inf.
     """
     if loss_id not in LOSSES:
         raise InvalidConfigError(f"unknown loss {loss_id!r}; choose from {sorted(LOSSES)}")
+    if trials < 1:
+        raise InvalidConfigError(f"trials must be >= 1, got {trials}")
     fn = LOSSES[loss_id]
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = seeded_rng(seed)
     pixels_per_trial, step = 6, 1e-4
     worst = 0.0
     for _ in range(trials):
@@ -193,5 +196,5 @@ def grad_check_loss(
             minus = pred.copy()
             minus[idx] -= step
             numeric = (fn(plus, gt, cfg).value - fn(minus, gt, cfg).value) / (2.0 * step)
-            worst = max(worst, abs(float(analytic[idx]) - numeric) / scale)
+            worst = float(np.maximum(worst, abs(float(analytic[idx]) - numeric) / scale))  # NaN sticks
     return worst

@@ -49,6 +49,9 @@ def jaccard(seg, gt) -> float:
     return int((s & g).sum()) / union
 
 
+METRIC_NAMES = ("precision", "pixel_accuracy", "jaccard")
+
+
 @dataclass(frozen=True)
 class ItemMetrics:
     item_id: str
@@ -77,36 +80,10 @@ class MetricsReport:
         self.items.append(item)
 
     def mean(self) -> dict:
-        if not self.items:
-            return {"precision": 0.0, "pixel_accuracy": 0.0, "jaccard": 0.0}
+        """Each metric's mean over the items, summed in item order; 0.0 with no items."""
         n = len(self.items)
-        return {
-            "precision": sum(i.precision for i in self.items) / n,
-            "pixel_accuracy": sum(i.pixel_accuracy for i in self.items) / n,
-            "jaccard": sum(i.jaccard for i in self.items) / n,
-        }
+        return {name: sum(getattr(i, name) for i in self.items) / n if n else 0.0 for name in METRIC_NAMES}
 
     def to_json_dict(self) -> dict:
-        return {
-            "items": [
-                {
-                    "id": i.item_id,
-                    "precision": i.precision,
-                    "pixel_accuracy": i.pixel_accuracy,
-                    "jaccard": i.jaccard,
-                }
-                for i in self.items
-            ],
-            "mean": self.mean(),
-        }
-
-
-def mean_of_items(items: list[ItemMetrics]) -> ItemMetrics:
-    """Average several items into one (used to fold the two views of a pair)."""
-    n = len(items)
-    return ItemMetrics(
-        item_id=items[0].item_id if items else "",
-        precision=sum(i.precision for i in items) / n,
-        pixel_accuracy=sum(i.pixel_accuracy for i in items) / n,
-        jaccard=sum(i.jaccard for i in items) / n,
-    )
+        items = [{"id": i.item_id, **{name: getattr(i, name) for name in METRIC_NAMES}} for i in self.items]
+        return {"items": items, "mean": self.mean()}

@@ -38,6 +38,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .raster import parse_key_values
+from .seeding import seeded_rng
 
 ADAPTER_CHANNELS = 16  # width of every dense-connection resolution adapter
 
@@ -129,7 +130,7 @@ def _adapter_names(module_from: int, module_to: int, steps: int):
 def init_params(config: NetConfig, seed: int = 0) -> NetParams:
     """Deterministic fan-in-scaled initialization of all parameters."""
     cfg = config.validate()
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = seeded_rng(seed)
     params = NetParams()
 
     def conv(name, c_out, c_in, k=3, gain=2.0):
@@ -303,8 +304,9 @@ def grad_check_net(trials: int = 20, seed: int = 0) -> float:
     prediction of both branches as in training. It perturbs ``trials``
     randomly chosen parameter entries by a central difference of step
     1e-6 and returns the worst error relative to max(|analytic|,
-    |numeric|, 1e-3). Every probe runs on its own clone of the
-    parameters; train mode never reads the running buffers it updates.
+    |numeric|, 1e-3); a non-finite error makes the result NaN or inf.
+    Every probe runs on its own clone of the parameters; train mode never
+    reads the running buffers it updates.
 
     The penalized edge loss is discontinuous where a predicted pixel
     changes sign or crosses its label, so — as in the loss-level check —
@@ -316,9 +318,11 @@ def grad_check_net(trials: int = 20, seed: int = 0) -> float:
     from .sndm import sndm_encode
     from .synth import GenConfig, gen_pair
 
+    if trials < 1:
+        raise InvalidConfigError(f"trials must be >= 1, got {trials}")
     cfg = NetConfig(input_size=16, widths=(4, 6), levels=2)
     step = 1e-6
-    rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
+    rng = seeded_rng(seed)
     params = init_params(cfg, seed=seed).astype(np.float64)
     loss_cfg = LossConfig()
 
@@ -372,7 +376,7 @@ def grad_check_net(trials: int = 20, seed: int = 0) -> float:
             continue
         checked += 1
         a = float(analytic[name][idx])
-        worst = max(worst, abs(a - refined) / max(abs(a), abs(refined), 1e-3))
+        worst = float(np.maximum(worst, abs(a - refined) / max(abs(a), abs(refined), 1e-3)))  # NaN sticks
     return worst
 
 

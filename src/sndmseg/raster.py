@@ -75,19 +75,6 @@ def as_image(values) -> np.ndarray:
     return v.astype(np.float32, copy=False)
 
 
-def threshold_to_mask(values) -> np.ndarray:
-    """Sign rule: strictly positive values are foreground, the rest background.
-
-    Exactly 0.0 maps to background; it never occurs in an encoded map and
-    only arises from untrained network output, so one fixed convention
-    suffices.
-    """
-    v = np.asarray(values)
-    if v.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-d map, got shape {v.shape}")
-    return v > 0
-
-
 # ---------------------------------------------------------------------------
 # atomic file writing
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .distance import edt
-from .errors import DegenerateMaskError
-from .raster import as_mask, threshold_to_mask
+from .errors import DegenerateMaskError, ShapeMismatchError
+from .raster import as_mask
 
 
 def sndm_encode(mask) -> np.ndarray:
@@ -51,5 +51,13 @@ def sndm_encode(mask) -> np.ndarray:
 
 
 def sndm_decode(values) -> np.ndarray:
-    """Recover the binary mask from a signed map: positive values are foreground."""
-    return threshold_to_mask(np.asarray(values))
+    """Recover the binary mask of a 2-d signed map: strictly positive values are foreground.
+
+    Exactly 0.0 maps to background; it never occurs in an encoded map and
+    only arises from untrained network output, so one fixed convention
+    suffices.
+    """
+    v = np.asarray(values)
+    if v.ndim != 2:
+        raise ShapeMismatchError(f"expected a 2-d map, got shape {v.shape}")
+    return v > 0

@@ -1,11 +1,15 @@
 """Deterministic synthetic co-object image pairs.
 
 Each sample renders one shared object — a random smoothed polygon — into
-two images under independent similarity transforms (scale, rotation,
-translation) with a shared base color plus per-image jitter. Each image
-additionally gets its own distractor shapes, differing between the two
-images in both shape and color, over a noisy solid background. Ground
-truth masks mark exactly the pixels whose centers fall inside the common
+two images under independent similarity transforms (scale in
+``OBJECT_SCALE`` times 0.24 of the image side, rotation in ``ROTATION``,
+translation that keeps the object inside the image) with a shared base
+color plus per-image jitter of up to ``COLOR_JITTER`` per channel. Each
+image additionally gets its own ``DISTRACTORS`` range of distractor
+shapes, differing between the two images in both shape and color, over a
+solid background with Gaussian noise of deviation ``NOISE_SIGMA``. The
+image side length is the one setting (:class:`GenConfig`). Ground truth
+masks mark exactly the pixels whose centers fall inside the common
 object's polygon: image colors are rendered with 2x2 supersampled
 anti-aliasing, masks are crisp.
 
@@ -36,32 +40,31 @@ from scipy import ndimage
 
 from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError
 from .raster import _atomic_write, _read_bytes, read_image, read_mask, write_image, write_mask
+from .seeding import seeded_rng
 
 FG_FRACTION = (0.02, 0.6)
 MAX_ATTEMPTS = 32
+DISTRACTORS = (0, 3)  # inclusive count range per image
+OBJECT_SCALE = (0.7, 1.3)  # multiplier of the base radius 0.24 * image_size
+ROTATION = (0.0, 2.0 * np.pi)
+COLOR_JITTER = 0.1  # per-channel offset range of the object color in each image
+NOISE_SIGMA = 0.02  # deviation of the per-pixel Gaussian image noise
 _4CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass(frozen=True)
 class GenConfig:
+    """The image side length; the pose, color and noise ranges are the module constants.
+
+    The largest object margin, 1.05 * 1.3 * 0.24 * size + 1, stays below
+    size / 2 for every size >= 16, so every drawn pose fits the image.
+    """
+
     image_size: int = 64
-    distractors: tuple = (0, 3)
-    object_scale: tuple = (0.7, 1.3)
-    rotation: tuple = (0.0, 2.0 * np.pi)
-    color_jitter: float = 0.1
-    noise_sigma: float = 0.02
 
     def validate(self) -> "GenConfig":
         if self.image_size < 16:
             raise InvalidConfigError(f"image_size must be >= 16, got {self.image_size}")
-        for name in ("distractors", "object_scale", "rotation"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise InvalidConfigError(f"{name} range {lo}..{hi} is not well-ordered")
-        if self.distractors[0] < 0:
-            raise InvalidConfigError("distractor count cannot be negative")
-        if self.color_jitter < 0 or self.noise_sigma < 0:
-            raise InvalidConfigError("jitter and noise amplitudes must be nonnegative")
         return self
 
 
@@ -183,7 +186,7 @@ def _distractor_polygon(rng, size: int):
 def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
     """Render one co-object image pair with exact ground-truth masks."""
     cfg = config.validate()
-    rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
+    rng = seeded_rng(seed)
     size = cfg.image_size
 
     base_color = rng.uniform(0.2, 0.95, size=3)
@@ -195,12 +198,10 @@ def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
         poly = _smooth_polygon(rng)
         candidate = []
         for _branch in range(2):
-            scale = rng.uniform(*cfg.object_scale) * base_radius
+            scale = rng.uniform(*OBJECT_SCALE) * base_radius
             margin = 1.05 * scale + 1.0
-            if size - margin <= margin:
-                break
             center = rng.uniform(margin, size - margin, size=2)
-            angle = rng.uniform(*cfg.rotation) if cfg.rotation[1] > cfg.rotation[0] else cfg.rotation[0]
+            angle = rng.uniform(*ROTATION)
             shape = _transform(poly, scale, angle, center)
             mask, cover = _coverage(shape, size)
             if not _mask_ok(mask):
@@ -221,7 +222,7 @@ def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
         img = np.empty((size, size, 3), dtype=np.float64)
         img[:] = bg_color
 
-        n_distract = int(rng.integers(cfg.distractors[0], cfg.distractors[1] + 1))
+        n_distract = int(rng.integers(DISTRACTORS[0], DISTRACTORS[1] + 1))
         placed = 0
         attempts = 0
         while placed < n_distract and attempts < 8 * max(1, n_distract):
@@ -234,10 +235,10 @@ def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
             img = img * (1.0 - cover_d[..., None]) + color_d * cover_d[..., None]
             placed += 1
 
-        jitter = rng.uniform(-cfg.color_jitter, cfg.color_jitter, size=3)
+        jitter = rng.uniform(-COLOR_JITTER, COLOR_JITTER, size=3)
         obj_color = np.clip(base_color + jitter, 0.0, 1.0)
         img = img * (1.0 - cover[..., None]) + obj_color * cover[..., None]
-        img += rng.normal(0.0, cfg.noise_sigma, size=img.shape)
+        img += rng.normal(0.0, NOISE_SIGMA, size=img.shape)
         images.append(np.clip(img, 0.0, 1.0).astype(np.float32))
         masks.append(mask)
 
@@ -265,6 +266,8 @@ def gen_dataset(seed: int, config: GenConfig, n_pairs: int, out_dir: str) -> lis
     cfg = config.validate()
     if n_pairs < 1:
         raise InvalidConfigError(f"need at least one pair, got {n_pairs}")
+    if seed < 0:  # checked before the directory is made
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

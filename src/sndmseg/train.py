@@ -38,9 +38,10 @@ from .errors import (
     ShapeMismatchError,
 )
 from .losses import LOSSES, LossConfig
-from .metrics import MetricsReport, mean_of_items
+from .metrics import ItemMetrics, MetricsReport
 from .network import NetConfig, NetParams, build_forward, forward_pair, init_params, load_net
 from .raster import _atomic_write
+from .seeding import seeded_rng
 from .sndm import sndm_encode
 from .synth import GenConfig, make_pairs
 
@@ -67,8 +68,13 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.batch_size < 2:
             raise BatchTooSmallError(f"batch_size must be >= 2 for batch norm, got {self.batch_size}")
-        if self.lr <= 0 or self.weight_decay < 0 or self.max_epochs < 1 or self.plateau_patience < 1:
-            raise InvalidConfigError("lr, max_epochs, plateau_patience must be positive; weight_decay nonnegative")
+        # every range test below is False for NaN
+        if not 0.0 < self.lr < np.inf:
+            raise InvalidConfigError(f"lr must be finite and positive, got {self.lr}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise InvalidConfigError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
+        if self.max_epochs < 1 or self.plateau_patience < 1 or self.seed < 0:
+            raise InvalidConfigError("max_epochs and plateau_patience must be positive, seed nonnegative")
         if not 0.0 < self.lr_factor < 1.0:
             raise InvalidConfigError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if self.loss_id not in LOSSES:
@@ -220,7 +226,7 @@ def train(
 
     params = init_params(net_config, seed=cfg.seed)
     state = AdamState()
-    rng = np.random.Generator(np.random.Philox(np.uint64(cfg.seed)))
+    rng = seeded_rng(cfg.seed)
     scheduler = PlateauScheduler(cfg.lr, cfg.plateau_patience, cfg.lr_factor)
     history: list[EpochStats] = []
     best_epoch = 0
@@ -274,8 +280,9 @@ def write_history_csv(history, path: str) -> None:
     _atomic_write(path, "".join(lines).encode("ascii"))
 
 
-def write_metrics_json(report: MetricsReport, path: str) -> None:
-    _atomic_write(path, (json.dumps(report.to_json_dict(), indent=2) + "\n").encode("ascii"))
+def write_json(doc: dict, path: str) -> None:
+    """Indented ASCII JSON with repr-exact floats (a metrics report or an ablation table)."""
+    _atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode("ascii"))
 
 
 def predictions_to_masks(pred: np.ndarray, head: str) -> np.ndarray:
@@ -310,7 +317,7 @@ def evaluate(
             per_image = MetricsReport()
             per_image.add(record.pair_id, predictions_to_masks(pred_a[offset], head), record.mask_a)
             per_image.add(record.pair_id, predictions_to_masks(pred_b[offset], head), record.mask_b)
-            report.add_item(mean_of_items(per_image.items))
+            report.add_item(ItemMetrics(record.pair_id, **per_image.mean()))
     return report
 
 
@@ -389,8 +396,8 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
     to a single BLAS thread, so the table does not depend on the worker
     count.
     """
-    if runs < 1:
-        raise InvalidConfigError(f"runs must be >= 1, got {runs}")
+    if runs < 1 or base_seed < 0:
+        raise InvalidConfigError(f"runs must be >= 1 and base_seed >= 0, got {runs} and {base_seed}")
     workers = worker_count(runs * len(ABLATION_VARIANTS))
     jobs = []
     for run in range(runs):
@@ -434,7 +441,3 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
         "rows": rows,
         "per_run": [per_run[run] for run in range(runs)],
     }
-
-
-def write_ablation_json(table: dict, path: str) -> None:
-    _atomic_write(path, (json.dumps(table, indent=2) + "\n").encode("ascii"))

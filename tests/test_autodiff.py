@@ -136,12 +136,16 @@ def test_conv2d_gradients_both_routes():
     b_wide = RNG.normal(size=(4,))
     graph = lambda ts: ad.tsum(ad.mul(ad.conv2d(ts[0], ts[1], ts[2]), ad.Tensor(mult_wide)))  # noqa: E731
     assert finite_difference_check(graph, [x, w_wide, b_wide]) < 1e-6
-    # single-output-channel route
+    # single-output-channel head route
     mult_head = RNG.normal(size=(2, 1, 6, 6))
     w_head = RNG.normal(size=(1, 5, 3, 3)) * 0.5
     b_head = RNG.normal(size=(1,))
-    graph2 = lambda ts: ad.tsum(ad.mul(ad.conv2d(ts[0], ts[1], ts[2]), ad.Tensor(mult_head)))  # noqa: E731
+    graph2 = lambda ts: ad.tsum(ad.mul(ad.head_conv([ts[0]], ts[1], ts[2]), ad.Tensor(mult_head)))  # noqa: E731
     assert finite_difference_check(graph2, [x, w_head, b_head]) < 1e-6
+    # conv2d with one output channel takes the patch route and agrees with the head
+    via_patches = ad.conv2d(*map(ad.Tensor, (x, w_head, b_head))).data
+    via_head = ad.head_conv([ad.Tensor(x)], ad.Tensor(w_head), ad.Tensor(b_head)).data
+    assert np.max(np.abs(via_patches - via_head)) <= 1e-12 * np.max(np.abs(via_head))
 
 
 @pytest.mark.parametrize("c_in, c_out", [(3, 6), (6, 3)])
@@ -195,14 +199,14 @@ def test_conv2d_head_matches_padded_reference(height, width):
     b = rng.normal(size=(1,))
     g = rng.normal(size=(3, 1, height, width))
     want_y, want_dx, want_dw = _padded_head_reference(x, w, b, g)
-    # conv2d on the whole input, then head_conv on pieces whose channels make it up; piece
-    # index 1 of the three is frozen data and must get no gradient
+    # head_conv on the whole input as one piece, then on pieces whose channels make it up;
+    # piece index 1 of the three is frozen data and must get no gradient
     for sizes in ((5,), (2, 1, 2), (4, 1)):
         cuts = np.cumsum(sizes)[:-1]
         frozen = 1 if len(sizes) == 3 else None
         pieces = [ad.Tensor(p, requires_grad=k != frozen) for k, p in enumerate(np.split(x, cuts, axis=1))]
         wt, bt = ad.Tensor(w, requires_grad=True), ad.Tensor(b, requires_grad=True)
-        y = ad.conv2d(pieces[0], wt, bt) if len(sizes) == 1 else ad.head_conv(pieces, wt, bt)
+        y = ad.head_conv(pieces, wt, bt)
         y._backward(g)
         checks = [(y.data, want_y), (wt.grad, want_dw)]
         for k, (piece, want) in enumerate(zip(pieces, np.split(want_dx, cuts, axis=1))):
@@ -382,7 +386,7 @@ def test_conv2d_head_float32_matches_float64():
 
     def run(dtype):
         ts = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in (x, w, b)]
-        y = ad.conv2d(*ts)
+        y = ad.head_conv([ts[0]], ts[1], ts[2])
         ad.tsum(ad.mul(y, ad.Tensor(mult.astype(dtype)))).backward()
         return [y.data] + [t.grad for t in ts]
 

@@ -11,7 +11,7 @@ import pytest
 from sndmseg import cli
 from sndmseg.cli import main
 from sndmseg.losses import LossConfig
-from sndmseg.network import NetConfig, init_params, save_net
+from sndmseg.network import NetConfig, init_params, load_net, save_net
 from sndmseg.raster import read_float_map, read_mask, write_float_map, write_mask
 from sndmseg.sndm import sndm_encode
 from sndmseg.synth import gen_dataset, GenConfig, load_dataset
@@ -295,6 +295,7 @@ def test_config_file_bad_line(tmp_path, mask_file, capsys):
         (train, b"widths = a,b\n", ": key 'widths': cannot parse 'a,b'"),
         (train, b"arch = wide\n", ": key 'arch': 'wide' is not one of plain, dense"),
         (train, b"epochs = x\n", ": key 'epochs': cannot parse 'x'"),
+        (train, b"head = mask\n", ": unknown key 'head' for train"),  # --loss picks the head
         (edt, b"mask = m.pgm\n", ": unknown key 'mask' for edt"),  # positionals are no keys
         (edt, b"oracle = 1\n", ": unknown key 'oracle' for edt"),  # nor are switches
     ):
@@ -337,7 +338,7 @@ def test_options_reach_their_owner_configs(tmp_path, monkeypatch):
     required = ["train", "--data", "d", "--val", "v", "--out", str(tmp_path / "m.ckpt")]
     config = tmp_path / "settings.cfg"
     config.write_text("lr = 0.5\nepsilon = 1e-6\nbatch-size = 6\nwidths = 8,16\narch = plain\n")
-    for extra in ([], ["--preset", "reference"], ["--head", "mask"], ["--config", str(config), "--lr", "0.25"]):
+    for extra in ([], ["--preset", "reference"], ["--loss", "dice"], ["--config", str(config), "--lr", "0.25"]):
         with pytest.raises(_Called):
             main(required + extra)
     plain, reference, mask, from_file = calls
@@ -358,10 +359,70 @@ def test_options_reach_their_owner_configs(tmp_path, monkeypatch):
 
 
 def test_gradcheck_bad_lam_is_domain_error(capsys):
-    assert main(["gradcheck", "--lam", "0.5", "--trials", "1"]) == 1
-    assert capsys.readouterr().err.startswith("error: InvalidConfig: ")
+    for argv in (["--lam", "0.5", "--trials", "1"], ["--lam", "inf", "--trials", "1"], ["--trials", "0"], ["--target", "net", "--trials", "0"]):
+        assert main(["gradcheck", *argv]) == 1, argv
+        assert capsys.readouterr().err.startswith("error: InvalidConfig: "), argv
 
 
 def test_config_file_missing(tmp_path, capsys):
     assert main(["gen-data", "--config", str(tmp_path / "nope.cfg"), "--pairs", "1", "--out", str(tmp_path / "d")]) == 1
     assert capsys.readouterr().err.startswith("error: MissingFile: ")
+    # read like every other path argument: a directory is an I/O failure, not a bad config
+    assert main(["gen-data", "--config", str(tmp_path), "--pairs", "1", "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: IoFailure: cannot read {tmp_path}")
+
+
+def test_train_loss_dice_alone_trains_the_mask_head(tmp_path, capsys):
+    gen_dataset(100, GenConfig(image_size=16), 4, str(tmp_path / "train"))
+    gen_dataset(200, GenConfig(image_size=16), 2, str(tmp_path / "val"))
+    ckpt = tmp_path / "model.ckpt"
+    args = ["train", "--data", str(tmp_path / "train"), "--val", str(tmp_path / "val"), "--size", "16", "--widths", "4,6"]
+    assert main(args + ["--epochs", "1", "--loss", "dice", "--out", str(ckpt)]) == 0
+    assert load_net(str(ckpt))[0].output_head == "mask-sigmoid"
+
+
+def test_head_flag_is_gone(capsys):
+    assert main(["train", "--head", "mask", "--data", "d", "--val", "v", "--out", "o"]) == 2
+    assert "unrecognized arguments: --head" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-data", "--pairs", "1", "--out", "OUT"],
+        ["train", "--data", "d", "--val", "v", "--out", "OUT"],
+        ["gradcheck", "--target", "loss", "--trials", "1"],
+        ["gradcheck", "--target", "net", "--trials", "1"],
+        ["ablation", "--runs", "1"],
+    ],
+)
+def test_negative_seed_is_invalid_config(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([str(out) if word == "OUT" else word for word in argv] + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: InvalidConfig: [^\n]*seed[^\n]*\n", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"), ("--lam", "inf")])
+def test_non_finite_hyperparameter_fails_before_any_work(monkeypatch, capsys, flag, value):
+    monkeypatch.setattr(cli, "load_dataset", lambda directory: pytest.fail("a dataset was read"))
+    assert main(["train", "--data", "d", "--val", "v", "--out", "o", flag, value]) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidConfig: ")
+
+
+@pytest.mark.parametrize("target, loss", [("loss", "dice"), ("loss", "iou3d-edge"), ("net", None)])
+def test_gradcheck_fails_on_nan_loss(monkeypatch, capsys, target, loss):
+    import sndmseg.losses
+    from sndmseg.losses import LOSSES, LossReport
+
+    def nan_report(pred, *rest):
+        return LossReport(np.nan, np.full(np.shape(pred), np.nan))
+
+    if target == "loss":
+        monkeypatch.setitem(LOSSES, loss, nan_report)
+    else:
+        monkeypatch.setattr(sndmseg.losses, "loss_iou3d_weighted", nan_report)
+    argv = ["gradcheck", "--target", target, "--trials", "2"] + (["--loss", loss] if loss else [])
+    assert main(argv) == 1
+    assert "max relative error nan" in capsys.readouterr().out

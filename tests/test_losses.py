@@ -5,6 +5,7 @@ from sndmseg.errors import InvalidConfigError, ShapeMismatchError
 from sndmseg.losses import (
     LOSSES,
     LossConfig,
+    LossReport,
     grad_check_loss,
     loss_dice,
     loss_iou3d,
@@ -146,8 +147,25 @@ def test_loss_config_validation():
         LossConfig(epsilon=0.0).validate()
     with pytest.raises(InvalidConfigError):
         LossConfig(epsilon=1e-3).validate()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidConfigError, match="lam must be finite"):
+            LossConfig(lam=bad).validate()
+    with pytest.raises(InvalidConfigError):
+        LossConfig(epsilon=np.nan).validate()
     with pytest.raises(InvalidConfigError):
         grad_check_loss("hinge", trials=1)
+    for trials in (0, -3):
+        with pytest.raises(InvalidConfigError, match="trials must be >= 1"):
+            grad_check_loss("dice", trials=trials)
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+        grad_check_loss("dice", trials=1, seed=-1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grad_check_fails_on_non_finite_loss(monkeypatch, bad):
+    monkeypatch.setitem(LOSSES, "dice", lambda pred, gt, cfg: LossReport(bad, np.full(pred.shape, bad)))
+    worst = grad_check_loss("dice", trials=3)
+    assert not worst < 1e-4  # NaN and inf both fail the threshold
 
 
 def test_grad_shape_matches_pred():

@@ -355,3 +355,22 @@ def test_checkpoint_rejects_mismatched_names(tmp_path):
 
 def test_grad_check_net_small():
     assert grad_check_net(trials=12, seed=1) < 1e-3
+
+
+def test_grad_check_net_fails_on_non_finite_loss(monkeypatch):
+    import sndmseg.losses
+
+    def nan_loss(pred, gt, weigh, cfg):
+        return sndmseg.losses.LossReport(np.nan, np.full(np.shape(pred), np.nan))
+
+    # grad_check_net imports the weighted loss when it runs, so the patch reaches it
+    monkeypatch.setattr(sndmseg.losses, "loss_iou3d_weighted", nan_loss)
+    assert np.isnan(grad_check_net(trials=2, seed=1))
+
+
+def test_grad_check_net_rejects_bad_trials_and_seed():
+    for trials in (0, -1):
+        with pytest.raises(InvalidConfigError, match="trials must be >= 1"):
+            grad_check_net(trials=trials)
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+        grad_check_net(trials=1, seed=-1)

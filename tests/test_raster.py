@@ -13,7 +13,6 @@ from sndmseg.errors import (
     MissingFileError,
     NonFiniteError,
     OutOfRangeError,
-    ShapeMismatchError,
     SndmError,
     TruncatedPayloadError,
 )
@@ -21,7 +20,6 @@ from sndmseg.raster import (
     read_float_map,
     read_image,
     read_mask,
-    threshold_to_mask,
     write_float_map,
     write_image,
     write_mask,
@@ -183,16 +181,6 @@ def test_float_map_reader_refuses_what_the_writer_refuses(tmp_path, bad):
 def test_write_to_missing_directory_fails(tmp_path):
     with pytest.raises(IoFailureError):
         write_float_map(np.zeros((2, 2), dtype=np.float32), str(tmp_path / "no" / "dir" / "m.sndmf"))
-
-
-def test_threshold_sign_rule():
-    assert threshold_to_mask(np.array([[0.1, -0.1]])).tolist() == [[True, False]]
-    assert threshold_to_mask(np.array([[0.0]])).tolist() == [[False]]
-
-
-def test_threshold_rejects_bad_shape():
-    with pytest.raises(ShapeMismatchError):
-        threshold_to_mask(np.zeros(4))
 
 
 def test_image_round_trip_quantized(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from sndmseg.distance import boundary_mask
-from sndmseg.errors import DegenerateMaskError
+from sndmseg.errors import DegenerateMaskError, ShapeMismatchError
 from sndmseg.sndm import sndm_decode, sndm_encode
 from strategies import two_class_masks, with_examples
 
@@ -88,3 +88,14 @@ def test_mirror_equivariance():
 
 def test_decode_constant_negative_map():
     assert not sndm_decode(np.full((4, 4), -0.5, dtype=np.float32)).any()
+
+
+def test_decode_sign_rule():
+    assert sndm_decode(np.array([[0.1, -0.1]])).tolist() == [[True, False]]
+    assert sndm_decode(np.array([[0.0]])).tolist() == [[False]]
+
+
+def test_decode_rejects_bad_shape():
+    for values in (np.zeros(4), np.zeros((2, 2, 1)), 0.5):
+        with pytest.raises(ShapeMismatchError):
+            sndm_decode(values)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from sndmseg import synth
 from sndmseg.errors import InvalidConfigError, IoFailureError, MalformedHeaderError, MissingFileError, SndmError
 from sndmseg.synth import GenConfig, _coverage, gen_dataset, gen_pair, load_dataset, make_pairs
 
@@ -109,8 +110,9 @@ def test_rasterizer_edge_cases_match_oracle():
             assert_matches_oracle(poly, size)
 
 
-def test_ellipse_fallback_when_no_pose_fits():
-    cfg = GenConfig(image_size=64, object_scale=(3.0, 3.0))  # margin exceeds half the image
+def test_ellipse_fallback_when_no_pose_fits(monkeypatch):
+    monkeypatch.setattr(synth, "_mask_ok", lambda mask: False)  # every drawn pose is rejected
+    cfg = GenConfig(image_size=64)
     size = cfg.image_size
     centers = np.arange(size) + 0.5
     gx, gy = np.meshgrid(centers, centers)
@@ -135,10 +137,16 @@ def test_pose_varies_between_branches():
 def test_config_validation():
     with pytest.raises(InvalidConfigError):
         GenConfig(image_size=8).validate()
+    GenConfig(image_size=16).validate()
+    # the largest object margin stays below half of the smallest image, so every pose fits
+    assert 1.05 * synth.OBJECT_SCALE[1] * 0.24 * 16 + 1.0 < 16 / 2
+
+
+def test_negative_seed_is_invalid_config():
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+        gen_pair(-1)
     with pytest.raises(InvalidConfigError):
-        GenConfig(object_scale=(1.3, 0.7)).validate()
-    with pytest.raises(InvalidConfigError):
-        GenConfig(noise_sigma=-0.1).validate()
+        make_pairs(-2, GenConfig(), 3)
 
 
 def test_gen_dataset_files_and_idempotence(tmp_path):

@@ -21,7 +21,7 @@ from sndmseg.train import (
     train,
     worker_count,
     write_history_csv,
-    write_metrics_json,
+    write_json,
 )
 
 TINY_NET = NetConfig(input_size=32, widths=(6, 10), levels=2)
@@ -78,6 +78,16 @@ def test_train_config_validation():
         TrainConfig(lr_factor=1.0).validate()
     with pytest.raises(InvalidConfigError):
         TrainConfig(loss_id="mse").validate()
+    for bad in (np.nan, np.inf, -np.inf, 0.0):
+        with pytest.raises(InvalidConfigError, match="lr must be finite and positive"):
+            TrainConfig(lr=bad).validate()
+    for bad in (np.nan, np.inf, -1e-5):
+        with pytest.raises(InvalidConfigError, match="weight_decay must be finite and nonnegative"):
+            TrainConfig(weight_decay=bad).validate()
+    with pytest.raises(InvalidConfigError):
+        TrainConfig(lr_factor=np.nan).validate()
+    with pytest.raises(InvalidConfigError):
+        TrainConfig(seed=-1).validate()
     assert reference_config().lr == 1e-5
     assert reference_config().max_epochs == 120
 
@@ -187,7 +197,7 @@ def test_evaluate_untrained_is_well_formed(tmp_path):
         assert 0.0 <= item.precision <= 1.0
         assert 0.0 <= item.pixel_accuracy <= 1.0
     path = tmp_path / "report.json"
-    write_metrics_json(report, str(path))
+    write_json(report.to_json_dict(), str(path))
     import json
 
     payload = json.loads(path.read_text())

@@ -10,7 +10,7 @@ needs: 3x3 convolution (stride 1, zero padding 1), 2x2 stride-2
 transposed convolution, per-channel batch normalization with running
 statistics, relu/tanh, 2x2 max pooling, concatenation/slicing, batched
 matrix multiply, per-position L2 channel normalization, elementwise
-add/mul, and sum/mean reductions. Convolutions are expressed as matrix
+add/mul, and a sum reduction. Convolutions are expressed as matrix
 multiplies so the heavy lifting stays in BLAS. The 3x3 conv runs one
 GEMM per batch item over a patch workspace that all items reuse, and
 takes its input gradient as the same conv of the output gradient with
@@ -193,12 +193,6 @@ def tanh(x: Tensor) -> Tensor:
     return _node(data, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Composed from tanh: 0.5 * (tanh(x/2) + 1)."""
-    half = Tensor(np.asarray(0.5, dtype=x.dtype))
-    return add(mul(tanh(mul(x, half)), half), half)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
     data = x.data.reshape(shape)
@@ -257,17 +251,6 @@ def tsum(x: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             x.accumulate(np.broadcast_to(g, x.data.shape))
-
-    return _node(data, (x,), backward)
-
-
-def tmean(x: Tensor) -> Tensor:
-    n = x.data.size
-    data = np.asarray(x.data.mean(), dtype=x.dtype)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(np.broadcast_to(g / n, x.data.shape))
 
     return _node(data, (x,), backward)
 
@@ -680,13 +663,11 @@ __all__ = [
     "mul",
     "relu",
     "tanh",
-    "sigmoid",
     "reshape",
     "transpose",
     "concat",
     "slice_batch",
     "tsum",
-    "tmean",
     "matmul",
     "l2_normalize",
     "conv2d",

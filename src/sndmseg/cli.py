@@ -9,10 +9,10 @@ no valued flag of the subcommand (a positional, ``--oracle``, ``--config``
 or a typo) fails. The file is read like every other path argument: a
 missing one is ``MissingFile``, a directory or an unreadable file
 ``IoFailure``. Flags win over file values; an option set by neither
-keeps the default of the class or function that owns it. ``train
---loss`` also picks the output head (``train.LOSS_HEADS``): dice trains
-the sigmoid mask head, the three iou3d losses the tanh SNDM head. Every
-value is validated before any work starts. Domain failures exit 1 with a
+keeps the default of the class or function that owns it. Every loss
+trains the same network, whose tanh head regresses the SNDM; ``gradcheck
+--target net`` takes neither ``--loss`` nor ``--lam``. Every value is
+validated before any work starts. Domain failures exit 1 with a
 single machine-parseable line ``error: <code>: <detail>``; usage problems
 exit 2.
 
@@ -37,7 +37,6 @@ from .raster import _read_bytes, parse_key_values, read_float_map, read_mask, wr
 from .sndm import sndm_decode, sndm_encode
 from .synth import GenConfig, gen_dataset, load_dataset
 from .train import (
-    LOSS_HEADS,
     AblationConfig,
     TrainConfig,
     ablation,
@@ -143,8 +142,6 @@ def _cmd_train(args) -> int:
         net["levels"] = len(args.widths)
     if args.arch is not None:
         net["dense_connections"] = ARCHS[args.arch]
-    if args.loss is not None:
-        net["output_head"] = LOSS_HEADS[args.loss]
     net_config = replace(NetConfig(), **net).validate()
     train_cfg = replace(
         reference_config() if args.preset == "reference" else TrainConfig(),
@@ -185,6 +182,8 @@ def _cmd_gradcheck(args) -> int:
         cfg = replace(LossConfig(), **_given(args, lam="lam")).validate()
         worst = grad_check_loss(loss_id, cfg=cfg, **given)
         label = f"loss {loss_id}"
+    elif args.loss is not None or args.lam is not None:
+        raise InvalidConfigError("--loss and --lam apply to --target loss only; the network check uses its own loss")
     else:
         worst = grad_check_net(**given)
         label = "network"
@@ -254,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--loss",
         choices=sorted(LOSSES),
-        help=f"loss id; it also picks the output head: dice trains the sigmoid mask head, the iou3d losses "
-        f"the tanh SNDM head (default {TrainConfig.loss_id})",
+        help=f"loss id; every loss trains the tanh SNDM head (default {TrainConfig.loss_id})",
     )
     p.add_argument("--preset", choices=("toy", "reference"), help="hyperparameter preset (default toy)")
     p.add_argument("--seed", type=int, help=f"seed for init and shuffling (default {TrainConfig.seed})")
@@ -287,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"for loss, {_default_of(grad_check_net, 'trials')} for net)",
     )
     p.add_argument("--seed", type=int, help=f"seed (default {_default_of(grad_check_loss, 'seed')})")
-    p.add_argument("--lam", type=float, help=f"penalty multiplier for penalized losses (default {LossConfig.lam})")
+    p.add_argument("--lam", type=float, help=f"penalty multiplier for penalized losses, --target loss only (default {LossConfig.lam})")
 
     p = _subcommand(sub, "ablation", _cmd_ablation, "train baseline / baseline+ / full and tabulate metrics", ("runs",))
     p.add_argument("--runs", type=int, help="seeds per variant (required)")

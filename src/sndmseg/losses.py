@@ -1,8 +1,11 @@
 """Loss family for signed-map regression, each with its analytic gradient.
 
-Four losses, from baseline to full:
+Every loss scores the network's tanh output, a signed map in (-1, 1),
+against an SNDM label (``sndm.sndm_encode``). Four losses, from baseline
+to full:
 
-* ``loss_dice`` — soft Dice on a probability map against a binary mask.
+* ``loss_dice`` — soft Dice on the map rescaled to a probability,
+  (pred + 1) / 2, against the label's foreground (gt > 0).
 * ``loss_iou3d`` — treats a signed map as a 3D shape (height = |value|)
   and measures one minus intersection-over-union via per-pixel min/max
   sums; background values enter negated so both classes contribute
@@ -85,13 +88,19 @@ def _unit_weights(pred, gt, cfg):
     return np.ones_like(gt)
 
 
-def loss_dice(pred_prob, gt_mask, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
-    """Soft Dice loss 1 - 2*sum(p*g) / (sum(p) + sum(g) + eps) with gradient."""
-    p, g = _check_shapes(pred_prob, gt_mask)
+def loss_dice(pred, gt, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
+    """Soft Dice loss 1 - 2*sum(p*g) / (sum(p) + sum(g) + eps) with gradient.
+
+    p = (pred + 1) / 2 maps the signed prediction to a probability and
+    g = (gt > 0) is the label's foreground, so dL/dpred = dL/dp / 2.
+    """
+    pred, gt = _check_shapes(pred, gt)
+    p = (pred + 1.0) * 0.5
+    g = (gt > 0.0).astype(np.float64)
     inter = np.sum(p * g)
     denom = np.sum(p) + np.sum(g) + cfg.epsilon
     value = 1.0 - 2.0 * inter / denom
-    grad = -2.0 * (g * denom - inter) / (denom * denom)
+    grad = -(g * denom - inter) / (denom * denom)  # 0.5 * dL/dp
     return LossReport(float(value), grad)
 
 
@@ -173,19 +182,13 @@ def grad_check_loss(
     for _ in range(trials):
         h = int(rng.integers(5, 13))
         w = int(rng.integers(5, 13))
-        mask = _random_two_class_mask(rng, h, w)
-        if loss_id == "dice":
-            gt = mask.astype(np.float64)
-            sample = lambda size: rng.uniform(0.0, 1.0, size)  # noqa: E731
-        else:
-            gt = sndm_encode(mask).astype(np.float64)
-            sample = lambda size: rng.uniform(-1.0, 1.0, size)  # noqa: E731
-        pred = sample((h, w))
+        gt = sndm_encode(_random_two_class_mask(rng, h, w)).astype(np.float64)
+        pred = rng.uniform(-1.0, 1.0, (h, w))
         for _ in range(64):
             bad = (np.abs(pred - gt) <= 1e-2) | (np.abs(pred) <= 1e-2)
             if not bad.any():
                 break
-            pred[bad] = sample(int(bad.sum()))
+            pred[bad] = rng.uniform(-1.0, 1.0, int(bad.sum()))
         analytic = fn(pred, gt, cfg).grad
         scale = max(float(np.abs(analytic).max()), 1e-8)
         flat_indices = rng.choice(pred.size, size=min(pixels_per_trial, pred.size), replace=False)

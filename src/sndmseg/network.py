@@ -11,8 +11,9 @@ deconv+BN+ReLU resolution adapters, the outputs of preceding decoder
 modules — all of them when dense connections are on, only the immediately
 preceding one otherwise. The final 3x3 convolution reads the level-1
 skip, one adapter output per source module and the raw input image as
-its input's channel pieces, with no concatenated copy; its activation is
-tanh for the signed-map head or sigmoid for the mask head. In eval mode
+its input's channel pieces, with no concatenated copy, and tanh maps its
+output to the signed normalized distance map every loss trains on; the
+mask is the sign of that map (:func:`sndm.sndm_decode`). In eval mode
 each batch norm is folded into the weights and bias of the conv or deconv
 before it, and the relu after it runs in place on the conv's output.
 
@@ -42,8 +43,6 @@ from .seeding import seeded_rng
 
 ADAPTER_CHANNELS = 16  # width of every dense-connection resolution adapter
 
-OUTPUT_HEADS = ("sndm-tanh", "mask-sigmoid")
-
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -51,7 +50,6 @@ class NetConfig:
     widths: tuple = (16, 32, 64)
     levels: int = 3
     dense_connections: bool = True
-    output_head: str = "sndm-tanh"
 
     def validate(self) -> "NetConfig":
         if self.levels < 1 or len(self.widths) != self.levels:
@@ -62,8 +60,6 @@ class NetConfig:
             raise InvalidConfigError(
                 f"input_size {self.input_size} must be a positive multiple of 2^levels = {2**self.levels}"
             )
-        if self.output_head not in OUTPUT_HEADS:
-            raise InvalidConfigError(f"output_head must be one of {OUTPUT_HEADS}, got {self.output_head!r}")
         return self
 
     @property
@@ -260,9 +256,7 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     last = cfg.levels + 1
     adapters = [adapter(outputs[src], src, last) for src in _module_sources(cfg, last)]
     head = ad.head_conv([skips[0], *adapters, ad.Tensor(joint)], pt["head.conv.weight"], pt["head.conv.bias"])
-    pred = ad.tanh(head) if cfg.output_head == "sndm-tanh" else ad.sigmoid(head)
-
-    return pred, pt
+    return ad.tanh(head), pt
 
 
 def forward_pair(img_a, img_b, params: NetParams, config: NetConfig):
@@ -392,12 +386,12 @@ def config_to_header(config: NetConfig) -> str:
             ("widths", ",".join(str(w) for w in config.widths)),
             ("levels", config.levels),
             ("dense_connections", int(config.dense_connections)),
-            ("output_head", config.output_head),
         )
     )
 
 
 def config_from_header(text: str) -> NetConfig:
+    """Keys the config does not read are ignored, so older headers that still name an output head load."""
     try:
         fields = parse_key_values(text)
         return NetConfig(
@@ -405,7 +399,6 @@ def config_from_header(text: str) -> NetConfig:
             widths=tuple(int(w) for w in fields["widths"].split(",")),
             levels=int(fields["levels"]),
             dense_connections=bool(int(fields["dense_connections"])),
-            output_head=fields["output_head"],
         ).validate()
     except (KeyError, ValueError, InvalidConfigError) as exc:
         raise CheckpointCorruptError(f"bad checkpoint header: {exc}") from exc

@@ -53,9 +53,10 @@ def sndm_encode(mask) -> np.ndarray:
 def sndm_decode(values) -> np.ndarray:
     """Recover the binary mask of a 2-d signed map: strictly positive values are foreground.
 
-    Exactly 0.0 maps to background; it never occurs in an encoded map and
-    only arises from untrained network output, so one fixed convention
-    suffices.
+    This is the one decode rule, for encoded maps and for the network's
+    tanh predictions alike (``train.evaluate``). Exactly 0.0 maps to
+    background; it never occurs in an encoded map and only arises from
+    untrained network output, so one fixed convention suffices.
     """
     v = np.asarray(values)
     if v.ndim != 2:

@@ -42,15 +42,9 @@ from .metrics import ItemMetrics, MetricsReport
 from .network import NetConfig, NetParams, build_forward, forward_pair, init_params, load_net
 from .raster import _atomic_write
 from .seeding import seeded_rng
-from .sndm import sndm_encode
+from .sndm import sndm_decode, sndm_encode
 from .synth import GenConfig, make_pairs
 
-LOSS_HEADS = {
-    "dice": "mask-sigmoid",
-    "iou3d": "sndm-tanh",
-    "iou3d-pen": "sndm-tanh",
-    "iou3d-edge": "sndm-tanh",
-}
 MIN_IMPROVEMENT = 1e-6  # a validation loss must fall by this much to reset the plateau counter
 
 
@@ -173,10 +167,8 @@ class TrainResult:
     best_val_loss: float
 
 
-def _targets_for(records, head: str):
-    if head == "sndm-tanh":
-        return [(sndm_encode(r.mask_a), sndm_encode(r.mask_b)) for r in records]
-    return [(r.mask_a.astype(np.float32), r.mask_b.astype(np.float32)) for r in records]
+def _targets_for(records):
+    return [(sndm_encode(r.mask_a), sndm_encode(r.mask_b)) for r in records]
 
 
 def _stack_batch(records, targets, indices):
@@ -213,16 +205,12 @@ def train(
     """Optimize a fresh network on the given pair records."""
     net_config = net_config.validate()
     cfg = train_config.validate()
-    if LOSS_HEADS[cfg.loss_id] != net_config.output_head:
-        raise InvalidConfigError(
-            f"loss {cfg.loss_id!r} needs output_head {LOSS_HEADS[cfg.loss_id]!r}, config has {net_config.output_head!r}"
-        )
     if not train_records or not val_records:
         raise DatasetEmptyError("training and validation sets must be nonempty")
 
     loss_fn = LOSSES[cfg.loss_id]
-    train_targets = _targets_for(train_records, net_config.output_head)
-    val_targets = _targets_for(val_records, net_config.output_head)
+    train_targets = _targets_for(train_records)
+    val_targets = _targets_for(val_records)
 
     params = init_params(net_config, seed=cfg.seed)
     state = AdamState()
@@ -230,7 +218,6 @@ def train(
     scheduler = PlateauScheduler(cfg.lr, cfg.plateau_patience, cfg.lr_factor)
     history: list[EpochStats] = []
     best_epoch = 0
-    best_params = params.clone()
     n = len(train_records)
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -262,7 +249,7 @@ def train(
         if not np.isfinite(val_loss):
             raise NonFiniteError(f"validation loss is {val_loss} after epoch {epoch}")
 
-        if val_loss < scheduler.best:
+        if val_loss < scheduler.best:  # always true in epoch 1: val_loss is finite, best starts at inf
             best_epoch = epoch
             best_params = params.clone()
         scheduler.update(val_loss)
@@ -285,13 +272,6 @@ def write_json(doc: dict, path: str) -> None:
     _atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode("ascii"))
 
 
-def predictions_to_masks(pred: np.ndarray, head: str) -> np.ndarray:
-    """Per-head decode rule: sign for the signed map, 0.5 for probabilities."""
-    if head == "sndm-tanh":
-        return pred > 0.0
-    return pred > 0.5
-
-
 def evaluate(
     params: NetParams,
     net_config: NetConfig,
@@ -301,6 +281,7 @@ def evaluate(
 ) -> MetricsReport:
     """Per-pair metrics (mean over the pair's two images) plus dataset means.
 
+    Every predicted map is decoded to a mask by ``sndm_decode``.
     ``forward_fn`` defaults to the network itself; tests may inject an
     oracle that returns known maps.
     """
@@ -308,15 +289,14 @@ def evaluate(
         raise DatasetEmptyError("evaluation set is empty")
     if forward_fn is None:
         forward_fn = lambda a, b: forward_pair(a, b, params, net_config)  # noqa: E731
-    head = net_config.output_head
     report = MetricsReport()
     for start in range(0, len(records), batch_size):
         chunk = records[start : start + batch_size]
         pred_a, pred_b = forward_fn(np.stack([r.img_a for r in chunk]), np.stack([r.img_b for r in chunk]))
         for offset, record in enumerate(chunk):
             per_image = MetricsReport()
-            per_image.add(record.pair_id, predictions_to_masks(pred_a[offset], head), record.mask_a)
-            per_image.add(record.pair_id, predictions_to_masks(pred_b[offset], head), record.mask_b)
+            per_image.add(record.pair_id, sndm_decode(pred_a[offset]), record.mask_a)
+            per_image.add(record.pair_id, sndm_decode(pred_b[offset]), record.mask_b)
             report.add_item(ItemMetrics(record.pair_id, **per_image.mean()))
     return report
 
@@ -329,7 +309,7 @@ def evaluate_checkpoint(path: str, records, batch_size: int = 8) -> MetricsRepor
 # ---------------------------------------------------------------------------
 # ablation harness
 
-ABLATION_VARIANTS = (  # (name, dense connections, loss id); LOSS_HEADS fixes the head
+ABLATION_VARIANTS = (  # (name, dense connections, loss id); every variant has the tanh SNDM head
     ("baseline", False, "dice"),
     ("baseline_plus", True, "dice"),
     ("full", True, "iou3d-edge"),
@@ -359,11 +339,7 @@ def _ablation_datasets(seed: int, cfg: AblationConfig):
 def _ablation_job(args):
     run, seed, variant, cfg, (train_set, val_set, test_set) = args
     name, dense, loss_id = variant
-    net_config = NetConfig(
-        input_size=cfg.image_size,
-        dense_connections=dense,
-        output_head=LOSS_HEADS[loss_id],
-    )
+    net_config = NetConfig(input_size=cfg.image_size, dense_connections=dense)
     train_cfg = TrainConfig(
         batch_size=cfg.batch_size,
         lr=cfg.lr,

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -341,11 +343,12 @@ def test_options_reach_their_owner_configs(tmp_path, monkeypatch):
     for extra in ([], ["--preset", "reference"], ["--loss", "dice"], ["--config", str(config), "--lr", "0.25"]):
         with pytest.raises(_Called):
             main(required + extra)
-    plain, reference, mask, from_file = calls
+    plain, reference, dice, from_file = calls
     # unset options keep the defaults of the classes that own them
     assert (plain["net_config"], plain["train_config"], plain["loss_config"]) == (NetConfig(), TrainConfig(), LossConfig())
     assert reference["train_config"] == reference_config()
-    assert mask["net_config"].output_head == "mask-sigmoid" and mask["train_config"].loss_id == "dice"
+    # the loss picks nothing else: every loss trains the default network
+    assert dice["net_config"] == NetConfig() and dice["train_config"] == TrainConfig(loss_id="dice")
     # file values fill only the flags not given
     assert from_file["train_config"] == TrainConfig(lr=0.25, batch_size=6)
     assert from_file["loss_config"] == LossConfig(epsilon=1e-6)
@@ -359,9 +362,28 @@ def test_options_reach_their_owner_configs(tmp_path, monkeypatch):
 
 
 def test_gradcheck_bad_lam_is_domain_error(capsys):
-    for argv in (["--lam", "0.5", "--trials", "1"], ["--lam", "inf", "--trials", "1"], ["--trials", "0"], ["--target", "net", "--trials", "0"]):
+    for argv in (
+        ["--lam", "0.5", "--trials", "1"],
+        ["--lam", "inf", "--trials", "1"],
+        ["--trials", "0"],
+        ["--target", "net", "--trials", "0"],
+        # the network check takes neither option, not even a valid value
+        ["--target", "net", "--lam", "0.5", "--loss", "dice", "--trials", "1"],
+        ["--target", "net", "--lam", "5", "--trials", "1"],
+        ["--target", "net", "--loss", "iou3d-edge", "--trials", "1"],
+    ):
         assert main(["gradcheck", *argv]) == 1, argv
         assert capsys.readouterr().err.startswith("error: InvalidConfig: "), argv
+
+
+def test_module_entry_point_reports_one_error_line():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["gradcheck", "--target", "net", "--lam", "0.5", "--loss", "dice", "--trials", "1"]
+    done = subprocess.run([sys.executable, "-m", "sndmseg.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert re.fullmatch(r"error: InvalidConfig: [^\n]*\n", done.stderr), done.stderr
+    assert done.stdout == ""
 
 
 def test_config_file_missing(tmp_path, capsys):
@@ -372,13 +394,14 @@ def test_config_file_missing(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: IoFailure: cannot read {tmp_path}")
 
 
-def test_train_loss_dice_alone_trains_the_mask_head(tmp_path, capsys):
+def test_train_loss_dice_alone_trains_the_sndm_head(tmp_path, capsys):
     gen_dataset(100, GenConfig(image_size=16), 4, str(tmp_path / "train"))
     gen_dataset(200, GenConfig(image_size=16), 2, str(tmp_path / "val"))
     ckpt = tmp_path / "model.ckpt"
     args = ["train", "--data", str(tmp_path / "train"), "--val", str(tmp_path / "val"), "--size", "16", "--widths", "4,6"]
     assert main(args + ["--epochs", "1", "--loss", "dice", "--out", str(ckpt)]) == 0
-    assert load_net(str(ckpt))[0].output_head == "mask-sigmoid"
+    assert load_net(str(ckpt))[0] == NetConfig(input_size=16, widths=(4, 6), levels=2)
+    assert b"output_head" not in ckpt.read_bytes()
 
 
 def test_head_flag_is_gone(capsys):

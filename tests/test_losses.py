@@ -39,10 +39,15 @@ def test_penalty_factor_branches():
 
 
 def test_dice_hand_values():
-    assert abs(loss_dice(np.array([[0.5]]), np.array([[1.0]])).value - (1.0 - 1.0 / (1.5 + EPS))) < 1e-12
-    gt = np.array([[1.0, 0.0], [1.0, 1.0]])
-    assert loss_dice(gt.copy(), gt).value < 1e-6  # perfect overlap
-    assert abs(loss_dice(np.zeros((2, 2)), gt).value - 1.0) < 1e-6  # no overlap
+    # Dice scores p = (pred + 1) / 2 against g = (gt > 0): a zero prediction is p = 0.5
+    assert abs(loss_dice(np.array([[0.0]]), np.array([[1.0]])).value - (1.0 - 1.0 / (1.5 + EPS))) < 1e-12
+    gt = np.array([[0.7, -0.2], [0.1, 1.0]])
+    assert abs(loss_dice(np.zeros((2, 2)), gt).value - (1.0 - 3.0 / (5.0 + EPS))) < 1e-12
+    assert loss_dice(np.sign(gt), gt).value < 1e-6  # perfect overlap
+    assert abs(loss_dice(-np.sign(gt), gt).value - 1.0) < 1e-6  # no overlap
+    # the gradient is half the gradient with respect to p
+    report = loss_dice(np.zeros((2, 2)), gt)
+    assert np.allclose(report.grad, 0.5 * -2.0 * ((gt > 0) * (5.0 + EPS) - 1.5) / (5.0 + EPS) ** 2, rtol=0, atol=1e-15)
 
 
 def test_iou3d_hand_values():
@@ -76,8 +81,8 @@ def test_identity_for_all_losses():
             continue
         gt = sndm_encode(mask).astype(np.float64)
         for name, fn in LOSSES.items():
-            target = mask.astype(np.float64) if name == "dice" else gt
-            report = fn(target.copy(), target)
+            pred = np.sign(gt) if name == "dice" else gt.copy()  # Dice reads only the label's sign
+            report = fn(pred, gt)
             assert abs(report.value) < 1e-6, name
 
 
@@ -172,8 +177,6 @@ def test_grad_shape_matches_pred():
     rng = np.random.Generator(np.random.Philox(71))
     pred, gt = random_pair(rng, 6, 11)
     for name, fn in LOSSES.items():
-        target = (gt > 0).astype(np.float64) if name == "dice" else gt
-        p = np.clip(pred, 0.0, 1.0) if name == "dice" else pred
-        report = fn(p, target)
-        assert report.grad.shape == p.shape
+        report = fn(pred, gt)
+        assert report.grad.shape == pred.shape
         assert np.isfinite(report.value)

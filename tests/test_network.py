@@ -13,7 +13,6 @@ from sndmseg.errors import (
 )
 from sndmseg.network import (
     ADAPTER_CHANNELS,
-    OUTPUT_HEADS,
     NetConfig,
     build_forward,
     config_from_header,
@@ -78,8 +77,6 @@ def test_config_validation():
         NetConfig(widths=(4, 4), levels=3).validate()
     with pytest.raises(InvalidConfigError):
         NetConfig(widths=(4, 0, 4)).validate()
-    with pytest.raises(InvalidConfigError):
-        NetConfig(output_head="softmax").validate()
     NetConfig().validate()
 
 
@@ -134,14 +131,6 @@ def test_forward_shapes_and_tanh_range():
             assert pred.min() > -1.0 and pred.max() < 1.0
 
 
-def test_sigmoid_head_range():
-    cfg = NetConfig(input_size=16, widths=(4, 6), levels=2, output_head="mask-sigmoid")
-    params = init_params(cfg, seed=1)
-    img_a, img_b = batch_of_pairs(16, 2)
-    pred_a, _ = forward_pair(img_a, img_b, params, cfg)
-    assert pred_a.min() > 0.0 and pred_a.max() < 1.0
-
-
 def test_swap_equivariance_eval_bit_exact():
     cfg = NetConfig()
     params = init_params(cfg, seed=2)
@@ -192,26 +181,21 @@ def test_shape_mismatch_errors():
 
 
 def _train_batch(cfg, seed=50):
-    """Two pairs at the config's size with the head's joint targets: the A maps, then the B maps."""
+    """Two pairs at the config's size with their joint SNDM targets: the A maps, then the B maps."""
     from sndmseg.sndm import sndm_encode
 
     samples = [gen_pair(seed + i, GenConfig(image_size=cfg.input_size)) for i in range(2)]
     img_a = np.stack([s.img_a for s in samples])
     img_b = np.stack([s.img_b for s in samples])
     masks = [s.mask_a for s in samples] + [s.mask_b for s in samples]
-    if cfg.output_head == "sndm-tanh":
-        return img_a, img_b, np.stack([sndm_encode(m) for m in masks])
-    return img_a, img_b, np.stack([m.astype(np.float32) for m in masks])
+    return img_a, img_b, np.stack([sndm_encode(m) for m in masks])
 
 
 def test_gradient_reaches_every_parameter():
     from sndmseg.losses import LossConfig, loss_dice, loss_iou3d_edge
 
-    for dense, head, loss_fn in (
-        (True, "sndm-tanh", loss_iou3d_edge),
-        (False, "mask-sigmoid", loss_dice),
-    ):
-        cfg = NetConfig(input_size=16, widths=(4, 6), levels=2, dense_connections=dense, output_head=head)
+    for dense, loss_fn in ((True, loss_iou3d_edge), (False, loss_dice)):
+        cfg = NetConfig(input_size=16, widths=(4, 6), levels=2, dense_connections=dense)
         params = init_params(cfg, seed=4)
         img_a, img_b, gt = _train_batch(cfg)
         pred, param_tensors = build_forward(img_a, img_b, params, cfg, mode="train")
@@ -225,10 +209,9 @@ def test_gradient_reaches_every_parameter():
 def test_joint_loss_matches_mean_of_branch_losses(loss_id):
     """One loss over the joint prediction gives the gradients of the mean of two per-branch losses, bit for bit."""
     from sndmseg.losses import LOSSES, LossConfig
-    from sndmseg.train import LOSS_HEADS
 
-    loss_fn, head = LOSSES[loss_id], LOSS_HEADS[loss_id]
-    cfg = NetConfig(input_size=16, widths=(4, 6), levels=2, output_head=head)
+    loss_fn = LOSSES[loss_id]
+    cfg = SMALL
     img_a, img_b, gt = _train_batch(cfg, seed=70)
     batch = img_a.shape[0]
 
@@ -312,7 +295,6 @@ def net_configs(draw):
         widths=tuple(draw(st.lists(st.integers(1, 512), min_size=levels, max_size=levels))),
         levels=levels,
         dense_connections=draw(st.booleans()),
-        output_head=draw(st.sampled_from(OUTPUT_HEADS)),
     )
 
 
@@ -320,6 +302,8 @@ def net_configs(draw):
 @given(net_configs())
 def test_config_header_round_trip(config):
     assert config_from_header(config_to_header(config)) == config
+    # headers written while the network had a second, sigmoid head still load
+    assert config_from_header(config_to_header(config) + "output_head = mask-sigmoid\n") == config
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,6 +4,11 @@ A :class:`Tensor` wraps an ndarray; operations build a computation graph
 on the fly by recording parents and a backward closure. Calling
 ``backward()`` on a scalar output walks the graph in reverse topological
 order and accumulates gradients into every node with ``requires_grad``.
+The walk consumes the graph: each op output's gradient, closure and
+parent links are released as soon as they have been used, so the saved
+buffers and intermediate gradients of a training step do not outlive its
+backward. A graph can therefore be backpropagated once, and only leaves
+(parameters and user tensors) keep ``.grad``.
 
 The primitive set is exactly what a small convolutional encoder-decoder
 needs: 3x3 convolution (stride 1, zero padding 1), 2x2 stride-2
@@ -90,16 +95,28 @@ class Tensor:
             self.accumulate(g)
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar through the recorded graph, consuming it.
+
+        Reverse topological order runs every consumer of a node before the
+        node itself, so once an op output's closure has run (or been skipped
+        because no gradient reached it) nothing reads its gradient, closure
+        or parent links again, and the walk drops all three. Only leaves
+        (parameters and user tensors) keep ``.grad``, and a graph can be
+        backpropagated once; a second call raises ``NoForwardPassError``.
+        """
         if self.data.size != 1:
             raise ShapeMismatchError(f"backward needs a scalar output, got shape {self.shape}")
         if not self._parents:
             raise NoForwardPassError("no recorded computation to backpropagate through")
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, None, ()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"

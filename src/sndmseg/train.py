@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import sndm
 from .errors import (
     BatchTooSmallError,
     DatasetEmptyError,
@@ -42,7 +43,7 @@ from .metrics import ItemMetrics, MetricsReport
 from .network import NetConfig, NetParams, build_forward, forward_pair, init_params, load_net
 from .raster import _atomic_write
 from .seeding import seeded_rng
-from .sndm import sndm_decode, sndm_encode
+from .sndm import sndm_encode
 from .synth import GenConfig, make_pairs
 
 MIN_IMPROVEMENT = 1e-6  # a validation loss must fall by this much to reset the plateau counter
@@ -295,8 +296,8 @@ def evaluate(
         pred_a, pred_b = forward_fn(np.stack([r.img_a for r in chunk]), np.stack([r.img_b for r in chunk]))
         for offset, record in enumerate(chunk):
             per_image = MetricsReport()
-            per_image.add(record.pair_id, sndm_decode(pred_a[offset]), record.mask_a)
-            per_image.add(record.pair_id, sndm_decode(pred_b[offset]), record.mask_b)
+            per_image.add(record.pair_id, sndm.sndm_decode(pred_a[offset]), record.mask_a)
+            per_image.add(record.pair_id, sndm.sndm_decode(pred_b[offset]), record.mask_b)
             report.add_item(ItemMetrics(record.pair_id, **per_image.mean()))
     return report
 

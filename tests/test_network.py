@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,29 @@ def test_gradient_reaches_every_parameter():
         for name, tensor in param_tensors.items():
             assert tensor.grad is not None, name
             assert np.abs(tensor.grad).max() > 0.0, name
+
+
+def test_backward_frees_the_train_step_graph():
+    """Backward peaks near the forward's own size and leaves only the leaves' gradients alive."""
+    from sndmseg.losses import LossConfig, loss_iou3d_edge
+
+    cfg = NetConfig()
+    params = init_params(cfg, seed=3)
+    img_a, img_b, gt = _train_batch(cfg)
+    tracemalloc.start()
+    try:
+        pred, param_tensors = build_forward(img_a, img_b, params, cfg, mode="train")
+        loss = ad.map_loss(pred, gt, loss_iou3d_edge, LossConfig())
+        forward_bytes = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        alive_bytes, backward_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(t.grad is not None for t in param_tensors.values())
+    # without release: peak about 2x the forward, and the whole graph plus its gradients still alive
+    assert backward_peak <= 1.5 * forward_bytes, (backward_peak, forward_bytes)
+    assert alive_bytes <= 0.1 * forward_bytes, (alive_bytes, forward_bytes)
 
 
 @pytest.mark.parametrize("loss_id", ["iou3d-edge", "dice"])

@@ -12,9 +12,10 @@ missing one is ``MissingFile``, a directory or an unreadable file
 keeps the default of the class or function that owns it. Every loss
 trains the same network, whose tanh head regresses the SNDM; ``gradcheck
 --target net`` takes neither ``--loss`` nor ``--lam``. Every value is
-validated before any work starts. Domain failures exit 1 with a
-single machine-parseable line ``error: <code>: <detail>``; usage problems
-exit 2.
+validated before any work starts; ``ablation`` checks its set sizes and
+every job's configs before it generates a dataset or starts a worker.
+Domain failures exit 1 with a single machine-parseable line
+``error: <code>: <detail>``; usage problems exit 2.
 
 The environment variable SNDM_THREADS caps worker processes for the
 ablation command (default: machine cores).
@@ -37,6 +38,7 @@ from .raster import _read_bytes, parse_key_values, read_float_map, read_mask, wr
 from .sndm import sndm_decode, sndm_encode
 from .synth import GenConfig, gen_dataset, load_dataset
 from .train import (
+    ABLATION_METRICS,
     AblationConfig,
     TrainConfig,
     ablation,
@@ -202,7 +204,7 @@ def _cmd_ablation(args) -> int:
     if args.out:
         write_json(table, args.out)
     for row in table["rows"]:
-        print(f"{row['name']:>13}: precision={row['precision']:.4f} jaccard={row['jaccard']:.4f}")
+        print(f"{row['name']:>13}: " + " ".join(f"{metric}={row[metric]:.4f}" for metric in ABLATION_METRICS))
     return 0
 
 

@@ -26,7 +26,6 @@ branches; only the correlation block and :func:`forward_pair` split it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,11 +282,8 @@ def correlation(joint: ad.Tensor) -> ad.Tensor:
     hw = height * width
     normed = ad.l2_normalize(joint, axis=1)
     flat = ad.reshape(normed, (items, channels, hw))
-    na = ad.slice_batch(flat, 0, batch)
-    nb = ad.slice_batch(flat, batch, items)
-    corr_a = ad.reshape(ad.matmul(ad.transpose(nb, (0, 2, 1)), na), (batch, hw, height, width))
-    corr_b = ad.reshape(ad.matmul(ad.transpose(na, (0, 2, 1)), nb), (batch, hw, height, width))
-    return ad.concat([corr_a, corr_b], axis=0)
+    other = ad.concat([ad.slice_batch(flat, batch, items), ad.slice_batch(flat, 0, batch)], axis=0)  # branches swapped
+    return ad.reshape(ad.matmul(ad.transpose(other, (0, 2, 1)), flat), (items, hw, height, width))
 
 
 def grad_check_net(trials: int = 20, seed: int = 0) -> float:
@@ -305,10 +301,11 @@ def grad_check_net(trials: int = 20, seed: int = 0) -> float:
     The penalized edge loss is discontinuous where a predicted pixel
     changes sign or crosses its label, so — as in the loss-level check —
     pixels within 1e-2 of those sets (at the unperturbed parameters) are
-    masked out of the checked loss; the mask (one per joint item) is frozen
-    data, keeping the function identical across the +/-h evaluations.
+    masked out of the checked loss: their label is set to 0, which gives
+    them edge weight sqrt(|0|) = 0. The mask is frozen data, keeping the
+    function identical across the +/-h evaluations.
     """
-    from .losses import LossConfig, edge_weights, loss_iou3d_weighted
+    from .losses import LossConfig, loss_iou3d_edge
     from .sndm import sndm_encode
     from .synth import GenConfig, gen_pair
 
@@ -329,15 +326,11 @@ def grad_check_net(trials: int = 20, seed: int = 0) -> float:
     base, _ = build_forward(img_a, img_b, params, cfg, mode="train")
     p0 = base.data[:, 0]
     safe = (np.abs(p0) > 1e-2) & (np.abs(p0 - gt) > 1e-2)
-    keeps = itertools.cycle(safe)  # map_loss visits the items in order, once per call
-
-    def edge_loss_masked(pred, target, inner_cfg):
-        keep = next(keeps)
-        return loss_iou3d_weighted(pred, target, lambda p, g, c: edge_weights(p, g, c) * keep, inner_cfg)
+    gt = np.where(safe, gt, 0.0)
 
     def loss_value(p: NetParams):
         pred, pt = build_forward(img_a, img_b, p, cfg, mode="train")
-        return ad.map_loss(pred, gt, edge_loss_masked, loss_cfg), pt
+        return ad.map_loss(pred, gt, loss_iou3d_edge, loss_cfg), pt
 
     loss, pt = loss_value(params)
     loss.backward()

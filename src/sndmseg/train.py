@@ -168,6 +168,14 @@ class TrainResult:
     best_val_loss: float
 
 
+def _check_set_sizes(n_train: int, *n_held_out: int) -> None:
+    """Every set needs a pair; training needs two, since batch norm skips a 1-item batch."""
+    if n_train < 1 or min(n_held_out) < 1:
+        raise DatasetEmptyError(f"every dataset must be nonempty, got {n_train} training and {list(n_held_out)} held-out pairs")
+    if n_train < 2:
+        raise BatchTooSmallError(f"training needs at least 2 pairs for batch norm, got {n_train}")
+
+
 def _targets_for(records):
     return [(sndm_encode(r.mask_a), sndm_encode(r.mask_b)) for r in records]
 
@@ -206,8 +214,7 @@ def train(
     """Optimize a fresh network on the given pair records."""
     net_config = net_config.validate()
     cfg = train_config.validate()
-    if not train_records or not val_records:
-        raise DatasetEmptyError("training and validation sets must be nonempty")
+    _check_set_sizes(len(train_records), len(val_records))
 
     loss_fn = LOSSES[cfg.loss_id]
     train_targets = _targets_for(train_records)
@@ -315,6 +322,7 @@ ABLATION_VARIANTS = (  # (name, dense connections, loss id); every variant has t
     ("baseline_plus", True, "dice"),
     ("full", True, "iou3d-edge"),
 )
+ABLATION_METRICS = ("precision", "jaccard")  # the table's columns, in order: names from metrics.METRIC_NAMES
 
 
 @dataclass(frozen=True)
@@ -328,8 +336,18 @@ class AblationConfig:
     image_size: int = 64
 
 
-def _ablation_datasets(seed: int, cfg: AblationConfig):
-    gen = GenConfig(image_size=cfg.image_size)
+def _ablation_configs(seed: int, cfg: AblationConfig) -> list:
+    """The validated (NetConfig, TrainConfig) of every variant at one seed, in variant order."""
+    return [
+        (
+            NetConfig(input_size=cfg.image_size, dense_connections=dense).validate(),
+            TrainConfig(batch_size=cfg.batch_size, lr=cfg.lr, max_epochs=cfg.epochs, loss_id=loss_id, seed=seed).validate(),
+        )
+        for _, dense, loss_id in ABLATION_VARIANTS
+    ]
+
+
+def _ablation_datasets(seed: int, gen: GenConfig, cfg: AblationConfig):
     base = seed << 20  # disjoint seed blocks per run
     train_set = make_pairs(base, gen, cfg.n_train)
     val_set = make_pairs(base + cfg.n_train, gen, cfg.n_val)
@@ -337,20 +355,10 @@ def _ablation_datasets(seed: int, cfg: AblationConfig):
     return train_set, val_set, test_set
 
 
-def _ablation_job(args):
-    run, seed, variant, cfg, (train_set, val_set, test_set) = args
-    name, dense, loss_id = variant
-    net_config = NetConfig(input_size=cfg.image_size, dense_connections=dense)
-    train_cfg = TrainConfig(
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        max_epochs=cfg.epochs,
-        loss_id=loss_id,
-        seed=seed,
-    )
-    result = train(train_set, val_set, net_config, train_cfg)
-    mean = evaluate(result.params, net_config, test_set).mean()
-    return run, name, mean["precision"], mean["jaccard"]
+def _ablation_job(job) -> dict:
+    net_config, train_config, (train_set, val_set, test_set) = job
+    result = train(train_set, val_set, net_config, train_config)
+    return evaluate(result.params, net_config, test_set).mean()
 
 
 def worker_count(total_jobs: int) -> int:
@@ -366,20 +374,25 @@ def worker_count(total_jobs: int) -> int:
 
 
 def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationConfig()) -> dict:
-    """Train every variant for ``runs`` seeds and tabulate mean metrics.
+    """Train every variant for ``runs`` seeds and tabulate the ``ABLATION_METRICS`` means.
 
-    Each seed's datasets are generated once and shared by its variants.
-    Jobs are independent and run in spawned worker processes, each pinned
-    to a single BLAS thread, so the table does not depend on the worker
-    count.
+    The parent validates every value and every job's (NetConfig,
+    TrainConfig) before it generates a dataset or starts a process; each
+    seed's datasets are generated once and shared by its variants. Workers
+    only train and evaluate, each in a spawned process pinned to a single
+    BLAS thread, so the table does not depend on the worker count.
     """
     if runs < 1 or base_seed < 0:
         raise InvalidConfigError(f"runs must be >= 1 and base_seed >= 0, got {runs} and {base_seed}")
+    _check_set_sizes(config.n_train, config.n_val, config.n_test)
+    gen = GenConfig(image_size=config.image_size).validate()
     workers = worker_count(runs * len(ABLATION_VARIANTS))
+    seeds = range(base_seed, base_seed + runs)
+    configs = {seed: _ablation_configs(seed, config) for seed in seeds}
     jobs = []
-    for run in range(runs):
-        datasets = _ablation_datasets(base_seed + run, config)
-        jobs += [(run, base_seed + run, variant, config, datasets) for variant in ABLATION_VARIANTS]
+    for seed, pairs in configs.items():
+        datasets = _ablation_datasets(seed, gen, config)
+        jobs += [(net_config, train_config, datasets) for net_config, train_config in pairs]
     # even one worker is a spawned process: BLAS threads change the summation order
     saved = {key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -387,7 +400,7 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
     try:
         context = multiprocessing.get_context("spawn")
         with context.Pool(processes=workers) as pool:
-            outcomes = pool.map(_ablation_job, jobs)
+            means = pool.map(_ablation_job, jobs)  # in job order: seed-major, then variant
     finally:
         for key, value in saved.items():
             if value is None:
@@ -395,26 +408,11 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
             else:
                 os.environ[key] = value
 
-    per_run: dict = {}
-    for run, name, prec, jac in outcomes:
-        per_run.setdefault(run, {"run": run, "seed": base_seed + run})[name] = {
-            "precision": prec,
-            "jaccard": jac,
-        }
-    rows = []
-    for name, _, _ in ABLATION_VARIANTS:
-        precisions = [per_run[run][name]["precision"] for run in range(runs)]
-        jaccards = [per_run[run][name]["jaccard"] for run in range(runs)]
-        rows.append(
-            {
-                "name": name,
-                "precision": sum(precisions) / runs,
-                "jaccard": sum(jaccards) / runs,
-            }
-        )
-    return {
-        "runs": runs,
-        "base_seed": base_seed,
-        "rows": rows,
-        "per_run": [per_run[run] for run in range(runs)],
-    }
+    names = [name for name, _, _ in ABLATION_VARIANTS]
+    by_run = [means[start : start + len(names)] for start in range(0, len(means), len(names))]
+    per_run = [
+        {"run": run, "seed": seed, **{name: {m: mean[m] for m in ABLATION_METRICS} for name, mean in zip(names, run_means)}}
+        for run, (seed, run_means) in enumerate(zip(seeds, by_run))
+    ]
+    rows = [{"name": name, **{m: sum(entry[name][m] for entry in per_run) / runs for m in ABLATION_METRICS}} for name in names]
+    return {"runs": runs, "base_seed": base_seed, "rows": rows, "per_run": per_run}

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from sndmseg import cli
+from sndmseg import cli, synth
 from sndmseg.cli import main
 from sndmseg.losses import LossConfig
 from sndmseg.network import NetConfig, init_params, load_net, save_net
@@ -402,6 +402,35 @@ def test_train_loss_dice_alone_trains_the_sndm_head(tmp_path, capsys):
     assert main(args + ["--epochs", "1", "--loss", "dice", "--out", str(ckpt)]) == 0
     assert load_net(str(ckpt))[0] == NetConfig(input_size=16, widths=(4, 6), levels=2)
     assert b"output_head" not in ckpt.read_bytes()
+
+
+def test_train_on_one_pair_is_batch_too_small(tmp_path, capsys):
+    gen_dataset(100, GenConfig(image_size=16), 1, str(tmp_path / "train"))
+    gen_dataset(200, GenConfig(image_size=16), 2, str(tmp_path / "val"))
+    ckpt = tmp_path / "model.ckpt"
+    args = ["train", "--data", str(tmp_path / "train"), "--val", str(tmp_path / "val"), "--size", "16", "--widths", "4,6"]
+    assert main(args + ["--epochs", "1", "--out", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: BatchTooSmall: [^\n]*\n", err), err
+    assert not ckpt.exists()
+
+
+def test_ablation_without_test_pairs_fails_before_any_data(monkeypatch, capsys):
+    monkeypatch.setattr(synth, "gen_pair", lambda seed, config: pytest.fail("a pair was generated"))
+    assert main(["ablation", "--runs", "2", "--test-pairs", "0"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: DatasetEmpty: [^\n]*\n", err), err
+
+
+def test_ablation_prints_the_rows_it_writes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SNDM_THREADS", "1")
+    out = tmp_path / "table.json"
+    argv = ["ablation", "--runs", "1", "--epochs", "1", "--train-pairs", "2", "--val-pairs", "1", "--test-pairs", "1"]
+    assert main(argv + ["--batch-size", "2", "--size", "16", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["name"] for row in rows] == ["baseline", "baseline_plus", "full"]
+    expected = [f"{row['name']:>13}: precision={row['precision']:.4f} jaccard={row['jaccard']:.4f}" for row in rows]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_head_flag_is_gone(capsys):

@@ -1,3 +1,6 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from sndmseg.network import NetConfig, forward_pair, init_params
 from sndmseg.sndm import sndm_encode
 from sndmseg.synth import GenConfig, make_pairs
 from sndmseg.train import (
+    ABLATION_METRICS,
     ABLATION_VARIANTS,
     LOSSES,
     AblationConfig,
@@ -24,6 +28,7 @@ from sndmseg.train import (
     write_json,
 )
 
+train_module = importlib.import_module("sndmseg.train")  # the package exports a function of the same name
 TINY_NET = NetConfig(input_size=32, widths=(6, 10), levels=2)
 TINY_GEN = GenConfig(image_size=32)
 
@@ -103,6 +108,14 @@ def test_every_loss_trains_the_default_net():
     train_set, val_set = tiny_sets()
     with pytest.raises(DatasetEmptyError):
         train([], val_set, TINY_NET, TrainConfig(max_epochs=1))
+
+
+def test_train_rejects_a_single_training_pair(monkeypatch):
+    train_set, val_set = tiny_sets(1, 2)
+    monkeypatch.setattr(train_module, "sndm_encode", lambda mask: pytest.fail("a target was encoded"))
+    # batch norm skips a 1-item batch, so one pair would train nothing
+    with pytest.raises(BatchTooSmallError):
+        train(train_set, val_set, TINY_NET, TrainConfig(max_epochs=1, batch_size=2))
 
 
 def test_smoke_train_two_epochs(tmp_path):
@@ -240,7 +253,7 @@ def test_worker_count_honors_thread_cap(monkeypatch):
     assert 1 <= worker_count(5) <= 5
 
 
-def test_ablation_generates_each_seed_once(monkeypatch):
+def _count_gen_pair_calls(monkeypatch) -> list:
     calls = []
     real_gen_pair = synth.gen_pair
 
@@ -249,6 +262,11 @@ def test_ablation_generates_each_seed_once(monkeypatch):
         return real_gen_pair(seed, config)
 
     monkeypatch.setattr(synth, "gen_pair", counting_gen_pair)
+    return calls
+
+
+def test_ablation_generates_each_seed_once(monkeypatch):
+    calls = _count_gen_pair_calls(monkeypatch)
     monkeypatch.setenv("SNDM_THREADS", "1")
     cfg = AblationConfig(n_train=2, n_val=1, n_test=1, epochs=1, batch_size=2, image_size=16)
     table = ablation(2, base_seed=5, config=cfg)
@@ -256,6 +274,31 @@ def test_ablation_generates_each_seed_once(monkeypatch):
     assert len(set(calls)) == len(calls)
     assert [row["name"] for row in table["rows"]] == [variant[0] for variant in ABLATION_VARIANTS]
     assert [run["seed"] for run in table["per_run"]] == [5, 6]
+    for row in table["rows"]:
+        assert list(row) == ["name", *ABLATION_METRICS]
+        for metric in ABLATION_METRICS:
+            assert row[metric] == sum(run[row["name"]][metric] for run in table["per_run"]) / 2
+
+
+@pytest.mark.parametrize(
+    "name, value, error",
+    [
+        ("n_train", 1, BatchTooSmallError),
+        ("n_val", 0, DatasetEmptyError),
+        ("n_test", 0, DatasetEmptyError),
+        ("image_size", 20, InvalidConfigError),
+        ("batch_size", 1, BatchTooSmallError),
+        ("lr", float("nan"), InvalidConfigError),
+        ("epochs", 0, InvalidConfigError),
+    ],
+)
+def test_bad_ablation_config_fails_before_any_work(monkeypatch, name, value, error):
+    calls = _count_gen_pair_calls(monkeypatch)
+    monkeypatch.setattr(train_module.multiprocessing, "get_context", lambda method: pytest.fail("a pool was started"))
+    cfg = AblationConfig(n_train=2, n_val=1, n_test=1, epochs=1, batch_size=2, image_size=16)
+    with pytest.raises(error):
+        ablation(2, config=replace(cfg, **{name: value}))
+    assert calls == []
 
 
 def test_ablation_table_does_not_depend_on_worker_count(monkeypatch):

@@ -39,6 +39,7 @@ from .raster import (
 )
 from .sndm import sndm_decode, sndm_encode
 from .synth import GenConfig, PairSample, gen_dataset, gen_pair, load_dataset, make_pairs
+# the function train() is not re-exported, so ``sndmseg.train`` names the module
 from .train import (
     AblationConfig,
     AdamState,
@@ -49,7 +50,6 @@ from .train import (
     evaluate,
     evaluate_checkpoint,
     reference_config,
-    train,
 )
 
 __all__ = [
@@ -98,7 +98,6 @@ __all__ = [
     "save_net",
     "sndm_decode",
     "sndm_encode",
-    "train",
     "write_float_map",
     "write_image",
     "write_mask",

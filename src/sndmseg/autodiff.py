@@ -10,12 +10,19 @@ buffers and intermediate gradients of a training step do not outlive its
 backward. A graph can therefore be backpropagated once, and only leaves
 (parameters and user tensors) keep ``.grad``.
 
+Gradients follow one ownership rule, :meth:`Tensor.accumulate`: an op
+hands each parent an array that nothing reads after the hand-over (a
+fresh result, or a view of the op output's own gradient, which the walk
+releases), and an empty gradient slot keeps that very array while a
+filled one adds to it in place. No op hands overlapping memory to two
+slots, so no two gradients share memory.
+
 The primitive set is exactly what a small convolutional encoder-decoder
 needs: 3x3 convolution (stride 1, zero padding 1), 2x2 stride-2
 transposed convolution, per-channel batch normalization with running
 statistics, relu/tanh, 2x2 max pooling, concatenation/slicing, batched
-matrix multiply, per-position L2 channel normalization, elementwise
-add/mul, and a sum reduction. Convolutions are expressed as matrix
+matrix multiply, and per-position L2 channel normalization; the loss
+enters through :func:`map_loss`. Convolutions are expressed as matrix
 multiplies so the heavy lifting stays in BLAS. The 3x3 conv runs one
 GEMM per batch item over a patch workspace that all items reuse, and
 takes its input gradient as the same conv of the output gradient with
@@ -82,17 +89,12 @@ class Tensor:
         return self.data.dtype
 
     def accumulate(self, g) -> None:
+        """Add ``g`` to the gradient; an empty slot keeps ``g`` itself when its shape and dtype fit."""
         if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+            fits = g.shape == self.data.shape and g.dtype == self.data.dtype
+            self.grad = g if fits else np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
         else:
             self.grad += g
-
-    def accumulate_owned(self, g) -> None:
-        """Like accumulate, but may keep ``g`` itself; caller must not reuse it."""
-        if self.grad is None and g.shape == self.data.shape and g.dtype == self.data.dtype:
-            self.grad = g
-        else:
-            self.accumulate(g)
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph, consuming it.
@@ -151,43 +153,8 @@ def _node(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _unbroadcast(grad, shape):
-    """Reduce a broadcast gradient back to the original operand shape."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # elementwise and structural primitives
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _node(data, (a, b), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -195,7 +162,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_owned(g * (x.data > 0))
+            x.accumulate(g * (x.data > 0))
 
     return _node(data, (x,), backward)
 
@@ -205,7 +172,7 @@ def tanh(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_owned(g * (1.0 - data * data))
+            x.accumulate(g * (1.0 - data * data))
 
     return _node(data, (x,), backward)
 
@@ -240,12 +207,12 @@ def concat(tensors, axis: int = 1) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        # each piece may keep its slice of g as a view: the slices are disjoint and g is not read again
+        # each piece may keep its slice of g as a view: the slices are disjoint
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(lo, hi)
-                t.accumulate_owned(g[tuple(index)])
+                t.accumulate(g[tuple(index)])
 
     return _node(data, tuple(tensors), backward)
 
@@ -258,16 +225,6 @@ def slice_batch(x: Tensor, start: int, stop: int) -> Tensor:
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
             x.grad[start:stop] += g
-
-    return _node(data, (x,), backward)
-
-
-def tsum(x: Tensor) -> Tensor:
-    data = np.asarray(x.data.sum(), dtype=x.dtype)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(np.broadcast_to(g, x.data.shape))
 
     return _node(data, (x,), backward)
 
@@ -400,10 +357,10 @@ def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
                 laid[:, k, wrapped::width] = 0
         if weight.requires_grad:
             dw = np.concatenate([np.matmul(xf, laid.transpose(0, 2, 1)).sum(axis=0) for xf in flats])
-            weight.accumulate_owned(dw.reshape(weight.data.shape))
+            weight.accumulate(dw.reshape(weight.data.shape))
         for p, lo, hi in zip(pieces, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                p.accumulate_owned(np.matmul(wmat[lo:hi], laid).reshape(p.data.shape))
+                p.accumulate(np.matmul(wmat[lo:hi], laid).reshape(p.data.shape))
 
     return _node(data, (*pieces, weight, bias), backward)
 
@@ -439,10 +396,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             # flipped tap (di, dj) of output channel o reads weight[o, :, 2 - di, 2 - dj]
             wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(channels, c_out * 9)
-            x.accumulate_owned(_conv_items(g, wflip).reshape(x.data.shape))
+            x.accumulate(_conv_items(g, wflip).reshape(x.data.shape))
         if weight.requires_grad:
             dw = sum(np.matmul(gm[i], cols.T) for i, cols in enumerate(_item_patches(x.data)))
-            weight.accumulate_owned(dw.reshape(weight.data.shape))
+            weight.accumulate(dw.reshape(weight.data.shape))
 
     return _node(data, (x, weight, bias), backward)
 
@@ -479,11 +436,11 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         gm = gm.reshape(batch, c_out * 4, height * width)
         if weight.requires_grad:
             dw = np.matmul(xm, gm.transpose(0, 2, 1)).sum(axis=0)
-            weight.accumulate_owned(dw.reshape(weight.data.shape))
+            weight.accumulate(dw.reshape(weight.data.shape))
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            x.accumulate_owned(np.matmul(wmat, gm).reshape(x.data.shape))
+            x.accumulate(np.matmul(wmat, gm).reshape(x.data.shape))
 
     return _node(data, (x, weight, bias), backward)
 
@@ -510,7 +467,7 @@ def max_pool2(x: Tensor) -> Tensor:
         dx = np.empty(x.data.shape, dtype=g.dtype)
         for k, (i, j) in enumerate(_BLOCK_OFFSETS):
             dx[:, :, i::2, j::2] = np.where(idx == k, g, 0)
-        x.accumulate_owned(dx)
+        x.accumulate(dx)
 
     return _node(data, (x,), backward)
 
@@ -577,9 +534,9 @@ def batch_norm(
         sum_gx = np.einsum("bchw,bchw->c", g, x.data, dtype=np.float64)
         dgamma = inv_std * (sum_gx - mean * sum_g)  # sum(g * xhat)
         if beta.requires_grad:
-            beta.accumulate_owned(sum_g.astype(beta.dtype))
+            beta.accumulate(sum_g.astype(beta.dtype))
         if gamma.requires_grad:
-            gamma.accumulate_owned(dgamma.astype(gamma.dtype))
+            gamma.accumulate(dgamma.astype(gamma.dtype))
         if not x.requires_grad:
             return
         dx = g * scale[None, :, None, None]
@@ -589,7 +546,7 @@ def batch_norm(
             b = -scale * sum_g / n - a * mean
             dx += x.data * a.astype(dx.dtype)[None, :, None, None]
             dx += b.astype(dx.dtype)[None, :, None, None]
-        x.accumulate_owned(dx)
+        x.accumulate(dx)
 
     return _node(data, (x, gamma, beta), backward)
 
@@ -676,15 +633,12 @@ def load_checkpoint(path: str):
 
 __all__ = [
     "Tensor",
-    "add",
-    "mul",
     "relu",
     "tanh",
     "reshape",
     "transpose",
     "concat",
     "slice_batch",
-    "tsum",
     "matmul",
     "l2_normalize",
     "conv2d",

@@ -214,6 +214,7 @@ def train(
     """Optimize a fresh network on the given pair records."""
     net_config = net_config.validate()
     cfg = train_config.validate()
+    loss_config = loss_config.validate()
     _check_set_sizes(len(train_records), len(val_records))
 
     loss_fn = LOSSES[cfg.loss_id]
@@ -293,6 +294,8 @@ def evaluate(
     ``forward_fn`` defaults to the network itself; tests may inject an
     oracle that returns known maps.
     """
+    if batch_size < 1:
+        raise InvalidConfigError(f"batch_size must be >= 1, got {batch_size}")
     if not records:
         raise DatasetEmptyError("evaluation set is empty")
     if forward_fn is None:

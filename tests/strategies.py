@@ -5,6 +5,9 @@ from hypothesis import example
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import sndmseg.autodiff as ad
+from sndmseg.losses import LossReport
+
 
 @st.composite
 def masks(draw, max_side=40):
@@ -32,3 +35,19 @@ def with_examples(cases):
         return test
 
     return decorate
+
+
+def weighted_sum(y, mult=1.0):
+    """sum(mult * y) as a scalar graph node: ``map_loss`` of y's values with a linear loss whose gradient is ``mult``."""
+    n = y.data.size
+    weights = np.broadcast_to(mult, y.shape).reshape(1, n)
+
+    def linear(pred, gt, cfg):
+        return LossReport(float(np.sum(weights * pred)), weights)
+
+    return ad.map_loss(ad.reshape(y, (1, 1, 1, n)), np.zeros((1, 1, n)), linear, None)
+
+
+def weighted_total(scalars, weights):
+    """sum(w * s) over scalar nodes, joined by a concat of their (1, 1) reshapes in the given order."""
+    return weighted_sum(ad.concat([ad.reshape(s, (1, 1)) for s in scalars]), weights)

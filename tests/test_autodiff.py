@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import sndmseg.autodiff as ad
 from sndmseg.errors import CheckpointCorruptError, NoForwardPassError, ShapeMismatchError, SndmError
+from strategies import weighted_sum, weighted_total
 
 RNG = np.random.Generator(np.random.Philox(101))
 
@@ -34,17 +35,11 @@ def finite_difference_check(make_graph, arrays, samples=6, step=1e-6):
 
 def test_relu_tanh_fixtures():
     x = ad.Tensor(np.array([-1.0, 2.0]), requires_grad=True)
-    y = ad.tsum(ad.relu(x))
+    y = weighted_sum(ad.relu(x))
     assert y.data == 2.0
     y.backward()
     assert x.grad.tolist() == [0.0, 1.0]
     assert ad.tanh(ad.Tensor(np.array([0.0]))).data.tolist() == [0.0]
-
-
-def test_sum_grad_is_ones():
-    x = ad.Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    ad.tsum(x).backward()
-    assert np.array_equal(x.grad, np.ones((3, 4)))
 
 
 def test_conv_delta_kernel_is_identity():
@@ -53,6 +48,20 @@ def test_conv_delta_kernel_is_identity():
     w[0, 0, 1, 1] = 1.0
     y = ad.conv2d(x, ad.Tensor(w), ad.Tensor(np.zeros(1)))
     assert np.allclose(y.data, x.data, atol=1e-12)
+
+
+def test_accumulate_keeps_the_array_it_is_handed_then_adds_in_place():
+    x = ad.Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+    first, second = np.ones((2, 3), np.float32), np.full((2, 3), 2.0, np.float32)
+    x.accumulate(first)
+    assert x.grad is first
+    x.accumulate(second)
+    assert x.grad is first and np.array_equal(first, np.full((2, 3), 3.0, np.float32))
+    # an array of another dtype is stored as a cast copy
+    y = ad.Tensor(np.zeros(3, np.float32), requires_grad=True)
+    handed = np.ones(3)
+    y.accumulate(handed)
+    assert y.grad.dtype == np.float32 and not np.shares_memory(y.grad, handed)
 
 
 def test_backward_requires_scalar():
@@ -69,29 +78,24 @@ def test_backward_requires_recorded_graph():
 def test_elementwise_and_structural_gradients():
     x = RNG.normal(size=(2, 3, 6, 6))
     mult = RNG.normal(size=(2, 3, 6, 6))
-    bias = RNG.normal(size=(3, 1, 1))
     checks = {
-        "relu": lambda ts: ad.tsum(ad.mul(ad.relu(ts[0]), ad.Tensor(mult))),
-        "tanh": lambda ts: ad.tsum(ad.mul(ad.tanh(ts[0]), ad.Tensor(mult))),
-        "l2norm": lambda ts: ad.tsum(ad.mul(ad.l2_normalize(ts[0], axis=1), ad.Tensor(mult))),
-        "bias-add": lambda ts: ad.tsum(ad.mul(ad.add(ts[0], ts[1]), ad.Tensor(mult))),
+        "relu": lambda ts: weighted_sum(ad.relu(ts[0]), mult),
+        "tanh": lambda ts: weighted_sum(ad.tanh(ts[0]), mult),
+        "l2norm": lambda ts: weighted_sum(ad.l2_normalize(ts[0], axis=1), mult),
     }
     for name, graph in checks.items():
-        arrays = [x, bias] if name == "bias-add" else [x]
-        assert finite_difference_check(graph, arrays) < 1e-6, name
+        assert finite_difference_check(graph, [x]) < 1e-6, name
 
 
 def test_concat_slice_transpose_reshape_gradients():
     x = RNG.normal(size=(2, 3, 4, 4))
     y = RNG.normal(size=(2, 2, 4, 4))
     mult = RNG.normal(size=(1, 5, 4, 4))
-    graph = lambda ts: ad.tsum(  # noqa: E731
-        ad.mul(ad.slice_batch(ad.concat([ts[0], ts[1]], axis=1), 0, 1), ad.Tensor(mult))
-    )
+    graph = lambda ts: weighted_sum(ad.slice_batch(ad.concat([ts[0], ts[1]], axis=1), 0, 1), mult)  # noqa: E731
     assert finite_difference_check(graph, [x, y]) < 1e-6
     tr = RNG.normal(size=(2, 3, 5))
     mult2 = RNG.normal(size=(2, 15))
-    graph2 = lambda ts: ad.tsum(ad.mul(ad.reshape(ad.transpose(ts[0], (0, 2, 1)), (2, 15)), ad.Tensor(mult2)))  # noqa: E731
+    graph2 = lambda ts: weighted_sum(ad.reshape(ad.transpose(ts[0], (0, 2, 1)), (2, 15)), mult2)  # noqa: E731
     assert finite_difference_check(graph2, [tr]) < 1e-6
 
 
@@ -104,17 +108,17 @@ def test_concat_piece_with_a_second_consumer():
 
     def branches(ts):
         skip = ad.tanh(ts[0])
-        joined = ad.tsum(ad.mul(ad.concat([skip, ts[1]], axis=1), ad.Tensor(mult)))
-        pooled = ad.tsum(ad.mul(ad.max_pool2(skip), ad.Tensor(mult_pool)))
-        return joined, pooled
+        joined = weighted_sum(ad.concat([skip, ts[1]], axis=1), mult)
+        pooled = weighted_sum(ad.max_pool2(skip), mult_pool)
+        return [joined, pooled]
 
     # both orders, so either backward can be the one that finds the gradient already set
-    assert finite_difference_check(lambda ts: ad.add(*branches(ts)), [x, y]) < 1e-6
-    assert finite_difference_check(lambda ts: ad.add(*branches(ts)[::-1]), [x, y]) < 1e-6
+    assert finite_difference_check(lambda ts: weighted_total(branches(ts), 1.0), [x, y]) < 1e-6
+    assert finite_difference_check(lambda ts: weighted_total(branches(ts)[::-1], 1.0), [x, y]) < 1e-6
     # the pieces keep views of the one gradient buffer the concat received instead of copies
     a, b = ad.Tensor(x, requires_grad=True), ad.Tensor(y, requires_grad=True)
     joined = ad.concat([a, b], axis=1)
-    ad.tsum(ad.mul(joined, ad.Tensor(mult))).backward()
+    weighted_sum(joined, mult).backward()
     assert a.grad.base is not None and a.grad.base is b.grad.base
     assert np.array_equal(a.grad, mult[:, :3]) and np.array_equal(b.grad, mult[:, 3:])
 
@@ -162,7 +166,7 @@ def test_matmul_gradients():
     a = RNG.normal(size=(2, 4, 3))
     b = RNG.normal(size=(2, 3, 5))
     mult = RNG.normal(size=(2, 4, 5))
-    graph = lambda ts: ad.tsum(ad.mul(ad.matmul(ts[0], ts[1]), ad.Tensor(mult)))  # noqa: E731
+    graph = lambda ts: weighted_sum(ad.matmul(ts[0], ts[1]), mult)  # noqa: E731
     assert finite_difference_check(graph, [a, b]) < 1e-6
 
 
@@ -171,13 +175,13 @@ def test_conv2d_gradients_both_routes():
     mult_wide = RNG.normal(size=(2, 4, 6, 6))
     w_wide = RNG.normal(size=(4, 5, 3, 3)) * 0.5
     b_wide = RNG.normal(size=(4,))
-    graph = lambda ts: ad.tsum(ad.mul(ad.conv2d(ts[0], ts[1], ts[2]), ad.Tensor(mult_wide)))  # noqa: E731
+    graph = lambda ts: weighted_sum(ad.conv2d(ts[0], ts[1], ts[2]), mult_wide)  # noqa: E731
     assert finite_difference_check(graph, [x, w_wide, b_wide]) < 1e-6
     # single-output-channel head route
     mult_head = RNG.normal(size=(2, 1, 6, 6))
     w_head = RNG.normal(size=(1, 5, 3, 3)) * 0.5
     b_head = RNG.normal(size=(1,))
-    graph2 = lambda ts: ad.tsum(ad.mul(ad.head_conv([ts[0]], ts[1], ts[2]), ad.Tensor(mult_head)))  # noqa: E731
+    graph2 = lambda ts: weighted_sum(ad.head_conv([ts[0]], ts[1], ts[2]), mult_head)  # noqa: E731
     assert finite_difference_check(graph2, [x, w_head, b_head]) < 1e-6
     # conv2d with one output channel takes the patch route and agrees with the head
     via_patches = ad.conv2d(*map(ad.Tensor, (x, w_head, b_head))).data
@@ -192,7 +196,7 @@ def test_conv2d_gradients_non_square(c_in, c_out):
     w = RNG.normal(size=(c_out, c_in, 3, 3)) * 0.5
     b = RNG.normal(size=(c_out,))
     mult = RNG.normal(size=(3, c_out, 5, 7))
-    graph = lambda ts: ad.tsum(ad.mul(ad.conv2d(ts[0], ts[1], ts[2]), ad.Tensor(mult)))  # noqa: E731
+    graph = lambda ts: weighted_sum(ad.conv2d(ts[0], ts[1], ts[2]), mult)  # noqa: E731
     assert finite_difference_check(graph, [x, w, b], samples=12) < 1e-6
 
 
@@ -205,7 +209,7 @@ def test_conv2d_im2col_float32_matches_float64():
     def run(dtype):
         ts = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in (x, w, b)]
         y = ad.conv2d(*ts)
-        ad.tsum(ad.mul(y, ad.Tensor(mult.astype(dtype)))).backward()
+        weighted_sum(y, mult.astype(dtype)).backward()
         return [y.data] + [t.grad for t in ts]
 
     for got, want in zip(run(np.float32), run(np.float64)):
@@ -342,7 +346,7 @@ def test_conv_transpose_gradients():
     w = RNG.normal(size=(3, 4, 2, 2)) * 0.5
     b = RNG.normal(size=(4,))
     mult = RNG.normal(size=(2, 4, 10, 8))
-    graph = lambda ts: ad.tsum(ad.mul(ad.conv_transpose2d(ts[0], ts[1], ts[2]), ad.Tensor(mult)))  # noqa: E731
+    graph = lambda ts: weighted_sum(ad.conv_transpose2d(ts[0], ts[1], ts[2]), mult)  # noqa: E731
     assert finite_difference_check(graph, [x, w, b]) < 1e-6
     y = ad.conv_transpose2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
     assert y.data.shape == (2, 4, 10, 8)
@@ -375,7 +379,7 @@ def test_conv_transpose_forward_matches_one_gemm_bitwise(batch, c_in, c_out, hei
 def test_max_pool_gradients_and_shape():
     x = RNG.normal(size=(2, 3, 6, 8))
     mult = RNG.normal(size=(2, 3, 3, 4))
-    graph = lambda ts: ad.tsum(ad.mul(ad.max_pool2(ts[0]), ad.Tensor(mult)))  # noqa: E731
+    graph = lambda ts: weighted_sum(ad.max_pool2(ts[0]), mult)  # noqa: E731
     assert finite_difference_check(graph, [x]) < 1e-6
     with pytest.raises(ShapeMismatchError):
         ad.max_pool2(ad.Tensor(RNG.normal(size=(1, 1, 5, 4))))
@@ -390,7 +394,7 @@ def test_max_pool_ties_route_to_first_maximum():
     xt = ad.Tensor(x, requires_grad=True)
     y = ad.max_pool2(xt)
     assert np.array_equal(y.data[0, 0, 0], [max(w) for w in windows])
-    ad.tsum(y).backward()
+    weighted_sum(y).backward()
     for n, window in enumerate(windows):
         expected = np.zeros(4, dtype=np.float32)
         expected[int(np.argmax(window))] = 1.0
@@ -408,7 +412,7 @@ def test_batch_norm_float32_matches_float64_far_from_zero_mean():
         ts = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in (x, gamma, beta)]
         rm, rv = np.zeros(3, dtype), np.ones(3, dtype)
         y = ad.batch_norm(*ts, rm, rv, training=True)
-        ad.tsum(ad.mul(y, ad.Tensor(mult.astype(dtype)))).backward()
+        weighted_sum(y, mult.astype(dtype)).backward()
         return [y.data, rm, rv] + [t.grad for t in ts]
 
     for got, want in zip(run(np.float32), run(np.float64)):
@@ -424,7 +428,7 @@ def test_conv2d_head_float32_matches_float64():
     def run(dtype):
         ts = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in (x, w, b)]
         y = ad.head_conv([ts[0]], ts[1], ts[2])
-        ad.tsum(ad.mul(y, ad.Tensor(mult.astype(dtype)))).backward()
+        weighted_sum(y, mult.astype(dtype)).backward()
         return [y.data] + [t.grad for t in ts]
 
     for got, want in zip(run(np.float32), run(np.float64)):
@@ -437,13 +441,11 @@ def test_batch_norm_train_and_eval_gradients():
     beta = RNG.normal(size=4) * 0.3
     mult = RNG.normal(size=(3, 4, 5, 5))
     rm, rv = np.zeros(4), np.ones(4)
-    graph_train = lambda ts: ad.tsum(  # noqa: E731
-        ad.mul(ad.batch_norm(ts[0], ts[1], ts[2], rm.copy(), rv.copy(), training=True), ad.Tensor(mult))
-    )
+    graph_train = lambda ts: weighted_sum(ad.batch_norm(ts[0], ts[1], ts[2], rm.copy(), rv.copy(), training=True), mult)  # noqa: E731
     assert finite_difference_check(graph_train, [x, gamma, beta]) < 1e-6
     rm2 = RNG.normal(size=4) * 0.2
     rv2 = np.abs(RNG.normal(size=4)) + 0.4
-    graph_eval = lambda ts: ad.tsum(ad.mul(ad.batch_norm(ts[0], ts[1], ts[2], rm2, rv2, training=False), ad.Tensor(mult)))  # noqa: E731
+    graph_eval = lambda ts: weighted_sum(ad.batch_norm(ts[0], ts[1], ts[2], rm2, rv2, training=False), mult)  # noqa: E731
     assert finite_difference_check(graph_eval, [x, gamma, beta]) < 1e-6
 
 
@@ -493,7 +495,9 @@ def test_determinism_bitwise():
         x = ad.Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
         b = ad.Tensor(np.zeros(4, np.float32), requires_grad=True)
-        loss = ad.tsum(ad.mul(ad.tanh(ad.conv2d(x, w, b)), ad.tanh(ad.conv2d(x, w, b))))
+        mult = rng.normal(size=(2, 8, 8, 8)).astype(np.float32)
+        # two consumers of x, w and b, so their gradients accumulate
+        loss = weighted_sum(ad.concat([ad.tanh(ad.conv2d(x, w, b)), ad.tanh(ad.conv2d(x, w, b))]), mult)
         loss.backward()
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
 

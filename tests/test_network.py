@@ -27,6 +27,7 @@ from sndmseg.network import (
     save_net,
 )
 from sndmseg.synth import GenConfig, gen_pair
+from strategies import weighted_sum, weighted_total
 
 SMALL = NetConfig(input_size=16, widths=(4, 6), levels=2)
 
@@ -160,7 +161,7 @@ def test_eval_forward_records_no_graph():
     assert not any(t.requires_grad for t in param_tensors.values())
     assert not pred.requires_grad and not pred._parents
     with pytest.raises(NoForwardPassError):
-        ad.tsum(pred).backward()
+        weighted_sum(pred).backward()
     for name, value in before.buffers.items():  # eval leaves the running statistics alone
         assert np.array_equal(params.buffers[name], value), name
     # the eval relu runs in place on conv outputs; it must never reach the inputs or the parameters
@@ -205,6 +206,24 @@ def test_gradient_reaches_every_parameter():
         for name, tensor in param_tensors.items():
             assert tensor.grad is not None, name
             assert np.abs(tensor.grad).max() > 0.0, name
+
+
+def test_train_step_gradients_share_no_memory():
+    from sndmseg.losses import LossConfig, loss_iou3d_edge
+
+    cfg = SMALL
+    params = init_params(cfg, seed=5)
+    img_a, img_b, gt = _train_batch(cfg)
+    pred, param_tensors = build_forward(img_a, img_b, params, cfg, mode="train")
+    ad.map_loss(pred, gt, loss_iou3d_edge, LossConfig()).backward()
+    grads = {name: t.grad for name, t in param_tensors.items()}
+    arrays = {**params.values, **params.buffers}
+    for name, grad in grads.items():
+        assert grad is not None and grad.shape == params.values[name].shape, name
+        for other, g in grads.items():
+            assert other == name or not np.shares_memory(grad, g), (name, other)
+        for other, value in arrays.items():
+            assert not np.shares_memory(grad, value), (name, other)
 
 
 def test_backward_frees_the_train_step_graph():
@@ -253,7 +272,7 @@ def test_joint_loss_matches_mean_of_branch_losses(loss_id):
     def per_branch(pred):
         loss_a = ad.map_loss(ad.slice_batch(pred, 0, batch), gt[:batch], loss_fn, LossConfig())
         loss_b = ad.map_loss(ad.slice_batch(pred, batch, 2 * batch), gt[batch:], loss_fn, LossConfig())
-        return ad.mul(ad.add(loss_a, loss_b), ad.Tensor(np.float32(0.5)))
+        return weighted_total([loss_a, loss_b], 0.5)
 
     joint_loss, joint_grads = run(joint)
     branch_loss, branch_grads = run(per_branch)

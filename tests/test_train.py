@@ -1,9 +1,10 @@
-import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sndmseg
+import sndmseg.train as train_module
 from sndmseg import synth
 from sndmseg.errors import BatchTooSmallError, DatasetEmptyError, InvalidConfigError, NonFiniteError
 from sndmseg.losses import LossConfig, LossReport
@@ -28,7 +29,6 @@ from sndmseg.train import (
     write_json,
 )
 
-train_module = importlib.import_module("sndmseg.train")  # the package exports a function of the same name
 TINY_NET = NetConfig(input_size=32, widths=(6, 10), levels=2)
 TINY_GEN = GenConfig(image_size=32)
 
@@ -116,6 +116,18 @@ def test_train_rejects_a_single_training_pair(monkeypatch):
     # batch norm skips a 1-item batch, so one pair would train nothing
     with pytest.raises(BatchTooSmallError):
         train(train_set, val_set, TINY_NET, TrainConfig(max_epochs=1, batch_size=2))
+
+
+def test_train_rejects_a_bad_loss_config_before_any_work(monkeypatch):
+    train_set, val_set = tiny_sets(2, 2)
+    monkeypatch.setattr(train_module, "sndm_encode", lambda mask: pytest.fail("a target was encoded"))
+    with pytest.raises(InvalidConfigError):
+        train(train_set, val_set, TINY_NET, TrainConfig(max_epochs=1, batch_size=2), loss_config=LossConfig(lam=0.5))
+
+
+def test_package_attribute_train_is_the_module():
+    assert sndmseg.train is train_module and "train" not in sndmseg.__all__
+    assert train_module.train is train
 
 
 def test_smoke_train_two_epochs(tmp_path):
@@ -228,6 +240,13 @@ def test_evaluate_untrained_is_well_formed(tmp_path):
 def test_evaluate_empty_dataset():
     with pytest.raises(DatasetEmptyError):
         evaluate(init_params(TINY_NET, seed=0), TINY_NET, [])
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_a_batch_size_below_one(batch_size):
+    records = make_pairs(302, TINY_GEN, 2)
+    with pytest.raises(InvalidConfigError):
+        evaluate(init_params(TINY_NET, seed=0), TINY_NET, records, batch_size=batch_size)
 
 
 def test_lr_column_non_increasing():

@@ -48,7 +48,6 @@ from .train import (
     ablation,
     adam_step,
     evaluate,
-    evaluate_checkpoint,
     reference_config,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "edt_squared",
     "edt_squared_brute",
     "evaluate",
-    "evaluate_checkpoint",
     "forward_pair",
     "gen_dataset",
     "gen_pair",

@@ -14,6 +14,10 @@ trains the same network, whose tanh head regresses the SNDM; ``gradcheck
 --target net`` takes neither ``--loss`` nor ``--lam``. Every value is
 validated before any work starts; ``ablation`` checks its set sizes and
 every job's configs before it generates a dataset or starts a worker.
+Each output that a long command writes last (``train --out``/``--history``,
+``eval --report``, ``ablation --out``) must name a file path in an
+existing directory before any data is read. ``eval`` prints one
+``name=value`` per entry of ``metrics.METRICS``, in its order.
 Domain failures exit 1 with a single machine-parseable line
 ``error: <code>: <detail>``; usage problems exit 2.
 
@@ -25,15 +29,16 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from .distance import edt, edt_squared, edt_squared_brute
-from .errors import InvalidConfigError, OracleMismatchError, SndmError
+from .errors import InvalidConfigError, IoFailureError, OracleMismatchError, SndmError
 from .losses import LOSSES, LossConfig, grad_check_loss
-from .network import NetConfig, grad_check_net, save_net
+from .network import NetConfig, grad_check_net, load_net, save_net
 from .raster import _read_bytes, parse_key_values, read_float_map, read_mask, write_float_map, write_mask
 from .sndm import sndm_decode, sndm_encode
 from .synth import GenConfig, gen_dataset, load_dataset
@@ -42,7 +47,7 @@ from .train import (
     AblationConfig,
     TrainConfig,
     ablation,
-    evaluate_checkpoint,
+    evaluate,
     reference_config,
     train,
     write_history_csv,
@@ -94,6 +99,13 @@ def _default_of(fn, name: str):
 
 def _name_of(table: dict, value) -> str:
     return next(name for name, entry in table.items() if entry == value)
+
+
+def _check_out_dirs(*paths) -> None:
+    """Fail before any work when an output path is a directory or its directory does not exist."""
+    for path in paths:
+        if path is not None and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+            raise IoFailureError(f"cannot write {path}: not a file path in an existing directory")
 
 
 def _widths(text: str) -> tuple:
@@ -151,11 +163,12 @@ def _cmd_train(args) -> int:
         **_given(args, lr_factor="lr_factor", max_epochs="epochs", loss_id="loss", seed="seed"),
     ).validate()
     loss_cfg = replace(LossConfig(), **_given(args, lam="lam", epsilon="epsilon")).validate()
+    history_path = args.history or args.out + ".history.csv"
+    _check_out_dirs(args.out, history_path)
     train_set = load_dataset(args.data)
     val_set = load_dataset(args.val)
     result = train(train_set, val_set, net_config, train_cfg, loss_cfg)
     save_net(args.out, net_config, result.params)
-    history_path = args.history or args.out + ".history.csv"
     write_history_csv(result.history, history_path)
     print(
         f"trained {train_cfg.max_epochs} epochs; best val loss {result.best_val_loss!r} "
@@ -165,14 +178,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    report = evaluate_checkpoint(args.ckpt, load_dataset(args.data))
+    _check_out_dirs(args.report)
+    records = load_dataset(args.data)
+    net_config, params = load_net(args.ckpt)
+    report = evaluate(params, net_config, records)
     if args.report:
         write_json(report.to_json_dict(), args.report)
-    mean = report.mean()
-    print(
-        f"pairs={len(report.items)} precision={mean['precision']:.4f} "
-        f"pixel_accuracy={mean['pixel_accuracy']:.4f} jaccard={mean['jaccard']:.4f}"
-    )
+    print(f"pairs={len(report.items)} " + " ".join(f"{name}={value:.4f}" for name, value in report.mean().items()))
     return 0
 
 
@@ -200,6 +212,7 @@ def _cmd_ablation(args) -> int:
         **_given(args, n_train="train_pairs", n_val="val_pairs", n_test="test_pairs", epochs="epochs"),
         **_given(args, batch_size="batch_size", lr="lr", image_size="size"),
     )
+    _check_out_dirs(args.out)
     table = ablation(args.runs, config=config, **_given(args, base_seed="seed"))
     if args.out:
         write_json(table, args.out)

@@ -5,6 +5,10 @@ foreground ratio |seg & gt| / |seg| and the fraction of correctly
 classified pixels over both classes. They disagree, so both are computed
 and reported side by side (``precision`` and ``pixel_accuracy``), along
 with the Jaccard index.
+
+``METRICS`` names each metric once and fixes the order of every report,
+mean and printed line. A new metric is its function, one ``METRICS``
+entry and one ``ItemMetrics`` field, in the same place of that order.
 """
 
 from __future__ import annotations
@@ -49,12 +53,12 @@ def jaccard(seg, gt) -> float:
     return int((s & g).sum()) / union
 
 
-METRIC_NAMES = ("precision", "pixel_accuracy", "jaccard")
+METRICS = {"precision": precision, "pixel_accuracy": pixel_accuracy, "jaccard": jaccard}  # name -> fn(seg, gt)
 
 
 @dataclass(frozen=True)
 class ItemMetrics:
-    item_id: str
+    item_id: str  # then one field per METRICS entry, in its order
     precision: float
     pixel_accuracy: float
     jaccard: float
@@ -67,12 +71,7 @@ class MetricsReport:
     items: list[ItemMetrics] = field(default_factory=list)
 
     def add(self, item_id: str, seg, gt) -> ItemMetrics:
-        item = ItemMetrics(
-            item_id=item_id,
-            precision=precision(seg, gt),
-            pixel_accuracy=pixel_accuracy(seg, gt),
-            jaccard=jaccard(seg, gt),
-        )
+        item = ItemMetrics(item_id, **{name: fn(seg, gt) for name, fn in METRICS.items()})
         self.items.append(item)
         return item
 
@@ -82,8 +81,8 @@ class MetricsReport:
     def mean(self) -> dict:
         """Each metric's mean over the items, summed in item order; 0.0 with no items."""
         n = len(self.items)
-        return {name: sum(getattr(i, name) for i in self.items) / n if n else 0.0 for name in METRIC_NAMES}
+        return {name: sum(getattr(i, name) for i in self.items) / n if n else 0.0 for name in METRICS}
 
     def to_json_dict(self) -> dict:
-        items = [{"id": i.item_id, **{name: getattr(i, name) for name in METRIC_NAMES}} for i in self.items]
+        items = [{"id": i.item_id, **{name: getattr(i, name) for name in METRICS}} for i in self.items]
         return {"items": items, "mean": self.mean()}

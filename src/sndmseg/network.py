@@ -89,9 +89,6 @@ class NetParams:
             {k: v.astype(dtype) for k, v in self.buffers.items()},
         )
 
-    def count(self) -> int:
-        return sum(v.size for v in self.values.values())
-
 
 def _module_out_channels(cfg: NetConfig, module: int) -> int:
     if module == 1:
@@ -122,27 +119,28 @@ def _adapter_names(module_from: int, module_to: int, steps: int):
     return [f"{base}.{s}" for s in range(steps)]
 
 
-def init_params(config: NetConfig, seed: int = 0) -> NetParams:
-    """Deterministic fan-in-scaled initialization of all parameters."""
-    cfg = config.validate()
-    rng = seeded_rng(seed)
-    params = NetParams()
+def _declare(cfg: NetConfig) -> list:
+    """Every parameter and buffer as ``(store, name, shape, init)``, in draw order.
+
+    ``store`` is "values" or "buffers"; ``init`` is ``np.zeros``, ``np.ones``
+    or the std of a normal draw. Shapes are tuples, so declaring a network
+    of any size allocates no array.
+    """
+    specs = []
 
     def conv(name, c_out, c_in, k=3, gain=2.0):
-        std = np.sqrt(gain / (c_in * k * k))
-        params.values[f"{name}.weight"] = rng.normal(0.0, std, size=(c_out, c_in, k, k)).astype(np.float32)
-        params.values[f"{name}.bias"] = np.zeros(c_out, dtype=np.float32)
+        specs.append(("values", f"{name}.weight", (c_out, c_in, k, k), np.sqrt(gain / (c_in * k * k))))
+        specs.append(("values", f"{name}.bias", (c_out,), np.zeros))
 
     def deconv(name, c_in, c_out):
-        std = np.sqrt(2.0 / (c_in * 4))
-        params.values[f"{name}.weight"] = rng.normal(0.0, std, size=(c_in, c_out, 2, 2)).astype(np.float32)
-        params.values[f"{name}.bias"] = np.zeros(c_out, dtype=np.float32)
+        specs.append(("values", f"{name}.weight", (c_in, c_out, 2, 2), np.sqrt(2.0 / (c_in * 4))))
+        specs.append(("values", f"{name}.bias", (c_out,), np.zeros))
 
     def bn(name, channels):
-        params.values[f"{name}.gamma"] = np.ones(channels, dtype=np.float32)
-        params.values[f"{name}.beta"] = np.zeros(channels, dtype=np.float32)
-        params.buffers[f"{name}.running_mean"] = np.zeros(channels, dtype=np.float32)
-        params.buffers[f"{name}.running_var"] = np.ones(channels, dtype=np.float32)
+        specs.append(("values", f"{name}.gamma", (channels,), np.ones))
+        specs.append(("values", f"{name}.beta", (channels,), np.zeros))
+        specs.append(("buffers", f"{name}.running_mean", (channels,), np.zeros))
+        specs.append(("buffers", f"{name}.running_var", (channels,), np.ones))
 
     c_prev = 3
     for i, width in enumerate(cfg.widths, start=1):
@@ -166,19 +164,26 @@ def init_params(config: NetConfig, seed: int = 0) -> NetParams:
                 c_in = ADAPTER_CHANNELS
 
     conv("head.conv", 1, _module_in_channels(cfg, cfg.levels + 1), gain=1.0)
+    return specs
+
+
+def init_params(config: NetConfig, seed: int = 0) -> NetParams:
+    """Deterministic fan-in-scaled initialization of all parameters."""
+    cfg = config.validate()
+    rng = seeded_rng(seed)
+    params = NetParams()
+    for store, name, shape, init in _declare(cfg):
+        value = init(shape, dtype=np.float32) if callable(init) else rng.normal(0.0, init, size=shape).astype(np.float32)
+        getattr(params, store)[name] = value
     return params
 
 
 def _as_batch(images, size: int, name: str) -> np.ndarray:
     arr = np.asarray(images)
-    if arr.ndim == 3:
-        arr = arr[None]
-    if arr.ndim != 4 or arr.shape[3] != 3:
-        raise ShapeMismatchError(f"{name} must have shape (B, H, W, 3), got {arr.shape}")
+    if arr.ndim != 4 or arr.shape[3] != 3 or arr.dtype not in (np.float32, np.float64):
+        raise ShapeMismatchError(f"{name} must be a float32 or float64 (B, H, W, 3) batch, got {arr.dtype} {arr.shape}")
     if arr.shape[1] != size or arr.shape[2] != size:
         raise ShapeMismatchError(f"{name} spatial shape {arr.shape[1:3]} != configured {size}x{size}")
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float32)
     return arr
 
 
@@ -412,13 +417,15 @@ def load_net(path: str):
             params.buffers[name[len("buffer:") :]] = value
         else:
             params.values[name] = value
-    expected = init_params(config, seed=0)
-    for kind, got, want in (("parameter", params.values, expected.values), ("buffer", params.buffers, expected.buffers)):
+    expected = {"values": {}, "buffers": {}}  # store -> name -> shape, with nothing drawn
+    for store, name, shape, _ in _declare(config):
+        expected[store][name] = shape
+    for kind, got, want in (("parameter", params.values, expected["values"]), ("buffer", params.buffers, expected["buffers"])):
         missing = set(want) - set(got)
         extra = set(got) - set(want)
         if missing or extra:
             raise CheckpointCorruptError(f"{kind} names do not match config (missing={sorted(missing)[:3]}, extra={sorted(extra)[:3]})")
-        for name, value in want.items():
-            if got[name].shape != value.shape:
+        for name, shape in want.items():
+            if got[name].shape != shape:
                 raise CheckpointCorruptError(f"shape mismatch for {kind} {name}")
     return config, params

@@ -6,8 +6,10 @@ with True marking foreground, a float map is a float32 array of shape
 values in [0, 1].
 
 On disk, masks are binary PGM (P5, written as 0/255, read as foreground
-above maxval/2), images are binary PPM (P6), and float maps use a small
-container: the magic bytes b"SNDM", width and height as 32-bit
+above maxval/2) and images binary PPM (P6). One PNM reader and one writer
+serve both; each public function adds only its pixel conversion. A header
+value has at most 9 digits, and maxval is at most 255. Float maps use a
+small container: the magic bytes b"SNDM", width and height as 32-bit
 little-endian unsigned integers, then width*height 32-bit little-endian
 IEEE-754 floats in row-major order. The reader, like the writer, takes
 only finite values, and no bytes past the last float. Config files and
@@ -113,8 +115,9 @@ def _read_bytes(path: str) -> bytes:
 # PNM (PGM/PPM) parsing
 
 
-def _parse_pnm_header(data: bytes, magic: bytes, path: str):
-    """Return (width, height, maxval, payload_offset) for a binary PNM file."""
+def _read_pnm(path: str, magic: bytes, channels: int):
+    """Return the (H, W, channels) uint8 pixels and the maxval of a binary PNM file."""
+    data = _read_bytes(path)
     if not data.startswith(magic):
         raise MalformedHeaderError(f"{path}: expected {magic.decode()} header")
     pos = len(magic)
@@ -131,8 +134,9 @@ def _parse_pnm_header(data: bytes, magic: bytes, path: str):
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         token = data[start:pos]
-        if not token.isdigit():
-            raise MalformedHeaderError(f"{path}: bad header token {token!r}")
+        # no real size has 10 digits, and int() refuses more than 4300
+        if not token.isdigit() or len(token) > 9:
+            raise MalformedHeaderError(f"{path}: bad header token {token[:16]!r}")
         fields.append(int(token))
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise MalformedHeaderError(f"{path}: missing delimiter after maxval")
@@ -142,49 +146,39 @@ def _parse_pnm_header(data: bytes, magic: bytes, path: str):
         raise MalformedHeaderError(f"{path}: bad dimensions {width}x{height}")
     if not 1 <= maxval <= 255:
         raise MalformedHeaderError(f"{path}: only 8-bit payloads supported, maxval={maxval}")
-    return width, height, maxval, pos
+    expected = width * height * channels
+    payload = data[pos : pos + expected]
+    if len(payload) < expected:
+        raise TruncatedPayloadError(f"{path}: expected {expected} bytes, got {len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels), maxval
+
+
+def _write_pnm(path: str, magic: bytes, pixels: np.ndarray) -> None:
+    """Write (H, W) or (H, W, 3) uint8 pixels as a binary PNM file with maxval 255."""
+    height, width = pixels.shape[:2]
+    _atomic_write(path, magic + f"\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes())
 
 
 def read_mask(path: str) -> np.ndarray:
     """Read a binary PGM (P5) file as a bool mask; values above maxval/2 are foreground."""
-    data = _read_bytes(path)
-    width, height, maxval, offset = _parse_pnm_header(data, b"P5", path)
-    expected = width * height
-    payload = data[offset : offset + expected]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(f"{path}: expected {expected} pixels, got {len(payload)}")
-    gray = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return gray > maxval // 2  # 2 * gray > maxval, without widening the integers
+    gray, maxval = _read_pnm(path, b"P5", 1)
+    return gray[:, :, 0] > maxval // 2  # 2 * gray > maxval, without widening the integers
 
 
 def write_mask(mask, path: str) -> None:
     """Write a bool mask as binary PGM (P5) with foreground=255, background=0."""
-    m = as_mask(mask)
-    height, width = m.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    payload = np.where(m, np.uint8(255), np.uint8(0)).tobytes()
-    _atomic_write(path, header + payload)
+    _write_pnm(path, b"P5", np.where(as_mask(mask), np.uint8(255), np.uint8(0)))
 
 
 def read_image(path: str) -> np.ndarray:
     """Read a binary PPM (P6) file as an (H, W, 3) float32 image in [0, 1]."""
-    data = _read_bytes(path)
-    width, height, maxval, offset = _parse_pnm_header(data, b"P6", path)
-    expected = width * height * 3
-    payload = data[offset : offset + expected]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(f"{path}: expected {expected} bytes, got {len(payload)}")
-    rgb = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    rgb, maxval = _read_pnm(path, b"P6", 3)
     return (rgb.astype(np.float32) / np.float32(maxval)).clip(0.0, 1.0)
 
 
 def write_image(image, path: str) -> None:
     """Write an (H, W, 3) float image in [0, 1] as binary PPM (P6)."""
-    img = as_image(image)
-    height, width, _ = img.shape
-    header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    payload = np.rint(img * 255.0).astype(np.uint8).tobytes()
-    _atomic_write(path, header + payload)
+    _write_pnm(path, b"P6", np.rint(as_image(image) * 255.0).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------

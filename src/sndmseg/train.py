@@ -40,7 +40,7 @@ from .errors import (
 )
 from .losses import LOSSES, LossConfig
 from .metrics import ItemMetrics, MetricsReport
-from .network import NetConfig, NetParams, build_forward, forward_pair, init_params, load_net
+from .network import NetConfig, NetParams, build_forward, forward_pair, init_params
 from .raster import _atomic_write
 from .seeding import seeded_rng
 from .sndm import sndm_encode
@@ -312,11 +312,6 @@ def evaluate(
     return report
 
 
-def evaluate_checkpoint(path: str, records, batch_size: int = 8) -> MetricsReport:
-    net_config, params = load_net(path)
-    return evaluate(params, net_config, records, batch_size=batch_size)
-
-
 # ---------------------------------------------------------------------------
 # ablation harness
 
@@ -325,7 +320,7 @@ ABLATION_VARIANTS = (  # (name, dense connections, loss id); every variant has t
     ("baseline_plus", True, "dice"),
     ("full", True, "iou3d-edge"),
 )
-ABLATION_METRICS = ("precision", "jaccard")  # the table's columns, in order: names from metrics.METRIC_NAMES
+ABLATION_METRICS = ("precision", "jaccard")  # the table's columns, in order: names from metrics.METRICS
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from sndmseg import autodiff as ad
 from sndmseg import cli, synth
 from sndmseg.cli import main
 from sndmseg.losses import LossConfig
@@ -235,6 +237,56 @@ def test_train_eval_cycle(tmp_path, capsys):
     assert len(payload["items"]) == 3
     out = capsys.readouterr().out
     assert "jaccard=" in out
+
+
+def test_eval_line_and_report_bytes_are_pinned(tmp_path, capsys):
+    gen_dataset(100, GenConfig(image_size=16), 2, str(tmp_path / "data"))
+    net = NetConfig(input_size=16, widths=(4, 6), levels=2)
+    save_net(str(tmp_path / "net.ckpt"), net, init_params(net, seed=1))
+    report = tmp_path / "report.json"
+    assert main(["eval", "--ckpt", str(tmp_path / "net.ckpt"), "--data", str(tmp_path / "data"), "--report", str(report)]) == 0
+    assert capsys.readouterr().out == "pairs=2 precision=0.1174 pixel_accuracy=0.2695 jaccard=0.1131\n"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == "b0f8795e2aa01e520e53d6de1d9f81260161699fdb7d0311158adc904ac9382b"
+
+
+def test_eval_of_a_checkpoint_declaring_a_huge_net_is_one_error_line(tmp_path, capsys):
+    gen_dataset(100, GenConfig(image_size=16), 1, str(tmp_path / "data"))
+    path = str(tmp_path / "net.ckpt")
+    save_net(path, NetConfig(), init_params(NetConfig()))
+    header, tensors = ad.load_checkpoint(path)
+    ad.save_checkpoint(path, header.replace("input_size = 64", "input_size = 1048576"), tensors)
+    assert main(["eval", "--ckpt", path, "--data", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: CheckpointCorrupt: [^\n]*\n", err), err
+
+
+def test_edt_of_a_pgm_with_a_5000_digit_width_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "big.pgm"
+    path.write_bytes(b"P5\n" + b"1" * 5000 + b" 1\n255\n\0")
+    assert main(["edt", str(path), "--out", str(tmp_path / "o.map")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: MalformedHeader: [^\n]*bad header token[^\n]*\n", err), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "{data}", "--val", "{data}", "--out", "{missing}/m.ckpt"],
+        ["train", "--data", "{data}", "--val", "{data}", "--out", "{tmp}/m.ckpt", "--history", "{missing}/h.csv"],
+        ["eval", "--ckpt", "{tmp}/net.ckpt", "--data", "{data}", "--report", "{missing}/r.json"],
+        ["ablation", "--runs", "1", "--out", "{missing}/t.json"],
+        ["ablation", "--runs", "1", "--out", "{tmp}"],
+    ],
+)
+def test_bad_output_path_fails_before_any_data(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "load_dataset", lambda directory: pytest.fail("a dataset was read"))
+    monkeypatch.setattr(cli, "load_net", lambda path: pytest.fail("a checkpoint was read"))
+    monkeypatch.setattr(synth, "gen_pair", lambda seed, config: pytest.fail("a pair was generated"))
+    names = {"data": tmp_path / "data", "tmp": tmp_path, "missing": tmp_path / "missing"}
+    assert main([word.format(**names) for word in argv]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: IoFailure: cannot write [^\n]*\n", err), err
+    assert not list(tmp_path.iterdir())
 
 
 def test_train_non_finite_input_is_domain_error(tmp_path, capsys, monkeypatch):

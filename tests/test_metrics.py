@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sndmseg.errors import ShapeMismatchError
-from sndmseg.metrics import MetricsReport, jaccard, pixel_accuracy, precision
+from sndmseg.metrics import METRICS, ItemMetrics, MetricsReport, jaccard, pixel_accuracy, precision
 
 
 def masks_from_lists(seg, gt):
@@ -83,3 +85,17 @@ def test_report_means_and_json():
     assert [item["id"] for item in payload["items"]] == ["x", "y"]
     assert set(payload["mean"]) == {"precision", "pixel_accuracy", "jaccard"}
     assert 0.0 <= payload["mean"]["pixel_accuracy"] <= 1.0
+
+
+def test_metrics_table_item_fields_and_report_keys_share_one_order():
+    assert list(METRICS) == ["precision", "pixel_accuracy", "jaccard"]
+    assert [f.name for f in dataclasses.fields(ItemMetrics)] == ["item_id", *METRICS]
+    seg = np.eye(3, dtype=bool)
+    gt = np.zeros((3, 3), dtype=bool)
+    gt[0] = True
+    report = MetricsReport()
+    item = report.add("x", seg, gt)
+    assert [getattr(item, name) for name in METRICS] == [fn(seg, gt) for fn in METRICS.values()]
+    payload = report.to_json_dict()
+    assert list(payload["items"][0]) == ["id", *METRICS]
+    assert list(payload["mean"]) == list(METRICS)

@@ -100,7 +100,7 @@ def test_parameter_count_matches_shape_walk(dense):
         NetConfig(input_size=16, widths=(4, 6), levels=2, dense_connections=dense),
     ):
         params = init_params(cfg, seed=0)
-        assert params.count() == expected_parameter_count(cfg)
+        assert sum(v.size for v in params.values.values()) == expected_parameter_count(cfg)
 
 
 def test_dense_toggle_keeps_encoder_identical():
@@ -181,6 +181,10 @@ def test_shape_mismatch_errors():
         forward_pair(img_a[:, :8], img_b[:, :8], params, SMALL)
     with pytest.raises(ShapeMismatchError):
         forward_pair(img_a, img_b[:1], params, SMALL)
+    with pytest.raises(ShapeMismatchError, match=r"\(B, H, W, 3\)"):  # one unbatched pair
+        forward_pair(img_a[0], img_b[0], params, SMALL)
+    with pytest.raises(ShapeMismatchError, match="uint8"):  # 0-255 values, not 0-1
+        forward_pair((img_a * 255).astype(np.uint8), (img_b * 255).astype(np.uint8), params, SMALL)
 
 
 def _train_batch(cfg, seed=50):
@@ -379,6 +383,24 @@ def test_checkpoint_rejects_mismatched_names(tmp_path):
         except CheckpointCorruptError:
             continue
         pytest.fail(f"{name}: damaged checkpoint loaded")
+
+
+@pytest.mark.parametrize("input_size", [4096, 1048576])
+def test_load_net_checks_shapes_without_building_the_declared_net(tmp_path, input_size):
+    path = str(tmp_path / "net.ckpt")
+    save_net(path, NetConfig(), init_params(NetConfig()))
+    header, tensors = ad.load_checkpoint(path)
+    assert "input_size = 64\n" in header
+    ad.save_checkpoint(path, header.replace("input_size = 64", f"input_size = {input_size}"), tensors)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointCorruptError, match="dec1.conv.weight"):
+            load_net(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the declared dec1 weight alone is 604 MB at 4096
+    assert peak < 20e6, peak
 
 
 def test_grad_check_net_small():

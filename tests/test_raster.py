@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -181,6 +182,27 @@ def test_float_map_reader_refuses_what_the_writer_refuses(tmp_path, bad):
 def test_write_to_missing_directory_fails(tmp_path):
     with pytest.raises(IoFailureError):
         write_float_map(np.zeros((2, 2), dtype=np.float32), str(tmp_path / "no" / "dir" / "m.sndmf"))
+
+
+def test_pnm_writer_bytes_are_pinned(tmp_path):
+    mask = np.arange(5 * 7).reshape(5, 7) % 3 == 0
+    image = (np.arange(4 * 5 * 3).reshape(4, 5, 3) / 59.0).astype(np.float32)
+    write_mask(mask, str(tmp_path / "m.pgm"))
+    write_image(image, str(tmp_path / "i.ppm"))
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("m.pgm", "i.ppm")}
+    assert digest == {
+        "m.pgm": "8794a78323e65276faa736739547ddc1e10a4a9d9e6a52c87f16967151993178",
+        "i.ppm": "2f663a1efa49438ed0358343207506232a6201b7418e76f77c29000bb3f3cf09",
+    }
+
+
+@pytest.mark.parametrize("digits", [10, 5000])  # int() refuses more than 4300 digits
+@pytest.mark.parametrize("magic, reader", [(b"P5", read_mask), (b"P6", read_image)])
+def test_overlong_pnm_dimension_is_malformed_header(tmp_path, magic, reader, digits):
+    path = tmp_path / "big.pnm"
+    path.write_bytes(magic + b"\n" + b"1" * digits + b" 1\n255\n\0")
+    with pytest.raises(MalformedHeaderError, match="bad header token"):
+        reader(str(path))
 
 
 def test_image_round_trip_quantized(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -333,6 +334,22 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(
         forward_pair(img_a, img_b, params, cfg)[0], forward_pair(img_a, img_b, params2, cfg2)[0]
     )
+
+
+# save_net(path, cfg, init_params(cfg, seed=0)): (file size, sha256) of the written checkpoint
+CHECKPOINT_PINS = [
+    (NetConfig(), 964529, "d7ec141f305cce69c99d23de81c80788a5244eef265ae5b64c001f27a2942b76"),
+    (NetConfig(dense_connections=False), 875461, "53dbefda0e0f5d0e7ba49e37dbf4e6b8a7c3f231c6c9d82791e31fd858bd3995"),
+    (SMALL, 27000, "cbe752677d0450a08e75bb57bf560892ef1e8cdfa8101e4284c84fe4ca87d52f"),
+]
+
+
+@pytest.mark.parametrize("cfg, size, digest", CHECKPOINT_PINS)
+def test_save_net_bytes_are_pinned(tmp_path, cfg, size, digest):
+    path = tmp_path / "net.ckpt"
+    save_net(str(path), cfg, init_params(cfg, seed=0))
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 @st.composite

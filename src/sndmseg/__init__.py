@@ -24,7 +24,6 @@ from .network import (
     NetConfig,
     NetParams,
     forward_pair,
-    grad_check_net,
     init_params,
     load_net,
     save_net,
@@ -48,6 +47,7 @@ from .train import (
     ablation,
     adam_step,
     evaluate,
+    grad_check_net,
     reference_config,
 )
 

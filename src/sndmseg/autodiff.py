@@ -44,26 +44,14 @@ pass runs at all.
 
 Training runs in float32; feed float64 arrays when checking gradients,
 since 32-bit noise masks real defects.
-
-The module also owns the checkpoint container: magic b"CKPT", a version,
-a key=value text header, then named float32 tensors.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from .errors import (
-    CheckpointCorruptError,
-    NoForwardPassError,
-    ShapeMismatchError,
-)
-from .raster import _atomic_write, _read_bytes
+from .errors import NoForwardPassError, ShapeMismatchError
 
-CHECKPOINT_MAGIC = b"CKPT"
-CHECKPOINT_VERSION = 1
 BN_MOMENTUM = 0.9  # running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch
 BN_EPS = 1e-5
 
@@ -346,8 +334,6 @@ def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
     def backward(g):
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2, 3)))
-        if not (weight.requires_grad or any(p.requires_grad for p in pieces)):
-            return
         gf = g.reshape(batch, n)
         # laid[b, k, q] = g at the output that reads input q through tap k
         laid = np.zeros((batch, 9, n), dtype=g.dtype)
@@ -412,6 +398,8 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     computes one output phase at a time into a reused block, so no GEMM
     output four times the block's size is held.
     """
+    if x.data.ndim != 4:
+        raise ShapeMismatchError(f"conv_transpose2d input must be (B, C, H, W), got {x.data.shape}")
     batch, channels, height, width = x.data.shape
     c_in, c_out, kh, kw = weight.data.shape
     if c_in != channels or (kh, kw) != (2, 2):
@@ -451,6 +439,8 @@ def max_pool2(x: Tensor) -> Tensor:
     The argmax index that routes the gradient is built only when ``x``
     requires a gradient; a forward-only pass makes just the max.
     """
+    if x.data.ndim != 4:
+        raise ShapeMismatchError(f"max_pool2 input must be (B, C, H, W), got {x.data.shape}")
     batch, channels, height, width = x.data.shape
     if height % 2 or width % 2:
         raise ShapeMismatchError(f"max_pool2 needs even spatial dims, got {height}x{width}")
@@ -572,65 +562,6 @@ def map_loss(pred: Tensor, targets: np.ndarray, loss_fn, cfg) -> Tensor:
     return _node(value, (pred,), backward)
 
 
-# ---------------------------------------------------------------------------
-# checkpoint container
-
-
-def save_checkpoint(path: str, header_text: str, tensors: dict) -> None:
-    """Write named float32 tensors plus a key=value text header."""
-    header = header_text.encode("utf-8")
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(header)), header]
-    chunks.append(struct.pack("<I", len(tensors)))
-    for name, value in tensors.items():
-        arr = np.asarray(value, dtype="<f4")  # keeps a 0-d tensor 0-d; tobytes() is row-major
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    _atomic_write(path, b"".join(chunks))
-
-
-def load_checkpoint(path: str):
-    """Read a checkpoint; returns (header_text, {name: float32 array})."""
-    data = _read_bytes(path)
-    try:
-        if data[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointCorruptError(f"{path}: bad magic")
-        version, header_len = struct.unpack("<II", data[4:12])
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointCorruptError(f"{path}: unsupported version {version}")
-        pos = 12
-        header_text = data[pos : pos + header_len].decode("utf-8")
-        pos += header_len
-        (count,) = struct.unpack("<I", data[pos : pos + 4])
-        pos += 4
-        tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", data[pos : pos + 4])
-            pos += 4
-            name = data[pos : pos + name_len].decode("utf-8")
-            pos += name_len
-            (ndim,) = struct.unpack("<I", data[pos : pos + 4])
-            pos += 4
-            shape = struct.unpack(f"<{ndim}I", data[pos : pos + 4 * ndim])
-            pos += 4 * ndim
-            size = int(np.prod(shape, dtype=np.int64))  # 1 for a 0-d tensor, 0 for an empty one
-            flat = np.frombuffer(data[pos : pos + 4 * size], dtype="<f4")
-            if flat.size != size:
-                raise CheckpointCorruptError(f"{path}: truncated tensor {name!r}")
-            pos += 4 * size
-            tensors[name] = flat.reshape(shape).astype(np.float32)
-        if pos != len(data):
-            raise CheckpointCorruptError(f"{path}: {len(data) - pos} trailing bytes after the last tensor")
-        return header_text, tensors
-    except CheckpointCorruptError:
-        raise
-    except (struct.error, UnicodeDecodeError, ValueError, IndexError) as exc:
-        raise CheckpointCorruptError(f"{path}: {exc}") from exc
-
-
 __all__ = [
     "Tensor",
     "relu",
@@ -648,6 +579,4 @@ __all__ = [
     "batch_norm",
     "fold_batch_norm",
     "map_loss",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

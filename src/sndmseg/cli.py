@@ -38,7 +38,7 @@ import numpy as np
 from .distance import edt, edt_squared, edt_squared_brute
 from .errors import InvalidConfigError, IoFailureError, OracleMismatchError, SndmError
 from .losses import LOSSES, LossConfig, grad_check_loss
-from .network import NetConfig, grad_check_net, load_net, save_net
+from .network import NetConfig, load_net, save_net
 from .raster import _read_bytes, parse_key_values, read_float_map, read_mask, write_float_map, write_mask
 from .sndm import sndm_decode, sndm_encode
 from .synth import GenConfig, gen_dataset, load_dataset
@@ -48,6 +48,7 @@ from .train import (
     TrainConfig,
     ablation,
     evaluate,
+    grad_check_net,
     reference_config,
     train,
     write_history_csv,

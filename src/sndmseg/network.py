@@ -22,10 +22,23 @@ swaps the two outputs exactly. They run as one joint batch from the input
 to the prediction: branch A in items [0, B), branch B in items [B, 2B).
 Training takes one loss over that joint prediction, the mean over both
 branches; only the correlation block and :func:`forward_pair` split it.
+
+A checkpoint (:func:`save_net`, :func:`load_net`) is the magic b"CKPT",
+then the format version 1 and the header's byte length as 32-bit
+little-endian unsigned integers, the UTF-8 ``key = value`` header of the
+:class:`NetConfig`, and the tensor count. Each tensor follows as the byte
+length and UTF-8 bytes of its name, its ndim, its shape (all 32-bit
+little-endian unsigned) and its row-major little-endian float32 payload.
+The parameter values come first and the batch-norm buffers, named with
+the prefix ``buffer:``, second, each in ``_declare`` order; :func:`load_net`
+takes the records in any order, but each declared tensor exactly once.
 """
 
 from __future__ import annotations
 
+import io
+import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +50,12 @@ from .errors import (
     InvalidConfigError,
     ShapeMismatchError,
 )
-from .raster import parse_key_values
+from .raster import _atomic_write, _read_bytes, parse_key_values
 from .seeding import seeded_rng
 
 ADAPTER_CHANNELS = 16  # width of every dense-connection resolution adapter
+CHECKPOINT_MAGIC = b"CKPT"
+CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -98,8 +113,7 @@ def _module_out_channels(cfg: NetConfig, module: int) -> int:
 
 
 def _module_sources(cfg: NetConfig, module: int) -> list:
-    if module == 1:
-        return []
+    """Earlier decoder modules feeding module ``module`` >= 2 through adapters."""
     if cfg.dense_connections:
         return list(range(1, module))
     return [module - 1]
@@ -291,100 +305,15 @@ def correlation(joint: ad.Tensor) -> ad.Tensor:
     return ad.reshape(ad.matmul(ad.transpose(other, (0, 2, 1)), flat), (items, hw, height, width))
 
 
-def grad_check_net(trials: int = 20, seed: int = 0) -> float:
-    """Finite-difference check of the full network + loss gradient.
-
-    Runs a small dense configuration in float64, train-mode batch norm and
-    the correlation block included, with one loss over the joint
-    prediction of both branches as in training. It perturbs ``trials``
-    randomly chosen parameter entries by a central difference of step
-    1e-6 and returns the worst error relative to max(|analytic|,
-    |numeric|, 1e-3); a non-finite error makes the result NaN or inf.
-    Every probe runs on its own clone of the parameters; train mode never
-    reads the running buffers it updates.
-
-    The penalized edge loss is discontinuous where a predicted pixel
-    changes sign or crosses its label, so — as in the loss-level check —
-    pixels within 1e-2 of those sets (at the unperturbed parameters) are
-    masked out of the checked loss: their label is set to 0, which gives
-    them edge weight sqrt(|0|) = 0. The mask is frozen data, keeping the
-    function identical across the +/-h evaluations.
-    """
-    from .losses import LossConfig, loss_iou3d_edge
-    from .sndm import sndm_encode
-    from .synth import GenConfig, gen_pair
-
-    if trials < 1:
-        raise InvalidConfigError(f"trials must be >= 1, got {trials}")
-    cfg = NetConfig(input_size=16, widths=(4, 6), levels=2)
-    step = 1e-6
-    rng = seeded_rng(seed)
-    params = init_params(cfg, seed=seed).astype(np.float64)
-    loss_cfg = LossConfig()
-
-    samples = [gen_pair(int(rng.integers(1 << 30)), GenConfig(image_size=cfg.input_size)) for _ in range(2)]
-    img_a = np.stack([s.img_a for s in samples]).astype(np.float64)
-    img_b = np.stack([s.img_b for s in samples]).astype(np.float64)
-    # joint targets in the prediction's item order: the A maps, then the B maps
-    gt = np.stack([sndm_encode(s.mask_a) for s in samples] + [sndm_encode(s.mask_b) for s in samples]).astype(np.float64)
-
-    base, _ = build_forward(img_a, img_b, params, cfg, mode="train")
-    p0 = base.data[:, 0]
-    safe = (np.abs(p0) > 1e-2) & (np.abs(p0 - gt) > 1e-2)
-    gt = np.where(safe, gt, 0.0)
-
-    def loss_value(p: NetParams):
-        pred, pt = build_forward(img_a, img_b, p, cfg, mode="train")
-        return ad.map_loss(pred, gt, loss_iou3d_edge, loss_cfg), pt
-
-    loss, pt = loss_value(params)
-    loss.backward()
-    analytic = {name: tensor.grad for name, tensor in pt.items()}
-
-    def central(name, idx, h):
-        plus = params.clone()
-        plus.values[name][idx] += h
-        minus = params.clone()
-        minus.values[name][idx] -= h
-        n_plus, _ = loss_value(plus)
-        n_minus, _ = loss_value(minus)
-        return (float(n_plus.data) - float(n_minus.data)) / (2.0 * h)
-
-    names = sorted(params.values)
-    worst = 0.0
-    checked = 0
-    attempts = 0
-    while checked < trials and attempts < 4 * trials:
-        attempts += 1
-        name = names[int(rng.integers(len(names)))]
-        flat = int(rng.integers(params.values[name].size))
-        idx = np.unravel_index(flat, params.values[name].shape)
-        numeric = central(name, idx, step)
-        refined = central(name, idx, step / 4.0)
-        # relu/max kinks inside the difference window invalidate the
-        # estimate; step-halving inconsistency detects them, and such
-        # points are resampled just like the loss check's avoid-sets
-        if abs(numeric - refined) > 1e-4 * max(abs(numeric), abs(refined), 1e-3):
-            continue
-        checked += 1
-        a = float(analytic[name][idx])
-        worst = float(np.maximum(worst, abs(a - refined) / max(abs(a), abs(refined), 1e-3)))  # NaN sticks
-    return worst
-
-
 # ---------------------------------------------------------------------------
-# checkpoint glue
+# checkpoint
 
 
 def config_to_header(config: NetConfig) -> str:
-    return "".join(
-        f"{key} = {value}\n"
-        for key, value in (
-            ("input_size", config.input_size),
-            ("widths", ",".join(str(w) for w in config.widths)),
-            ("levels", config.levels),
-            ("dense_connections", int(config.dense_connections)),
-        )
+    widths = ",".join(str(w) for w in config.widths)
+    return (
+        f"input_size = {config.input_size}\nwidths = {widths}\n"
+        f"levels = {config.levels}\ndense_connections = {int(config.dense_connections)}\n"
     )
 
 
@@ -403,29 +332,61 @@ def config_from_header(text: str) -> NetConfig:
 
 
 def save_net(path: str, config: NetConfig, params: NetParams) -> None:
-    tensors = dict(params.values)
-    tensors.update({f"buffer:{k}": v for k, v in params.buffers.items()})
-    ad.save_checkpoint(path, config_to_header(config), tensors)
+    """Write ``config`` and ``params`` in the checkpoint layout of the module docstring."""
+    header = config_to_header(config).encode("utf-8")
+    tensors = [*params.values.items(), *((f"buffer:{name}", value) for name, value in params.buffers.items())]
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(header)), header, struct.pack("<I", len(tensors))]
+    for name, value in tensors:
+        arr = np.asarray(value, dtype="<f4")  # tobytes() is row-major
+        encoded = name.encode("utf-8")
+        chunks += [struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape), arr.tobytes()]
+    _atomic_write(path, b"".join(chunks))
 
 
 def load_net(path: str):
-    header, tensors = ad.load_checkpoint(path)
-    config = config_from_header(header)
-    params = NetParams()
-    for name, value in tensors.items():
-        if name.startswith("buffer:"):
-            params.buffers[name[len("buffer:") :]] = value
-        else:
-            params.values[name] = value
-    expected = {"values": {}, "buffers": {}}  # store -> name -> shape, with nothing drawn
-    for store, name, shape, _ in _declare(config):
-        expected[store][name] = shape
-    for kind, got, want in (("parameter", params.values, expected["values"]), ("buffer", params.buffers, expected["buffers"])):
-        missing = set(want) - set(got)
-        extra = set(got) - set(want)
-        if missing or extra:
-            raise CheckpointCorruptError(f"{kind} names do not match config (missing={sorted(missing)[:3]}, extra={sorted(extra)[:3]})")
-        for name, shape in want.items():
-            if got[name].shape != shape:
-                raise CheckpointCorruptError(f"shape mismatch for {kind} {name}")
+    """Read a checkpoint into ``(config, params)`` in one pass.
+
+    Each tensor record is checked against the header config's ``_declare``
+    layout before its payload is copied, so an undeclared, repeated or
+    mis-shaped tensor fails at its own record, and a huge declared network
+    allocates nothing.
+    """
+    stream = io.BytesIO(_read_bytes(path))
+
+    def take(size: int) -> bytes:
+        chunk = stream.read(size)
+        if len(chunk) != size:
+            raise CheckpointCorruptError(f"{path}: truncated after byte {stream.tell()}")
+        return chunk
+
+    def uints(count: int) -> tuple:
+        return struct.unpack(f"<{count}I", take(4 * count))
+
+    try:
+        if take(8) != CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION):
+            raise CheckpointCorruptError(f"{path}: not a version {CHECKPOINT_VERSION} checkpoint (bad magic or version)")
+        (header_len,) = uints(1)
+        config = config_from_header(take(header_len).decode("utf-8"))
+        # file name -> (store, name, declared shape); each tensor record pops its entry
+        pending = {name if store == "values" else f"buffer:{name}": (store, name, shape) for store, name, shape, _ in _declare(config)}
+        params = NetParams()
+        (count,) = uints(1)
+        for _ in range(count):
+            (name_len,) = uints(1)
+            key = take(name_len).decode("utf-8")
+            (ndim,) = uints(1)
+            shape = uints(ndim)
+            if key not in pending:
+                raise CheckpointCorruptError(f"{path}: tensor {key!r} is repeated or not declared by the header")
+            store, name, declared = pending.pop(key)
+            if shape != declared:
+                raise CheckpointCorruptError(f"{path}: tensor {key!r} has shape {shape}, header declares {declared}")
+            payload = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
+            getattr(params, store)[name] = payload.reshape(shape).astype(np.float32)
+    except UnicodeDecodeError as exc:
+        raise CheckpointCorruptError(f"{path}: {exc}") from exc
+    if pending:
+        raise CheckpointCorruptError(f"{path}: missing tensors {sorted(pending)[:3]}")
+    if stream.read(1):
+        raise CheckpointCorruptError(f"{path}: trailing bytes after the last tensor")
     return config, params

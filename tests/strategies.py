@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sndmseg.autodiff as ad
+from sndmseg import network
 from sndmseg.losses import LossReport
 
 
@@ -51,3 +52,15 @@ def weighted_sum(y, mult=1.0):
 def weighted_total(scalars, weights):
     """sum(w * s) over scalar nodes, joined by a concat of their (1, 1) reshapes in the given order."""
     return weighted_sum(ad.concat([ad.reshape(s, (1, 1)) for s in scalars]), weights)
+
+
+def save_with_lying_header(monkeypatch, path, input_size):
+    """The default network's checkpoint, written by the real ``save_net`` under a header that declares ``input_size``."""
+    honest = network.config_to_header
+
+    def lying(config):
+        return honest(config).replace("input_size = 64\n", f"input_size = {input_size}\n")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(network, "config_to_header", lying)
+        network.save_net(path, network.NetConfig(), network.init_params(network.NetConfig()))

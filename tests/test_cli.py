@@ -11,7 +11,6 @@ import sys
 import numpy as np
 import pytest
 
-from sndmseg import autodiff as ad
 from sndmseg import cli, synth
 from sndmseg.cli import main
 from sndmseg.losses import LossConfig
@@ -20,6 +19,7 @@ from sndmseg.raster import read_float_map, read_mask, write_float_map, write_mas
 from sndmseg.sndm import sndm_encode
 from sndmseg.synth import gen_dataset, GenConfig, load_dataset
 from sndmseg.train import AblationConfig, TrainConfig, ablation, reference_config
+from strategies import save_with_lying_header
 
 
 @pytest.fixture
@@ -249,12 +249,10 @@ def test_eval_line_and_report_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == "b0f8795e2aa01e520e53d6de1d9f81260161699fdb7d0311158adc904ac9382b"
 
 
-def test_eval_of_a_checkpoint_declaring_a_huge_net_is_one_error_line(tmp_path, capsys):
+def test_eval_of_a_checkpoint_declaring_a_huge_net_is_one_error_line(tmp_path, monkeypatch, capsys):
     gen_dataset(100, GenConfig(image_size=16), 1, str(tmp_path / "data"))
     path = str(tmp_path / "net.ckpt")
-    save_net(path, NetConfig(), init_params(NetConfig()))
-    header, tensors = ad.load_checkpoint(path)
-    ad.save_checkpoint(path, header.replace("input_size = 64", "input_size = 1048576"), tensors)
+    save_with_lying_header(monkeypatch, path, 1048576)
     assert main(["eval", "--ckpt", path, "--data", str(tmp_path / "data")]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: CheckpointCorrupt: [^\n]*\n", err), err

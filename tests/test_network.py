@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sndmseg import autodiff as ad
+from sndmseg import network
 from sndmseg.errors import (
     BatchTooSmallError,
     CheckpointCorruptError,
@@ -22,13 +23,13 @@ from sndmseg.network import (
     config_to_header,
     correlation,
     forward_pair,
-    grad_check_net,
     init_params,
     load_net,
     save_net,
 )
 from sndmseg.synth import GenConfig, gen_pair
-from strategies import weighted_sum, weighted_total
+from sndmseg.train import grad_check_net
+from strategies import save_with_lying_header, weighted_sum, weighted_total
 
 SMALL = NetConfig(input_size=16, widths=(4, 6), levels=2)
 
@@ -353,11 +354,11 @@ def test_save_net_bytes_are_pinned(tmp_path, cfg, size, digest):
 
 
 @st.composite
-def net_configs(draw):
-    levels = draw(st.integers(1, 4))
+def net_configs(draw, max_levels=4, max_scale=16, max_width=512):
+    levels = draw(st.integers(1, max_levels))
     return NetConfig(
-        input_size=draw(st.integers(1, 16)) * 2**levels,
-        widths=tuple(draw(st.lists(st.integers(1, 512), min_size=levels, max_size=levels))),
+        input_size=draw(st.integers(1, max_scale)) * 2**levels,
+        widths=tuple(draw(st.lists(st.integers(1, max_width), min_size=levels, max_size=levels))),
         levels=levels,
         dense_connections=draw(st.booleans()),
     )
@@ -402,13 +403,102 @@ def test_checkpoint_rejects_mismatched_names(tmp_path):
         pytest.fail(f"{name}: damaged checkpoint loaded")
 
 
+@pytest.fixture(scope="module")
+def round_trip_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("round_trip") / "net.ckpt")
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=net_configs(max_levels=3, max_scale=2, max_width=8), bits_seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip_is_bit_exact(round_trip_path, config, bits_seed):
+    # every float32 bit pattern, NaN payloads, infinities and subnormals included, comes back unchanged
+    rng = np.random.Generator(np.random.Philox(bits_seed))
+    params = init_params(config)
+    for store in (params.values, params.buffers):
+        for name, value in store.items():
+            store[name] = rng.integers(0, 2**32, size=value.shape, dtype=np.uint32).view(np.float32)
+    save_net(round_trip_path, config, params)
+    config_back, back = load_net(round_trip_path)
+    assert config_back == config
+    for store, store_back in ((params.values, back.values), (params.buffers, back.buffers)):
+        assert list(store_back) == list(store)
+        for name, value in store.items():
+            assert store_back[name].dtype == np.float32 and store_back[name].flags.writeable, name
+            assert np.array_equal(store_back[name].view(np.uint32), value.view(np.uint32)), name
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A scratch checkpoint path plus the bytes of the 16 px network's checkpoint."""
+    path = tmp_path_factory.mktemp("small") / "net.ckpt"
+    save_net(str(path), SMALL, init_params(SMALL, seed=9))
+    return path, path.read_bytes()
+
+
+def test_checkpoint_corruption(small_checkpoint):
+    path, valid = small_checkpoint
+    damaged = {
+        "bad magic": b"NOPE" + valid[4:],
+        "unsupported version": valid[:4] + (2).to_bytes(4, "little") + valid[8:],
+        "truncated": valid[:-8],
+        "trailing bytes": valid + b"junk",
+        "empty": b"",
+    }
+    for name, data in damaged.items():
+        path.write_bytes(data)
+        try:
+            load_net(str(path))
+        except CheckpointCorruptError:
+            continue
+        pytest.fail(f"{name}: damaged checkpoint loaded")
+
+
+def test_checkpoint_with_a_repeated_tensor_is_corrupt(small_checkpoint):
+    path, valid = small_checkpoint
+    header_len = int.from_bytes(valid[8:12], "little")
+    count_at = 12 + header_len
+    count = int.from_bytes(valid[count_at : count_at + 4], "little")
+    # the first record is enc1.conv1.weight: name length, name, ndim, shape, float32 payload
+    name = b"enc1.conv1.weight"
+    first = count_at + 4
+    assert valid[first + 4 : first + 4 + len(name)] == name
+    shape = init_params(SMALL).values["enc1.conv1.weight"].shape
+    record = valid[first : first + 4 + len(name) + 4 + 4 * len(shape) + 4 * int(np.prod(shape))]
+    repeated = valid[:count_at] + (count + 1).to_bytes(4, "little") + valid[count_at + 4 :] + record
+    path.write_bytes(repeated)
+    with pytest.raises(CheckpointCorruptError, match="enc1.conv1.weight"):
+        load_net(str(path))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(("noise", "after-magic", "mutated")),
+    noise=st.binary(max_size=256),
+    at=st.integers(0, 2**20),
+    byte=st.integers(0, 255),
+    cut=st.integers(0, 2**20),
+)
+def test_load_net_parses_or_raises_checkpoint_corrupt(small_checkpoint, kind, noise, at, byte, cut):
+    path, valid = small_checkpoint
+    if kind == "noise":
+        data = noise
+    elif kind == "after-magic":
+        data = valid[:8] + noise
+    else:  # the valid checkpoint with one byte set and a random cut
+        mutated = bytearray(valid)
+        mutated[at % len(mutated)] = byte
+        data = bytes(mutated[: cut % (len(mutated) + 1)])
+    path.write_bytes(data)
+    try:
+        load_net(str(path))
+    except CheckpointCorruptError:
+        pass
+
+
 @pytest.mark.parametrize("input_size", [4096, 1048576])
-def test_load_net_checks_shapes_without_building_the_declared_net(tmp_path, input_size):
+def test_load_net_checks_shapes_without_building_the_declared_net(tmp_path, monkeypatch, input_size):
     path = str(tmp_path / "net.ckpt")
-    save_net(path, NetConfig(), init_params(NetConfig()))
-    header, tensors = ad.load_checkpoint(path)
-    assert "input_size = 64\n" in header
-    ad.save_checkpoint(path, header.replace("input_size = 64", f"input_size = {input_size}"), tensors)
+    save_with_lying_header(monkeypatch, path, input_size)
     tracemalloc.start()
     try:
         with pytest.raises(CheckpointCorruptError, match="dec1.conv.weight"):
@@ -430,7 +520,7 @@ def test_grad_check_net_fails_on_non_finite_loss(monkeypatch):
     def nan_loss(pred, gt, weigh, cfg):
         return sndmseg.losses.LossReport(np.nan, np.full(np.shape(pred), np.nan))
 
-    # grad_check_net imports the weighted loss when it runs, so the patch reaches it
+    # the edge loss looks up loss_iou3d_weighted in its module's globals, so the patch reaches it
     monkeypatch.setattr(sndmseg.losses, "loss_iou3d_weighted", nan_loss)
     assert np.isnan(grad_check_net(trials=2, seed=1))
 

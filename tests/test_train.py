@@ -125,6 +125,21 @@ def test_train_rejects_a_bad_loss_config_before_any_work(monkeypatch):
         train(train_set, val_set, TINY_NET, TrainConfig(max_epochs=1, batch_size=2), loss_config=LossConfig(lam=0.5))
 
 
+def test_trailing_one_pair_batch_is_skipped(monkeypatch):
+    steps = []
+
+    def counting_adam_step(*args, **kwargs):
+        steps.append(1)
+        return adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "adam_step", counting_adam_step)
+    # 5 pairs in batches of 4: each epoch steps on one batch of 4 and skips the last pair
+    result = train(*tiny_sets(5, 2), TINY_NET, TrainConfig(max_epochs=3, batch_size=4, seed=2))
+    assert len(steps) == 3
+    assert len(result.history) == 3
+    assert all(np.isfinite([h.train_loss, h.val_loss]).all() for h in result.history)
+
+
 def test_package_attribute_train_is_the_module():
     assert sndmseg.train is train_module and "train" not in sndmseg.__all__
     assert train_module.train is train

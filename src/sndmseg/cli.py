@@ -11,14 +11,15 @@ missing one is ``MissingFile``, a directory or an unreadable file
 ``IoFailure``. Flags win over file values; an option set by neither
 keeps the default of the class or function that owns it. Every loss
 trains the same network, whose tanh head regresses the SNDM; ``gradcheck
---target net`` takes neither ``--loss`` nor ``--lam``. Every value is
-validated before any work starts; ``ablation`` checks its set sizes and
-every job's configs before it generates a dataset or starts a worker.
-Each output that a long command writes last (``train --out``/``--history``,
-``eval --report``, ``ablation --out``) must name a file path in an
-existing directory before any data is read. ``eval`` prints one
-``name=value`` per entry of ``metrics.METRICS``, in its order.
-Domain failures exit 1 with a single machine-parseable line
+--target net`` takes neither ``--loss`` nor ``--lam``. Every config
+checks its values when it is built from the flags and the file, so a bad
+value fails before any work starts; ``ablation`` builds every job's
+configs before it generates a dataset or starts a worker. Each output
+that a long command writes last (``train --out``/``--history``, ``eval
+--report``, ``ablation --out``) must name a file path in an existing
+directory, and no two outputs may name the same file, before any data is
+read. ``eval`` prints one ``name=value`` per entry of ``metrics.METRICS``,
+in its order. Domain failures exit 1 with a single machine-parseable line
 ``error: <code>: <detail>``; usage problems exit 2.
 
 The environment variable SNDM_THREADS caps worker processes for the
@@ -103,10 +104,13 @@ def _name_of(table: dict, value) -> str:
 
 
 def _check_out_dirs(*paths) -> None:
-    """Fail before any work when an output path is a directory or its directory does not exist."""
-    for path in paths:
-        if path is not None and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+    """Fail before any work when an output path is a directory, its directory does not exist, or two outputs name one file."""
+    given = [path for path in paths if path is not None]
+    for path in given:
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise IoFailureError(f"cannot write {path}: not a file path in an existing directory")
+    if len({os.path.realpath(path) for path in given}) < len(given):
+        raise InvalidConfigError(f"outputs {', '.join(given)} name the same file")
 
 
 def _widths(text: str) -> tuple:
@@ -121,7 +125,7 @@ def _widths(text: str) -> tuple:
 
 
 def _cmd_gen_data(args) -> int:
-    config = replace(GenConfig(), **_given(args, image_size="size")).validate()
+    config = replace(GenConfig(), **_given(args, image_size="size"))
     rows = gen_dataset(args.seed or 0, config, args.pairs, args.out)
     print(f"wrote {len(rows)} pairs to {args.out}")
     return 0
@@ -157,13 +161,13 @@ def _cmd_train(args) -> int:
         net["levels"] = len(args.widths)
     if args.arch is not None:
         net["dense_connections"] = ARCHS[args.arch]
-    net_config = replace(NetConfig(), **net).validate()
+    net_config = replace(NetConfig(), **net)
     train_cfg = replace(
         reference_config() if args.preset == "reference" else TrainConfig(),
         **_given(args, batch_size="batch_size", lr="lr", weight_decay="weight_decay", plateau_patience="patience"),
         **_given(args, lr_factor="lr_factor", max_epochs="epochs", loss_id="loss", seed="seed"),
-    ).validate()
-    loss_cfg = replace(LossConfig(), **_given(args, lam="lam", epsilon="epsilon")).validate()
+    )
+    loss_cfg = replace(LossConfig(), **_given(args, lam="lam", epsilon="epsilon"))
     history_path = args.history or args.out + ".history.csv"
     _check_out_dirs(args.out, history_path)
     train_set = load_dataset(args.data)
@@ -194,7 +198,7 @@ def _cmd_gradcheck(args) -> int:
     given = _given(args, trials="trials", seed="seed")
     if target == "loss":
         loss_id = args.loss or TrainConfig.loss_id
-        cfg = replace(LossConfig(), **_given(args, lam="lam")).validate()
+        cfg = replace(LossConfig(), **_given(args, lam="lam"))
         worst = grad_check_loss(loss_id, cfg=cfg, **given)
         label = f"loss {loss_id}"
     elif args.loss is not None or args.lam is not None:

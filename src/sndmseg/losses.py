@@ -49,15 +49,11 @@ class LossConfig:
     lam: float = 5.0
     epsilon: float = 1e-8
 
-    def validate(self) -> "LossConfig":
+    def __post_init__(self):
         if not 1.0 <= self.lam < np.inf:
             raise InvalidConfigError(f"lam must be finite and >= 1, got {self.lam}")
         if not 0.0 < self.epsilon <= 1e-4:
             raise InvalidConfigError(f"epsilon must be in (0, 1e-4], got {self.epsilon}")
-        return self
-
-
-DEFAULT_CONFIG = LossConfig()
 
 
 @dataclass
@@ -74,12 +70,12 @@ def _check_shapes(pred, gt):
     return p, g
 
 
-def penalty_factor(pred, gt, cfg: LossConfig = DEFAULT_CONFIG):
+def penalty_factor(pred, gt, cfg: LossConfig = LossConfig()):
     """Per pixel: 1 where prediction and label agree in sign, cfg.lam elsewhere."""
     return np.where(pred * gt > 0.0, 1.0, cfg.lam)
 
 
-def edge_weights(pred, gt, cfg: LossConfig = DEFAULT_CONFIG):
+def edge_weights(pred, gt, cfg: LossConfig = LossConfig()):
     """Penalty factors times sqrt(|label|), which peaks at the object contour."""
     return penalty_factor(pred, gt, cfg) * np.sqrt(np.abs(gt))
 
@@ -88,7 +84,7 @@ def _unit_weights(pred, gt, cfg):
     return np.ones_like(gt)
 
 
-def loss_dice(pred, gt, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
+def loss_dice(pred, gt, cfg: LossConfig = LossConfig()) -> LossReport:
     """Soft Dice loss 1 - 2*sum(p*g) / (sum(p) + sum(g) + eps) with gradient.
 
     p = (pred + 1) / 2 maps the signed prediction to a probability and
@@ -104,7 +100,7 @@ def loss_dice(pred, gt, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
     return LossReport(float(value), grad)
 
 
-def loss_iou3d_weighted(pred, gt, weigh, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
+def loss_iou3d_weighted(pred, gt, weigh, cfg: LossConfig = LossConfig()) -> LossReport:
     """3D IOU loss with per-pixel gates ``weigh(p, g, cfg)``, which carry no gradient.
 
     ``weigh`` receives the prediction and label as float64 arrays.
@@ -127,17 +123,17 @@ def loss_iou3d_weighted(pred, gt, weigh, cfg: LossConfig = DEFAULT_CONFIG) -> Lo
     return LossReport(float(value), grad)
 
 
-def loss_iou3d(pred, gt, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
+def loss_iou3d(pred, gt, cfg: LossConfig = LossConfig()) -> LossReport:
     """3D IOU loss of two signed maps (no penalty, no edge weighting)."""
     return loss_iou3d_weighted(pred, gt, _unit_weights, cfg)
 
 
-def loss_iou3d_penalized(pred, gt, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
+def loss_iou3d_penalized(pred, gt, cfg: LossConfig = LossConfig()) -> LossReport:
     """3D IOU loss with per-pixel sign-mismatch penalty factors."""
     return loss_iou3d_weighted(pred, gt, penalty_factor, cfg)
 
 
-def loss_iou3d_edge(pred, gt, cfg: LossConfig = DEFAULT_CONFIG) -> LossReport:
+def loss_iou3d_edge(pred, gt, cfg: LossConfig = LossConfig()) -> LossReport:
     """Penalized 3D IOU loss with sqrt(|label|) per-pixel edge weights."""
     return loss_iou3d_weighted(pred, gt, edge_weights, cfg)
 
@@ -161,7 +157,7 @@ def grad_check_loss(
     loss_id: str,
     trials: int = 100,
     seed: int = 0,
-    cfg: LossConfig = DEFAULT_CONFIG,
+    cfg: LossConfig = LossConfig(),
 ) -> float:
     """Compare analytic gradients against central finite differences.
 

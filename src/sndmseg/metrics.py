@@ -75,9 +75,6 @@ class MetricsReport:
         self.items.append(item)
         return item
 
-    def add_item(self, item: ItemMetrics) -> None:
-        self.items.append(item)
-
     def mean(self) -> dict:
         """Each metric's mean over the items, summed in item order; 0.0 with no items."""
         n = len(self.items)

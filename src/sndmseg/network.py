@@ -65,7 +65,7 @@ class NetConfig:
     levels: int = 3
     dense_connections: bool = True
 
-    def validate(self) -> "NetConfig":
+    def __post_init__(self):
         if self.levels < 1 or len(self.widths) != self.levels:
             raise InvalidConfigError(f"need one width per level, got {self.widths} for {self.levels} levels")
         if any(w < 1 for w in self.widths):
@@ -74,7 +74,6 @@ class NetConfig:
             raise InvalidConfigError(
                 f"input_size {self.input_size} must be a positive multiple of 2^levels = {2**self.levels}"
             )
-        return self
 
     @property
     def bottleneck_size(self) -> int:
@@ -128,9 +127,9 @@ def _module_in_channels(cfg: NetConfig, module: int) -> int:
     return skip + ADAPTER_CHANNELS * len(_module_sources(cfg, module)) + extra
 
 
-def _adapter_names(module_from: int, module_to: int, steps: int):
+def _adapter_names(module_from: int, module_to: int):
     base = f"adapt.{module_from}to{module_to}"
-    return [f"{base}.{s}" for s in range(steps)]
+    return [f"{base}.{s}" for s in range(module_to - module_from)]
 
 
 def _declare(cfg: NetConfig) -> list:
@@ -172,7 +171,7 @@ def _declare(cfg: NetConfig) -> list:
     for module in range(2, cfg.levels + 2):
         for src in _module_sources(cfg, module):
             c_in = _module_out_channels(cfg, src)
-            for name in _adapter_names(src, module, module - src):
+            for name in _adapter_names(src, module):
                 deconv(f"{name}.deconv", c_in, ADAPTER_CHANNELS)
                 bn(f"{name}.bn", ADAPTER_CHANNELS)
                 c_in = ADAPTER_CHANNELS
@@ -183,10 +182,9 @@ def _declare(cfg: NetConfig) -> list:
 
 def init_params(config: NetConfig, seed: int = 0) -> NetParams:
     """Deterministic fan-in-scaled initialization of all parameters."""
-    cfg = config.validate()
     rng = seeded_rng(seed)
     params = NetParams()
-    for store, name, shape, init in _declare(cfg):
+    for store, name, shape, init in _declare(config):
         value = init(shape, dtype=np.float32) if callable(init) else rng.normal(0.0, init, size=shape).astype(np.float32)
         getattr(params, store)[name] = value
     return params
@@ -214,12 +212,11 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     records no graph: it folds every batch norm into the conv or deconv
     before it and runs no batch-norm pass.
     """
-    cfg = config.validate()
     if mode not in ("train", "eval"):
         raise InvalidConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     training = mode == "train"
-    a = _as_batch(img_a, cfg.input_size, "img_a")
-    b = _as_batch(img_b, cfg.input_size, "img_b")
+    a = _as_batch(img_a, config.input_size, "img_a")
+    b = _as_batch(img_b, config.input_size, "img_b")
     if a.shape != b.shape:
         raise ShapeMismatchError(f"image batches differ: {a.shape} vs {b.shape}")
     batch = a.shape[0]
@@ -245,7 +242,7 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
         return normalized(ad.conv2d, x, conv_name, bn_name, out_axis=0)
 
     def adapter(x, src, dst):
-        for name in _adapter_names(src, dst, dst - src):
+        for name in _adapter_names(src, dst):
             x = normalized(ad.conv_transpose2d, x, f"{name}.deconv", f"{name}.bn", out_axis=1)
         return x
 
@@ -253,7 +250,7 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     joint = np.concatenate([a, b], axis=0).transpose(0, 3, 1, 2).astype(dtype, copy=False)
     x = ad.Tensor(joint)
     skips = []
-    for i in range(1, cfg.levels + 1):
+    for i in range(1, config.levels + 1):
         x = conv_bn_relu(x, f"enc{i}.conv1", f"enc{i}.bn1")
         x = conv_bn_relu(x, f"enc{i}.conv2", f"enc{i}.bn2")
         skips.append(x)
@@ -265,14 +262,14 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     outputs = {}
     x = conv_bn_relu(ad.concat([bottleneck, corr], axis=1), "dec1.conv", "dec1.bn")
     outputs[1] = x
-    for module in range(2, cfg.levels + 1):
-        skip = skips[cfg.levels + 1 - module]  # encoder level cfg.levels + 2 - module
-        pieces = [skip] + [adapter(outputs[src], src, module) for src in _module_sources(cfg, module)]
+    for module in range(2, config.levels + 1):
+        skip = skips[config.levels + 1 - module]  # encoder level config.levels + 2 - module
+        pieces = [skip] + [adapter(outputs[src], src, module) for src in _module_sources(config, module)]
         x = conv_bn_relu(ad.concat(pieces, axis=1), f"dec{module}.conv", f"dec{module}.bn")
         outputs[module] = x
 
-    last = cfg.levels + 1
-    adapters = [adapter(outputs[src], src, last) for src in _module_sources(cfg, last)]
+    last = config.levels + 1
+    adapters = [adapter(outputs[src], src, last) for src in _module_sources(config, last)]
     head = ad.head_conv([skips[0], *adapters, ad.Tensor(joint)], pt["head.conv.weight"], pt["head.conv.bias"])
     return ad.tanh(head), pt
 
@@ -326,19 +323,38 @@ def config_from_header(text: str) -> NetConfig:
             widths=tuple(int(w) for w in fields["widths"].split(",")),
             levels=int(fields["levels"]),
             dense_connections=bool(int(fields["dense_connections"])),
-        ).validate()
+        )
     except (KeyError, ValueError, InvalidConfigError) as exc:
         raise CheckpointCorruptError(f"bad checkpoint header: {exc}") from exc
 
 
+def _layout(config: NetConfig) -> dict:
+    """File key -> ``(store, name, shape)`` of every declared tensor: values, then ``buffer:`` buffers, each in ``_declare`` order."""
+    return {
+        name if store == "values" else f"buffer:{name}": (store, name, shape)
+        for store, name, shape, _ in sorted(_declare(config), key=lambda spec: spec[0] == "buffers")
+    }
+
+
 def save_net(path: str, config: NetConfig, params: NetParams) -> None:
-    """Write ``config`` and ``params`` in the checkpoint layout of the module docstring."""
+    """Write ``config`` and ``params`` in the checkpoint layout of the module docstring.
+
+    ``params`` must hold exactly the tensors ``config`` declares, each in
+    its declared shape; otherwise nothing is written and the call raises
+    ``ShapeMismatch``.
+    """
+    layout = _layout(config)
+    tensors = {**params.values, **{f"buffer:{name}": value for name, value in params.buffers.items()}}
+    if tensors.keys() != layout.keys():
+        missing, extra = sorted(layout.keys() - tensors.keys()), sorted(tensors.keys() - layout.keys())
+        raise ShapeMismatchError(f"params do not match the config: missing {missing[:3]}, undeclared {extra[:3]}")
     header = config_to_header(config).encode("utf-8")
-    tensors = [*params.values.items(), *((f"buffer:{name}", value) for name, value in params.buffers.items())]
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(header)), header, struct.pack("<I", len(tensors))]
-    for name, value in tensors:
-        arr = np.asarray(value, dtype="<f4")  # tobytes() is row-major
-        encoded = name.encode("utf-8")
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(header)), header, struct.pack("<I", len(layout))]
+    for key, (_, _, shape) in layout.items():
+        arr = np.asarray(tensors[key], dtype="<f4")  # tobytes() is row-major
+        if arr.shape != shape:
+            raise ShapeMismatchError(f"tensor {key!r} has shape {arr.shape}, the config declares {shape}")
+        encoded = key.encode("utf-8")
         chunks += [struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape), arr.tobytes()]
     _atomic_write(path, b"".join(chunks))
 
@@ -346,8 +362,8 @@ def save_net(path: str, config: NetConfig, params: NetParams) -> None:
 def load_net(path: str):
     """Read a checkpoint into ``(config, params)`` in one pass.
 
-    Each tensor record is checked against the header config's ``_declare``
-    layout before its payload is copied, so an undeclared, repeated or
+    Each tensor record is checked against the header config's ``_layout``
+    before its payload is copied, so an undeclared, repeated or
     mis-shaped tensor fails at its own record, and a huge declared network
     allocates nothing.
     """
@@ -367,8 +383,7 @@ def load_net(path: str):
             raise CheckpointCorruptError(f"{path}: not a version {CHECKPOINT_VERSION} checkpoint (bad magic or version)")
         (header_len,) = uints(1)
         config = config_from_header(take(header_len).decode("utf-8"))
-        # file name -> (store, name, declared shape); each tensor record pops its entry
-        pending = {name if store == "values" else f"buffer:{name}": (store, name, shape) for store, name, shape, _ in _declare(config)}
+        pending = _layout(config)  # each tensor record pops its entry
         params = NetParams()
         (count,) = uints(1)
         for _ in range(count):

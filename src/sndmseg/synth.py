@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError
+from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError, ShapeMismatchError
 from .raster import _atomic_write, _read_bytes, read_image, read_mask, write_image, write_mask
 from .seeding import seeded_rng
 
@@ -62,10 +62,9 @@ class GenConfig:
 
     image_size: int = 64
 
-    def validate(self) -> "GenConfig":
+    def __post_init__(self):
         if self.image_size < 16:
             raise InvalidConfigError(f"image_size must be >= 16, got {self.image_size}")
-        return self
 
 
 @dataclass
@@ -185,9 +184,8 @@ def _distractor_polygon(rng, size: int):
 
 def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
     """Render one co-object image pair with exact ground-truth masks."""
-    cfg = config.validate()
     rng = seeded_rng(seed)
-    size = cfg.image_size
+    size = config.image_size
 
     base_color = rng.uniform(0.2, 0.95, size=3)
     base_radius = 0.24 * size
@@ -263,7 +261,6 @@ def gen_dataset(seed: int, config: GenConfig, n_pairs: int, out_dir: str) -> lis
     Pair i uses seed ``seed + i``. Re-running with the same arguments
     rewrites byte-identical files. Returns the manifest rows.
     """
-    cfg = config.validate()
     if n_pairs < 1:
         raise InvalidConfigError(f"need at least one pair, got {n_pairs}")
     if seed < 0:  # checked before the directory is made
@@ -274,7 +271,7 @@ def gen_dataset(seed: int, config: GenConfig, n_pairs: int, out_dir: str) -> lis
         raise IoFailureError(f"cannot create {out_dir}: {exc}") from exc
     rows = []
     for i in range(n_pairs):
-        sample = gen_pair(seed + i, cfg)
+        sample = gen_pair(seed + i, config)
         pair_id = _pair_id(i)
         names = (
             f"{pair_id}_imgA.ppm",
@@ -299,7 +296,8 @@ def load_dataset(directory: str) -> list:
     ``directory`` itself, so a path that is absolute, has a directory part
     or is ``.``/``..`` is a malformed manifest. A manifest that does not
     exist is ``MissingFile``; one that exists but cannot be read is
-    ``IoFailure``.
+    ``IoFailure``. Every image and mask must have the first pair's size;
+    a pair that does not is ``ShapeMismatch`` at its manifest line.
     """
     path = manifest_path(directory)
     data = _read_bytes(path)
@@ -319,15 +317,18 @@ def load_dataset(directory: str) -> list:
         for name in fields[1:]:
             if name in ("", ".", "..") or name != os.path.basename(name):
                 raise MalformedHeaderError(f"{path}:{lineno}: file field {name!r} is not a file name in the dataset directory")
-        records.append(
-            PairSample(
-                img_a=read_image(os.path.join(directory, img_a)),
-                img_b=read_image(os.path.join(directory, img_b)),
-                mask_a=read_mask(os.path.join(directory, mask_a)),
-                mask_b=read_mask(os.path.join(directory, mask_b)),
-                pair_id=pair_id,
-            )
+        record = PairSample(
+            img_a=read_image(os.path.join(directory, img_a)),
+            img_b=read_image(os.path.join(directory, img_b)),
+            mask_a=read_mask(os.path.join(directory, mask_a)),
+            mask_b=read_mask(os.path.join(directory, mask_b)),
+            pair_id=pair_id,
         )
+        first = records[0] if records else record
+        sizes = [arr.shape[:2] for arr in (first.img_a, record.img_a, record.mask_a, record.img_b, record.mask_b)]
+        if len(set(sizes)) != 1:
+            raise ShapeMismatchError(f"{path}:{lineno}: image and mask sizes {sizes[1:]} differ from each other or the first pair's {sizes[0]}")
+        records.append(record)
     return records
 
 

@@ -60,7 +60,7 @@ class TrainConfig:
     loss_id: str = "iou3d-edge"
     seed: int = 0
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
         if self.batch_size < 2:
             raise BatchTooSmallError(f"batch_size must be >= 2 for batch norm, got {self.batch_size}")
         # every range test below is False for NaN
@@ -74,7 +74,6 @@ class TrainConfig:
             raise InvalidConfigError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if self.loss_id not in LOSSES:
             raise InvalidConfigError(f"unknown loss {self.loss_id!r}; choose from {sorted(LOSSES)}")
-        return self
 
 
 def reference_config(**overrides) -> TrainConfig:
@@ -218,31 +217,28 @@ def train(
     batch norm needs two items, and the epoch's train loss averages the
     pairs that ran.
     """
-    net_config = net_config.validate()
-    cfg = train_config.validate()
-    loss_config = loss_config.validate()
     _check_set_sizes(len(train_records), len(val_records))
 
-    loss_fn = LOSSES[cfg.loss_id]
+    loss_fn = LOSSES[train_config.loss_id]
     train_targets = _targets_for(train_records)
     val_targets = _targets_for(val_records)
 
-    params = init_params(net_config, seed=cfg.seed)
+    params = init_params(net_config, seed=train_config.seed)
     state = AdamState()
-    rng = seeded_rng(cfg.seed)
-    scheduler = PlateauScheduler(cfg.lr, cfg.plateau_patience, cfg.lr_factor)
+    rng = seeded_rng(train_config.seed)
+    scheduler = PlateauScheduler(train_config.lr, train_config.plateau_patience, train_config.lr_factor)
     history: list[EpochStats] = []
     best_epoch = 0
     n = len(train_records)
 
-    for epoch in range(1, cfg.max_epochs + 1):
+    for epoch in range(1, train_config.max_epochs + 1):
         tic = time.perf_counter()
         lr = scheduler.lr
         order = rng.permutation(n)
         seen = 0
         loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            indices = order[start : start + cfg.batch_size]
+        for start in range(0, n, train_config.batch_size):
+            indices = order[start : start + train_config.batch_size]
             if len(indices) < 2:
                 continue  # batch norm needs at least two items
             img_a, img_b, gt = _stack_batch(train_records, train_targets, indices)
@@ -250,17 +246,17 @@ def train(
             loss = ad.map_loss(pred, gt, loss_fn, loss_config)
             step_loss = float(loss.data)
             if not np.isfinite(step_loss):
-                raise NonFiniteError(f"training loss is {step_loss} in epoch {epoch} at batch {start // cfg.batch_size}")
+                raise NonFiniteError(f"training loss is {step_loss} in epoch {epoch} at batch {start // train_config.batch_size}")
             loss.backward()
             grads = {name: tensor.grad for name, tensor in param_tensors.items()}
             norm = _global_norm(grads.values())
             if not np.isfinite(norm):
-                raise NonFiniteError(f"gradient norm is {norm} in epoch {epoch} at batch {start // cfg.batch_size}")
-            adam_step(params.values, grads, state, lr, cfg.weight_decay)
+                raise NonFiniteError(f"gradient norm is {norm} in epoch {epoch} at batch {start // train_config.batch_size}")
+            adam_step(params.values, grads, state, lr, train_config.weight_decay)
             loss_sum += step_loss * len(indices)
             seen += len(indices)
         train_loss = loss_sum / max(seen, 1)
-        val_loss = _dataset_loss(val_records, val_targets, params, net_config, loss_fn, loss_config, cfg.batch_size)
+        val_loss = _dataset_loss(val_records, val_targets, params, net_config, loss_fn, loss_config, train_config.batch_size)
         if not np.isfinite(val_loss):
             raise NonFiniteError(f"validation loss is {val_loss} after epoch {epoch}")
 
@@ -314,7 +310,7 @@ def evaluate(
             per_image = MetricsReport()
             per_image.add(record.pair_id, sndm.sndm_decode(pred_a[offset]), record.mask_a)
             per_image.add(record.pair_id, sndm.sndm_decode(pred_b[offset]), record.mask_b)
-            report.add_item(ItemMetrics(record.pair_id, **per_image.mean()))
+            report.items.append(ItemMetrics(record.pair_id, **per_image.mean()))
     return report
 
 
@@ -412,13 +408,16 @@ class AblationConfig:
     lr: float = 1e-3
     image_size: int = 64
 
+    def __post_init__(self):
+        _check_set_sizes(self.n_train, self.n_val, self.n_test)
+
 
 def _ablation_configs(seed: int, cfg: AblationConfig) -> list:
-    """The validated (NetConfig, TrainConfig) of every variant at one seed, in variant order."""
+    """The (NetConfig, TrainConfig) of every variant at one seed, in variant order; building them checks them."""
     return [
         (
-            NetConfig(input_size=cfg.image_size, dense_connections=dense).validate(),
-            TrainConfig(batch_size=cfg.batch_size, lr=cfg.lr, max_epochs=cfg.epochs, loss_id=loss_id, seed=seed).validate(),
+            NetConfig(input_size=cfg.image_size, dense_connections=dense),
+            TrainConfig(batch_size=cfg.batch_size, lr=cfg.lr, max_epochs=cfg.epochs, loss_id=loss_id, seed=seed),
         )
         for _, dense, loss_id in ABLATION_VARIANTS
     ]
@@ -453,16 +452,16 @@ def worker_count(total_jobs: int) -> int:
 def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationConfig()) -> dict:
     """Train every variant for ``runs`` seeds and tabulate the ``ABLATION_METRICS`` means.
 
-    The parent validates every value and every job's (NetConfig,
-    TrainConfig) before it generates a dataset or starts a process; each
-    seed's datasets are generated once and shared by its variants. Workers
-    only train and evaluate, each in a spawned process pinned to a single
-    BLAS thread, so the table does not depend on the worker count.
+    ``AblationConfig`` checks its set sizes when it is built; its other
+    values are checked when the parent builds every job's (NetConfig,
+    TrainConfig), before it generates a dataset or starts a process.
+    Each seed's datasets are generated once and shared by its variants.
+    Workers only train and evaluate, each in a spawned process pinned to
+    a single BLAS thread, so the table does not depend on the worker count.
     """
     if runs < 1 or base_seed < 0:
         raise InvalidConfigError(f"runs must be >= 1 and base_seed >= 0, got {runs} and {base_seed}")
-    _check_set_sizes(config.n_train, config.n_val, config.n_test)
-    gen = GenConfig(image_size=config.image_size).validate()
+    gen = GenConfig(image_size=config.image_size)
     workers = worker_count(runs * len(ABLATION_VARIANTS))
     seeds = range(base_seed, base_seed + runs)
     configs = {seed: _ablation_configs(seed, config) for seed in seeds}

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 import sndmseg.autodiff as ad
 from sndmseg import network
 from sndmseg.losses import LossReport
+from sndmseg.synth import GenConfig, gen_dataset
 
 
 @st.composite
@@ -64,3 +65,15 @@ def save_with_lying_header(monkeypatch, path, input_size):
     with monkeypatch.context() as patch:
         patch.setattr(network, "config_to_header", lying)
         network.save_net(path, network.NetConfig(), network.init_params(network.NetConfig()))
+
+
+def mixed_size_dataset(root):
+    """A dataset directory under ``root`` whose manifest lists a 16 px pair, then a 32 px pair."""
+    data, big = root / "data", root / "big"
+    (small_row,) = gen_dataset(3, GenConfig(image_size=16), 1, str(data))
+    (big_row,) = gen_dataset(3, GenConfig(image_size=32), 1, str(big))
+    for name in big_row[1:]:
+        (data / f"big_{name}").write_bytes((big / name).read_bytes())
+    rows = [small_row, ("pair_0001", *(f"big_{name}" for name in big_row[1:]))]
+    (data / "manifest.tsv").write_text("".join("\t".join(row) + "\n" for row in rows))
+    return data

@@ -19,7 +19,7 @@ from sndmseg.raster import read_float_map, read_mask, write_float_map, write_mas
 from sndmseg.sndm import sndm_encode
 from sndmseg.synth import gen_dataset, GenConfig, load_dataset
 from sndmseg.train import AblationConfig, TrainConfig, ablation, reference_config
-from strategies import save_with_lying_header
+from strategies import mixed_size_dataset, save_with_lying_header
 
 
 @pytest.fixture
@@ -285,6 +285,28 @@ def test_bad_output_path_fails_before_any_data(tmp_path, monkeypatch, capsys, ar
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: IoFailure: cannot write [^\n]*\n", err), err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("history", ["{tmp}/m.ckpt", "{tmp}/./m.ckpt"])
+def test_train_outputs_naming_one_file_fail_before_any_data(tmp_path, monkeypatch, capsys, history):
+    monkeypatch.setattr(cli, "load_dataset", lambda directory: pytest.fail("a dataset was read"))
+    argv = ["train", "--data", "{tmp}/data", "--val", "{tmp}/data", "--out", "{tmp}/m.ckpt", "--history", history]
+    assert main([word.format(tmp=tmp_path) for word in argv]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: InvalidConfig: outputs [^\n]* name the same file\n", err), err
+    assert not list(tmp_path.iterdir())
+
+
+def test_dataset_of_mixed_sizes_is_one_error_line(tmp_path, capsys):
+    data = mixed_size_dataset(tmp_path)
+    for argv in (
+        ["train", "--data", str(data), "--val", str(data), "--out", str(tmp_path / "m.ckpt")],
+        ["eval", "--ckpt", str(tmp_path / "none.ckpt"), "--data", str(data)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: ShapeMismatch: {re.escape(str(data / 'manifest.tsv'))}:2: [^\n]*\n", err), err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_train_non_finite_input_is_domain_error(tmp_path, capsys, monkeypatch):

@@ -147,16 +147,16 @@ def test_shape_mismatch():
 
 def test_loss_config_validation():
     with pytest.raises(InvalidConfigError):
-        LossConfig(lam=0.5).validate()
+        LossConfig(lam=0.5)
     with pytest.raises(InvalidConfigError):
-        LossConfig(epsilon=0.0).validate()
+        LossConfig(epsilon=0.0)
     with pytest.raises(InvalidConfigError):
-        LossConfig(epsilon=1e-3).validate()
+        LossConfig(epsilon=1e-3)
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidConfigError, match="lam must be finite"):
-            LossConfig(lam=bad).validate()
+            LossConfig(lam=bad)
     with pytest.raises(InvalidConfigError):
-        LossConfig(epsilon=np.nan).validate()
+        LossConfig(epsilon=np.nan)
     with pytest.raises(InvalidConfigError):
         grad_check_loss("hinge", trials=1)
     for trials in (0, -3):

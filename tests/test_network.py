@@ -77,12 +77,12 @@ def expected_parameter_count(cfg):
 
 def test_config_validation():
     with pytest.raises(InvalidConfigError):
-        NetConfig(input_size=60, widths=(4, 4, 4), levels=3).validate()
+        NetConfig(input_size=60, widths=(4, 4, 4), levels=3)
     with pytest.raises(InvalidConfigError):
-        NetConfig(widths=(4, 4), levels=3).validate()
+        NetConfig(widths=(4, 4), levels=3)
     with pytest.raises(InvalidConfigError):
-        NetConfig(widths=(4, 0, 4)).validate()
-    NetConfig().validate()
+        NetConfig(widths=(4, 0, 4))
+    NetConfig()
 
 
 def test_init_deterministic():
@@ -115,7 +115,7 @@ def test_dense_toggle_keeps_encoder_identical():
 
 
 def test_decoder_input_channel_wiring():
-    cfg = NetConfig().validate()
+    cfg = NetConfig()
     params = init_params(cfg, seed=0)
     hw = cfg.correlation_channels
     assert params.values["dec1.conv.weight"].shape[1] == cfg.widths[-1] + hw
@@ -379,28 +379,46 @@ def test_config_header_parses_or_is_corrupt(text):
         config = config_from_header(text)
     except CheckpointCorruptError:
         return
-    assert config == config.validate()
+    assert config_from_header(config_to_header(config)) == config
 
 
-def test_checkpoint_rejects_mismatched_names(tmp_path):
-    cfg = SMALL
-    bn_var_shape = init_params(cfg, seed=9).buffers["enc1.bn1.running_var"].shape
-    damages = {
-        "missing parameter": lambda p: p.values.pop("head.conv.bias"),
-        "missing buffer": lambda p: p.buffers.pop("enc1.bn1.running_mean"),
-        "wrong buffer shape": lambda p: p.buffers.update({"enc1.bn1.running_var": np.ones(bn_var_shape[0] + 1, np.float32)}),
-        "extra buffer": lambda p: p.buffers.update({"enc1.bn1.stray": np.zeros(1, np.float32)}),
-    }
-    for name, damage in damages.items():
-        params = init_params(cfg, seed=9)
-        damage(params)
-        path = tmp_path / "net.ckpt"
-        save_net(str(path), cfg, params)
+CHECKPOINT_DAMAGES = {
+    "missing parameter": lambda p: p.values.pop("head.conv.bias"),
+    "missing buffer": lambda p: p.buffers.pop("enc1.bn1.running_mean"),
+    "wrong buffer shape": lambda p: p.buffers.update({"enc1.bn1.running_var": np.ones(SMALL.widths[0] + 1, np.float32)}),
+    "extra buffer": lambda p: p.buffers.update({"enc1.bn1.stray": np.zeros(1, np.float32)}),
+}
+
+
+def damaged_params(damage):
+    params = init_params(SMALL, seed=9)
+    CHECKPOINT_DAMAGES[damage](params)
+    return params
+
+
+def test_checkpoint_rejects_mismatched_names(tmp_path, monkeypatch):
+    path = tmp_path / "net.ckpt"
+    for damage in CHECKPOINT_DAMAGES:
+        params = damaged_params(damage)
+        # save_net writes only what its layout declares, so the write alone declares the damaged tensors
+        layout = {name: ("values", name, value.shape) for name, value in params.values.items()}
+        layout.update({f"buffer:{name}": ("buffers", name, value.shape) for name, value in params.buffers.items()})
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "_layout", lambda config: layout)
+            save_net(str(path), SMALL, params)
         try:
             load_net(str(path))
         except CheckpointCorruptError:
             continue
-        pytest.fail(f"{name}: damaged checkpoint loaded")
+        pytest.fail(f"{damage}: damaged checkpoint loaded")
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGES))
+def test_save_net_refuses_params_the_config_does_not_declare(tmp_path, damage):
+    path = tmp_path / "net.ckpt"
+    with pytest.raises(ShapeMismatchError):
+        save_net(str(path), SMALL, damaged_params(damage))
+    assert not path.exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import hashlib
+import os
 import re
 
 import numpy as np
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from sndmseg import synth
-from sndmseg.errors import InvalidConfigError, IoFailureError, MalformedHeaderError, MissingFileError, SndmError
+from sndmseg.errors import InvalidConfigError, IoFailureError, MalformedHeaderError, MissingFileError, ShapeMismatchError, SndmError
 from sndmseg.synth import GenConfig, _coverage, gen_dataset, gen_pair, load_dataset, make_pairs
+from strategies import mixed_size_dataset
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -136,8 +139,8 @@ def test_pose_varies_between_branches():
 
 def test_config_validation():
     with pytest.raises(InvalidConfigError):
-        GenConfig(image_size=8).validate()
-    GenConfig(image_size=16).validate()
+        GenConfig(image_size=8)
+    GenConfig(image_size=16)
     # the largest object margin stays below half of the smallest image, so every pose fits
     assert 1.05 * synth.OBJECT_SCALE[1] * 0.24 * 16 + 1.0 < 16 / 2
 
@@ -160,6 +163,30 @@ def test_gen_dataset_files_and_idempotence(tmp_path):
     snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
     gen_dataset(7, GenConfig(image_size=32), 5, str(out))
     assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
+
+
+def test_gen_dataset_bytes_are_pinned(tmp_path):
+    gen_dataset(7, GenConfig(), 4, str(tmp_path))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(tmp_path)):
+        digest.update(name.encode())
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == "55c274372359e58b66b6d160c0cfc665534ba876b0486cd86b3503efe4fda955"
+
+
+def test_load_dataset_rejects_a_pair_of_another_size(tmp_path):
+    data = mixed_size_dataset(tmp_path)
+    with pytest.raises(ShapeMismatchError, match=r"manifest.tsv:2: image and mask sizes \[\(32, 32\)"):
+        load_dataset(str(data))
+
+
+def test_load_dataset_rejects_a_mask_of_another_size_than_its_image(tmp_path):
+    out = tmp_path / "data"
+    (row,) = gen_dataset(3, GenConfig(image_size=16), 1, str(out))
+    (big_row,) = gen_dataset(3, GenConfig(image_size=32), 1, str(tmp_path / "big"))
+    (out / row[4]).write_bytes((tmp_path / "big" / big_row[4]).read_bytes())  # mask B
+    with pytest.raises(ShapeMismatchError, match=r"manifest.tsv:1: image and mask sizes .*\(32, 32\)"):
+        load_dataset(str(out))
 
 
 def test_load_dataset_round_trip(tmp_path):

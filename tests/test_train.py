@@ -78,23 +78,43 @@ def test_plateau_improvement_threshold():
 
 def test_train_config_validation():
     with pytest.raises(BatchTooSmallError):
-        TrainConfig(batch_size=1).validate()
+        TrainConfig(batch_size=1)
     with pytest.raises(InvalidConfigError):
-        TrainConfig(lr_factor=1.0).validate()
+        TrainConfig(lr_factor=1.0)
     with pytest.raises(InvalidConfigError):
-        TrainConfig(loss_id="mse").validate()
+        TrainConfig(loss_id="mse")
     for bad in (np.nan, np.inf, -np.inf, 0.0):
         with pytest.raises(InvalidConfigError, match="lr must be finite and positive"):
-            TrainConfig(lr=bad).validate()
+            TrainConfig(lr=bad)
     for bad in (np.nan, np.inf, -1e-5):
         with pytest.raises(InvalidConfigError, match="weight_decay must be finite and nonnegative"):
-            TrainConfig(weight_decay=bad).validate()
+            TrainConfig(weight_decay=bad)
     with pytest.raises(InvalidConfigError):
-        TrainConfig(lr_factor=np.nan).validate()
+        TrainConfig(lr_factor=np.nan)
     with pytest.raises(InvalidConfigError):
-        TrainConfig(seed=-1).validate()
+        TrainConfig(seed=-1)
     assert reference_config().lr == 1e-5
     assert reference_config().max_epochs == 120
+
+
+@pytest.mark.parametrize(
+    "config_class, name, value, error",
+    [
+        (NetConfig, "input_size", 60, InvalidConfigError),
+        (TrainConfig, "batch_size", 1, BatchTooSmallError),
+        (LossConfig, "lam", 0.5, InvalidConfigError),
+        (GenConfig, "image_size", 8, InvalidConfigError),
+        (AblationConfig, "n_val", 0, DatasetEmptyError),
+        (AblationConfig, "n_train", 1, BatchTooSmallError),
+        (AblationConfig, "n_test", 0, DatasetEmptyError),
+    ],
+)
+def test_bad_value_fails_when_the_config_is_built(config_class, name, value, error):
+    with pytest.raises(error) as built:
+        config_class(**{name: value})
+    with pytest.raises(error) as replaced:
+        replace(config_class(), **{name: value})
+    assert str(built.value) == str(replaced.value)
 
 
 def test_every_loss_trains_the_default_net():
@@ -121,7 +141,7 @@ def test_train_rejects_a_single_training_pair(monkeypatch):
 def test_train_rejects_a_bad_loss_config_before_any_work(monkeypatch):
     train_set, val_set = tiny_sets(2, 2)
     monkeypatch.setattr(train_module, "sndm_encode", lambda mask: pytest.fail("a target was encoded"))
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError):  # raised when the LossConfig is built, before train() runs
         train(train_set, val_set, TINY_NET, TrainConfig(max_epochs=1, batch_size=2), loss_config=LossConfig(lam=0.5))
 
 
@@ -330,6 +350,8 @@ def test_bad_ablation_config_fails_before_any_work(monkeypatch, name, value, err
     calls = _count_gen_pair_calls(monkeypatch)
     monkeypatch.setattr(train_module.multiprocessing, "get_context", lambda method: pytest.fail("a pool was started"))
     cfg = AblationConfig(n_train=2, n_val=1, n_test=1, epochs=1, batch_size=2, image_size=16)
+    # the set sizes fail in replace(), when the AblationConfig is built; the
+    # other values fail when ablation() builds its jobs' configs
     with pytest.raises(error):
         ablation(2, config=replace(cfg, **{name: value}))
     assert calls == []

@@ -17,10 +17,11 @@ value fails before any work starts; ``ablation`` builds every job's
 configs before it generates a dataset or starts a worker. Each output
 that a long command writes last (``train --out``/``--history``, ``eval
 --report``, ``ablation --out``) must name a file path in an existing
-directory, and no two outputs may name the same file, before any data is
-read. ``eval`` prints one ``name=value`` per entry of ``metrics.METRICS``,
-in its order. Domain failures exit 1 with a single machine-parseable line
-``error: <code>: <detail>``; usage problems exit 2.
+directory, and name neither another output nor an input (the ``--ckpt``
+or ``--config`` file, a ``--data``/``--val`` dataset's manifest), before
+any data is read. ``eval`` prints one ``name=value`` per entry of
+``metrics.METRICS``, in its order. Domain failures exit 1 with a single
+machine-parseable line ``error: <code>: <detail>``; usage problems exit 2.
 
 The environment variable SNDM_THREADS caps worker processes for the
 ablation command (default: machine cores).
@@ -42,7 +43,7 @@ from .losses import LOSSES, LossConfig, grad_check_loss
 from .network import NetConfig, load_net, save_net
 from .raster import _read_bytes, parse_key_values, read_float_map, read_mask, write_float_map, write_mask
 from .sndm import sndm_decode, sndm_encode
-from .synth import GenConfig, gen_dataset, load_dataset
+from .synth import GenConfig, gen_dataset, load_dataset, manifest_path
 from .train import (
     ABLATION_METRICS,
     AblationConfig,
@@ -103,14 +104,18 @@ def _name_of(table: dict, value) -> str:
     return next(name for name, entry in table.items() if entry == value)
 
 
-def _check_out_dirs(*paths) -> None:
-    """Fail before any work when an output path is a directory, its directory does not exist, or two outputs name one file."""
-    given = [path for path in paths if path is not None]
+def _check_out_dirs(outputs, inputs) -> None:
+    """Fail before any work when an output path is a directory, its directory does not exist, or it names another output or an input file."""
+    given = [path for path in outputs if path is not None]
     for path in given:
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise IoFailureError(f"cannot write {path}: not a file path in an existing directory")
     if len({os.path.realpath(path) for path in given}) < len(given):
         raise InvalidConfigError(f"outputs {', '.join(given)} name the same file")
+    read = {os.path.realpath(path) for path in inputs if path is not None}
+    for path in given:
+        if os.path.realpath(path) in read:
+            raise InvalidConfigError(f"output {path} names an input file of this command")
 
 
 def _widths(text: str) -> tuple:
@@ -169,7 +174,7 @@ def _cmd_train(args) -> int:
     )
     loss_cfg = replace(LossConfig(), **_given(args, lam="lam", epsilon="epsilon"))
     history_path = args.history or args.out + ".history.csv"
-    _check_out_dirs(args.out, history_path)
+    _check_out_dirs((args.out, history_path), (args.config, manifest_path(args.data), manifest_path(args.val)))
     train_set = load_dataset(args.data)
     val_set = load_dataset(args.val)
     result = train(train_set, val_set, net_config, train_cfg, loss_cfg)
@@ -183,7 +188,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_out_dirs(args.report)
+    _check_out_dirs((args.report,), (args.config, args.ckpt, manifest_path(args.data)))
     records = load_dataset(args.data)
     net_config, params = load_net(args.ckpt)
     report = evaluate(params, net_config, records)
@@ -217,7 +222,7 @@ def _cmd_ablation(args) -> int:
         **_given(args, n_train="train_pairs", n_val="val_pairs", n_test="test_pairs", epochs="epochs"),
         **_given(args, batch_size="batch_size", lr="lr", image_size="size"),
     )
-    _check_out_dirs(args.out)
+    _check_out_dirs((args.out,), (args.config,))
     table = ablation(args.runs, config=config, **_given(args, base_seed="seed"))
     if args.out:
         write_json(table, args.out)

@@ -55,10 +55,6 @@ class InvalidConfigError(SndmError):
     code = "InvalidConfig"
 
 
-class BatchTooSmallError(SndmError):
-    code = "BatchTooSmall"
-
-
 class DatasetEmptyError(SndmError):
     code = "DatasetEmpty"
 

@@ -45,7 +45,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import (
-    BatchTooSmallError,
     CheckpointCorruptError,
     InvalidConfigError,
     ShapeMismatchError,
@@ -191,9 +190,10 @@ def init_params(config: NetConfig, seed: int = 0) -> NetParams:
 
 
 def _as_batch(images, size: int, name: str) -> np.ndarray:
+    """One branch's (B, H, W, 3) float images at ``size``; B >= 1 in both modes, since batch norm pools both branches."""
     arr = np.asarray(images)
-    if arr.ndim != 4 or arr.shape[3] != 3 or arr.dtype not in (np.float32, np.float64):
-        raise ShapeMismatchError(f"{name} must be a float32 or float64 (B, H, W, 3) batch, got {arr.dtype} {arr.shape}")
+    if arr.ndim != 4 or arr.shape[0] < 1 or arr.shape[3] != 3 or arr.dtype not in (np.float32, np.float64):
+        raise ShapeMismatchError(f"{name} must be a nonempty float32 or float64 (B, H, W, 3) batch, got {arr.dtype} {arr.shape}")
     if arr.shape[1] != size or arr.shape[2] != size:
         raise ShapeMismatchError(f"{name} spatial shape {arr.shape[1:3]} != configured {size}x{size}")
     return arr
@@ -219,9 +219,6 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     b = _as_batch(img_b, config.input_size, "img_b")
     if a.shape != b.shape:
         raise ShapeMismatchError(f"image batches differ: {a.shape} vs {b.shape}")
-    batch = a.shape[0]
-    if training and batch < 2:
-        raise BatchTooSmallError(f"training mode needs batch >= 2 for batch norm, got {batch}")
     dtype = a.dtype
 
     pt = {name: ad.Tensor(value, requires_grad=training) for name, value in params.values.items()}

@@ -19,8 +19,8 @@ checkpoint headers share one flat ``key = value`` text format.
 from __future__ import annotations
 
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -82,11 +82,17 @@ def as_image(values) -> np.ndarray:
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
-    """Write payload to path via a temp file + rename; no partial outputs."""
+    """Write payload to path via a temp file + rename; no partial outputs.
+
+    The temp file is created with mode 0o666 under the umask, so the output
+    gets the permissions a plain ``open(path, "wb")`` would give it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        unique = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
+        fd = os.open(unique, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp_path = unique
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
         os.replace(tmp_path, path)

@@ -32,7 +32,6 @@ import numpy as np
 from . import autodiff as ad
 from . import sndm
 from .errors import (
-    BatchTooSmallError,
     DatasetEmptyError,
     InvalidConfigError,
     NonFiniteError,
@@ -51,6 +50,8 @@ MIN_IMPROVEMENT = 1e-6  # a validation loss must fall by this much to reset the 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer and schedule settings; ``batch_size`` counts pairs, and one pair per batch is enough."""
+
     batch_size: int = 4
     lr: float = 1e-3
     weight_decay: float = 5e-5
@@ -61,8 +62,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise BatchTooSmallError(f"batch_size must be >= 2 for batch norm, got {self.batch_size}")
+        if self.batch_size < 1:
+            raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         # every range test below is False for NaN
         if not 0.0 < self.lr < np.inf:
             raise InvalidConfigError(f"lr must be finite and positive, got {self.lr}")
@@ -168,11 +169,18 @@ class TrainResult:
 
 
 def _check_set_sizes(n_train: int, *n_held_out: int) -> None:
-    """Every set needs a pair; training needs two, since batch norm skips a 1-item batch."""
+    """Every set needs a pair; one training pair is enough, since batch norm sees both of its images."""
     if n_train < 1 or min(n_held_out) < 1:
         raise DatasetEmptyError(f"every dataset must be nonempty, got {n_train} training and {list(n_held_out)} held-out pairs")
-    if n_train < 2:
-        raise BatchTooSmallError(f"training needs at least 2 pairs for batch norm, got {n_train}")
+
+
+def _check_pair_sizes(size: int, *record_sets) -> None:
+    """Name the first pair whose images or masks are not ``size`` x ``size``, before any work on the records."""
+    for records in record_sets:
+        for index, record in enumerate(records):
+            sizes = [np.shape(arr)[:2] for arr in (record.img_a, record.mask_a, record.img_b, record.mask_b)]
+            if any(shape != (size, size) for shape in sizes):
+                raise ShapeMismatchError(f"pair {index} {record.pair_id!r}: image and mask sizes {sizes}, not {size}x{size}")
 
 
 def _targets_for(records):
@@ -213,11 +221,12 @@ def train(
     """Optimize a fresh network on the given pair records.
 
     Each epoch steps through a fresh permutation of the pairs in batches
-    of ``batch_size``. A last batch of one pair is skipped, since train-mode
-    batch norm needs two items, and the epoch's train loss averages the
-    pairs that ran.
+    of ``batch_size``; every batch takes a step, a short last one too, and
+    the epoch's train loss is the mean over all pairs. Every image and
+    mask must be ``net_config.input_size`` pixels on each side.
     """
     _check_set_sizes(len(train_records), len(val_records))
+    _check_pair_sizes(net_config.input_size, train_records, val_records)
 
     loss_fn = LOSSES[train_config.loss_id]
     train_targets = _targets_for(train_records)
@@ -235,12 +244,9 @@ def train(
         tic = time.perf_counter()
         lr = scheduler.lr
         order = rng.permutation(n)
-        seen = 0
         loss_sum = 0.0
         for start in range(0, n, train_config.batch_size):
             indices = order[start : start + train_config.batch_size]
-            if len(indices) < 2:
-                continue  # batch norm needs at least two items
             img_a, img_b, gt = _stack_batch(train_records, train_targets, indices)
             pred, param_tensors = build_forward(img_a, img_b, params, net_config, mode="train")
             loss = ad.map_loss(pred, gt, loss_fn, loss_config)
@@ -254,8 +260,7 @@ def train(
                 raise NonFiniteError(f"gradient norm is {norm} in epoch {epoch} at batch {start // train_config.batch_size}")
             adam_step(params.values, grads, state, lr, train_config.weight_decay)
             loss_sum += step_loss * len(indices)
-            seen += len(indices)
-        train_loss = loss_sum / max(seen, 1)
+        train_loss = loss_sum / n
         val_loss = _dataset_loss(val_records, val_targets, params, net_config, loss_fn, loss_config, train_config.batch_size)
         if not np.isfinite(val_loss):
             raise NonFiniteError(f"validation loss is {val_loss} after epoch {epoch}")
@@ -292,7 +297,8 @@ def evaluate(
 ) -> MetricsReport:
     """Per-pair metrics (mean over the pair's two images) plus dataset means.
 
-    Every predicted map is decoded to a mask by ``sndm_decode``.
+    Every image and mask must be ``net_config.input_size`` pixels on each
+    side. Every predicted map is decoded to a mask by ``sndm_decode``.
     ``forward_fn`` defaults to the network itself; tests may inject an
     oracle that returns known maps.
     """
@@ -300,6 +306,7 @@ def evaluate(
         raise InvalidConfigError(f"batch_size must be >= 1, got {batch_size}")
     if not records:
         raise DatasetEmptyError("evaluation set is empty")
+    _check_pair_sizes(net_config.input_size, records)
     if forward_fn is None:
         forward_fn = lambda a, b: forward_pair(a, b, params, net_config)  # noqa: E731
     report = MetricsReport()

@@ -309,6 +309,42 @@ def test_dataset_of_mixed_sizes_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_train_on_images_smaller_than_the_network_is_one_error_line(tmp_path, capsys):
+    gen_dataset(100, GenConfig(image_size=16), 2, str(tmp_path / "data"))
+    data, ckpt = str(tmp_path / "data"), tmp_path / "t.ckpt"
+    # the default widths at this size would need a 72 TiB dec1 weight
+    assert main(["train", "--data", data, "--val", data, "--out", str(ckpt), "--size", "1048576"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: ShapeMismatch: pair 0 'pair_0000': [^\n]*, not 1048576x1048576\n", err), err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--ckpt", "{tmp}/net.ckpt", "--data", "{tmp}/data", "--report", "{tmp}/net.ckpt"],
+        ["eval", "--ckpt", "{tmp}/net.ckpt", "--data", "{tmp}/data", "--report", "{tmp}/data/manifest.tsv"],
+        ["train", "--data", "{tmp}/data", "--val", "{tmp}/val", "--out", "{tmp}/val/./manifest.tsv"],
+        ["train", "--data", "{tmp}/data", "--val", "{tmp}/val", "--out", "{tmp}/m.ckpt", "--history", "{tmp}/data/manifest.tsv"],
+        ["ablation", "--runs", "1", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run.cfg"],
+    ],
+)
+def test_output_naming_an_input_fails_before_any_data(tmp_path, monkeypatch, capsys, argv):
+    net = NetConfig(input_size=16, widths=(4, 6), levels=2)
+    save_net(str(tmp_path / "net.ckpt"), net, init_params(net))
+    gen_dataset(100, GenConfig(image_size=16), 1, str(tmp_path / "data"))
+    gen_dataset(200, GenConfig(image_size=16), 1, str(tmp_path / "val"))
+    (tmp_path / "run.cfg").write_text("epochs = 1\n")
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    monkeypatch.setattr(cli, "load_dataset", lambda directory: pytest.fail("a dataset was read"))
+    monkeypatch.setattr(cli, "load_net", lambda path: pytest.fail("a checkpoint was read"))
+    monkeypatch.setattr(synth, "gen_pair", lambda seed, config: pytest.fail("a pair was generated"))
+    assert main([word.format(tmp=tmp_path) for word in argv]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: InvalidConfig: output [^\n]* names an input file of this command\n", err), err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 def test_train_non_finite_input_is_domain_error(tmp_path, capsys, monkeypatch):
     data = tmp_path / "train"
     val = tmp_path / "val"
@@ -476,15 +512,16 @@ def test_train_loss_dice_alone_trains_the_sndm_head(tmp_path, capsys):
     assert b"output_head" not in ckpt.read_bytes()
 
 
-def test_train_on_one_pair_is_batch_too_small(tmp_path, capsys):
+def test_train_on_one_pair_at_batch_one(tmp_path, capsys):
     gen_dataset(100, GenConfig(image_size=16), 1, str(tmp_path / "train"))
     gen_dataset(200, GenConfig(image_size=16), 2, str(tmp_path / "val"))
     ckpt = tmp_path / "model.ckpt"
     args = ["train", "--data", str(tmp_path / "train"), "--val", str(tmp_path / "val"), "--size", "16", "--widths", "4,6"]
-    assert main(args + ["--epochs", "1", "--out", str(ckpt)]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: BatchTooSmall: [^\n]*\n", err), err
-    assert not ckpt.exists()
+    assert main(args + ["--epochs", "2", "--batch-size", "1", "--out", str(ckpt)]) == 0
+    assert capsys.readouterr().err == ""
+    assert load_net(str(ckpt))[0] == NetConfig(input_size=16, widths=(4, 6), levels=2)
+    rows = (tmp_path / "model.ckpt.history.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(np.isfinite([float(v) for v in row.split(",")]).all() for row in rows)
 
 
 def test_ablation_without_test_pairs_fails_before_any_data(monkeypatch, capsys):

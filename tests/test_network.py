@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sndmseg import autodiff as ad
 from sndmseg import network
 from sndmseg.errors import (
-    BatchTooSmallError,
     CheckpointCorruptError,
     InvalidConfigError,
     NoForwardPassError,
@@ -149,9 +148,12 @@ def test_swap_equivariance_eval_bit_exact():
 def test_batch_too_small_in_train_mode():
     params = init_params(SMALL, seed=0)
     img_a, img_b = batch_of_pairs(16, 1)
-    with pytest.raises(BatchTooSmallError):
-        build_forward(img_a, img_b, params, SMALL, mode="train")
-    forward_pair(img_a, img_b, params, SMALL)  # eval is fine
+    # one pair is enough: train-mode batch norm takes its statistics over both branches
+    pred, _ = build_forward(img_a, img_b, params, SMALL, mode="train")
+    assert pred.shape == (2, 1, 16, 16) and np.isfinite(pred.data).all()
+    for mode in ("train", "eval"):
+        with pytest.raises(ShapeMismatchError, match="nonempty"):
+            build_forward(img_a[:0], img_b[:0], params, SMALL, mode=mode)
 
 
 def test_eval_forward_records_no_graph():
@@ -455,12 +457,15 @@ def small_checkpoint(tmp_path_factory):
 
 def test_checkpoint_corruption(small_checkpoint):
     path, valid = small_checkpoint
+    name_at = 12 + int.from_bytes(valid[8:12], "little") + 8  # the first tensor name follows the count and its length
     damaged = {
         "bad magic": b"NOPE" + valid[4:],
         "unsupported version": valid[:4] + (2).to_bytes(4, "little") + valid[8:],
         "truncated": valid[:-8],
         "trailing bytes": valid + b"junk",
         "empty": b"",
+        "header not UTF-8": valid[:12] + b"\xff" + valid[13:],
+        "tensor name not UTF-8": valid[:name_at] + b"\xff" + valid[name_at + 1 :],
     }
     for name, data in damaged.items():
         path.write_bytes(data)
@@ -530,6 +535,24 @@ def test_load_net_checks_shapes_without_building_the_declared_net(tmp_path, monk
 
 def test_grad_check_net_small():
     assert grad_check_net(trials=12, seed=1) < 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_grad_check_net_at_one_pair_per_batch(monkeypatch, seed):
+    import sndmseg.train as train_module
+
+    real_stack_batch = train_module._stack_batch
+    pairs = []
+
+    def first_pair_only(records, targets, indices):
+        img_a, img_b, gt = real_stack_batch(records, targets, indices[:1])
+        pairs.append((len(img_a), img_a.dtype, len(gt)))
+        return img_a, img_b, gt
+
+    # grad_check_net stacks its pairs once; keeping one runs its float64 train-mode check at B = 1
+    monkeypatch.setattr(train_module, "_stack_batch", first_pair_only)
+    assert grad_check_net(trials=12, seed=seed) < 1e-3
+    assert pairs == [(1, np.float32, 2)]
 
 
 def test_grad_check_net_fails_on_non_finite_loss(monkeypatch):

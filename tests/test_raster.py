@@ -1,4 +1,6 @@
 import hashlib
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -152,6 +154,10 @@ def test_float_map_bad_magic_and_truncation(tmp_path):
     path.write_bytes(b"SNDM" + (4).to_bytes(4, "little") + (4).to_bytes(4, "little") + bytes(8))
     with pytest.raises(TruncatedPayloadError):
         read_float_map(str(path))
+    for width, height in ((0, 2), (2, 0), (0, 0)):
+        path.write_bytes(b"SNDM" + width.to_bytes(4, "little") + height.to_bytes(4, "little"))
+        with pytest.raises(MalformedHeaderError, match="bad dimensions"):
+            read_float_map(str(path))
 
 
 def _float_map_bytes(width, height, payload: bytes) -> bytes:
@@ -179,6 +185,20 @@ def test_float_map_reader_refuses_what_the_writer_refuses(tmp_path, bad):
         read_float_map(str(path))
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_written_files_follow_the_umask(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        write_mask(np.eye(3, dtype=bool), str(tmp_path / "m.pgm"))
+        write_float_map(np.zeros((2, 2), dtype=np.float32), str(tmp_path / "m.sndmf"))
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        os.umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(("m.pgm", "m.sndmf", "plain"), 0o666 & ~umask)
+
+
 def test_write_to_missing_directory_fails(tmp_path):
     with pytest.raises(IoFailureError):
         write_float_map(np.zeros((2, 2), dtype=np.float32), str(tmp_path / "no" / "dir" / "m.sndmf"))
@@ -202,6 +222,15 @@ def test_overlong_pnm_dimension_is_malformed_header(tmp_path, magic, reader, dig
     path = tmp_path / "big.pnm"
     path.write_bytes(magic + b"\n" + b"1" * digits + b" 1\n255\n\0")
     with pytest.raises(MalformedHeaderError, match="bad header token"):
+        reader(str(path))
+
+
+@pytest.mark.parametrize("header", [b"0 1\n255\n", b"1 0\n255\n", b"1 1\n255"])  # the last lacks the delimiter after maxval
+@pytest.mark.parametrize("magic, reader", [(b"P5", read_mask), (b"P6", read_image)])
+def test_pnm_without_a_size_or_payload_delimiter_is_malformed_header(tmp_path, magic, reader, header):
+    path = tmp_path / "bad.pnm"
+    path.write_bytes(magic + b"\n" + header)
+    with pytest.raises(MalformedHeaderError, match="bad dimensions|missing delimiter"):
         reader(str(path))
 
 

@@ -6,7 +6,7 @@ import pytest
 import sndmseg
 import sndmseg.train as train_module
 from sndmseg import synth
-from sndmseg.errors import BatchTooSmallError, DatasetEmptyError, InvalidConfigError, NonFiniteError
+from sndmseg.errors import DatasetEmptyError, InvalidConfigError, NonFiniteError, ShapeMismatchError
 from sndmseg.losses import LossConfig, LossReport
 from sndmseg.network import NetConfig, forward_pair, init_params
 from sndmseg.sndm import sndm_encode
@@ -77,8 +77,9 @@ def test_plateau_improvement_threshold():
 
 
 def test_train_config_validation():
-    with pytest.raises(BatchTooSmallError):
-        TrainConfig(batch_size=1)
+    with pytest.raises(InvalidConfigError, match="batch_size must be >= 1"):
+        TrainConfig(batch_size=0)
+    assert TrainConfig(batch_size=1).batch_size == 1
     with pytest.raises(InvalidConfigError):
         TrainConfig(lr_factor=1.0)
     with pytest.raises(InvalidConfigError):
@@ -101,11 +102,11 @@ def test_train_config_validation():
     "config_class, name, value, error",
     [
         (NetConfig, "input_size", 60, InvalidConfigError),
-        (TrainConfig, "batch_size", 1, BatchTooSmallError),
+        (TrainConfig, "batch_size", 0, InvalidConfigError),
         (LossConfig, "lam", 0.5, InvalidConfigError),
         (GenConfig, "image_size", 8, InvalidConfigError),
         (AblationConfig, "n_val", 0, DatasetEmptyError),
-        (AblationConfig, "n_train", 1, BatchTooSmallError),
+        (AblationConfig, "n_train", 0, DatasetEmptyError),
         (AblationConfig, "n_test", 0, DatasetEmptyError),
     ],
 )
@@ -130,34 +131,54 @@ def test_every_loss_trains_the_default_net():
         train([], val_set, TINY_NET, TrainConfig(max_epochs=1))
 
 
-def test_train_rejects_a_single_training_pair(monkeypatch):
+def test_train_on_a_single_pair_at_batch_one():
+    # train-mode batch norm pools both images of the pair, so one pair is a full batch
     train_set, val_set = tiny_sets(1, 2)
-    monkeypatch.setattr(train_module, "sndm_encode", lambda mask: pytest.fail("a target was encoded"))
-    # batch norm skips a 1-item batch, so one pair would train nothing
-    with pytest.raises(BatchTooSmallError):
-        train(train_set, val_set, TINY_NET, TrainConfig(max_epochs=1, batch_size=2))
+    initial = init_params(TINY_NET, seed=TrainConfig.seed).values["head.conv.weight"]
+    result = train(train_set, val_set, TINY_NET, TrainConfig(max_epochs=3, batch_size=1))
+    assert len(result.history) == 3
+    assert all(np.isfinite([h.train_loss, h.val_loss]).all() for h in result.history)
+    assert not np.array_equal(result.params.values["head.conv.weight"], initial)
 
 
-def test_train_rejects_a_bad_loss_config_before_any_work(monkeypatch):
-    train_set, val_set = tiny_sets(2, 2)
-    monkeypatch.setattr(train_module, "sndm_encode", lambda mask: pytest.fail("a target was encoded"))
-    with pytest.raises(InvalidConfigError):  # raised when the LossConfig is built, before train() runs
-        train(train_set, val_set, TINY_NET, TrainConfig(max_epochs=1, batch_size=2), loss_config=LossConfig(lam=0.5))
-
-
-def test_trailing_one_pair_batch_is_skipped(monkeypatch):
+def test_trailing_one_pair_batch_is_trained(monkeypatch):
     steps = []
+    train_losses = []  # (pairs, loss) of every train-mode loss, in step order
+    real_map_loss = train_module.ad.map_loss
 
     def counting_adam_step(*args, **kwargs):
         steps.append(1)
         return adam_step(*args, **kwargs)
 
+    def recording_map_loss(pred, *args):
+        loss = real_map_loss(pred, *args)
+        if pred.requires_grad:  # the validation pass runs in eval mode
+            train_losses.append((pred.data.shape[0] // 2, float(loss.data)))
+        return loss
+
     monkeypatch.setattr(train_module, "adam_step", counting_adam_step)
-    # 5 pairs in batches of 4: each epoch steps on one batch of 4 and skips the last pair
+    monkeypatch.setattr(train_module.ad, "map_loss", recording_map_loss)
+    # 5 pairs in batches of 4: each epoch steps on a batch of 4, then on the last pair
     result = train(*tiny_sets(5, 2), TINY_NET, TrainConfig(max_epochs=3, batch_size=4, seed=2))
-    assert len(steps) == 3
-    assert len(result.history) == 3
+    assert len(steps) == 6
+    assert [pairs for pairs, _ in train_losses] == [4, 1] * 3
+    for epoch, stats in enumerate(result.history):
+        (full, full_loss), (last, last_loss) = train_losses[2 * epoch : 2 * epoch + 2]
+        assert stats.train_loss == (0.0 + full_loss * full + last_loss * last) / 5
     assert all(np.isfinite([h.train_loss, h.val_loss]).all() for h in result.history)
+
+
+def test_records_of_the_wrong_size_fail_before_any_work(monkeypatch):
+    monkeypatch.setattr(train_module, "sndm_encode", lambda mask: pytest.fail("a target was encoded"))
+    monkeypatch.setattr(train_module, "init_params", lambda *args, **kwargs: pytest.fail("parameters were allocated"))
+    small, big = make_pairs(930, GenConfig(image_size=16), 2), make_pairs(940, TINY_GEN, 1)
+    params = init_params(TINY_NET, seed=0)
+    # a network far larger than the images, and in-memory sets of mixed sizes
+    for net, train_set, val_set in ((NetConfig(input_size=1048576), small, small), (TINY_NET, big, small + big)):
+        with pytest.raises(ShapeMismatchError, match="pair 0 'pair_0000'"):
+            train(train_set, val_set, net, TrainConfig(max_epochs=1))
+    with pytest.raises(ShapeMismatchError, match=r"pair 1 'pair_0000': image and mask sizes \[\(16, 16\), [^]]*\], not 32x32"):
+        evaluate(params, TINY_NET, big + small)
 
 
 def test_package_attribute_train_is_the_module():
@@ -337,11 +358,11 @@ def test_ablation_generates_each_seed_once(monkeypatch):
 @pytest.mark.parametrize(
     "name, value, error",
     [
-        ("n_train", 1, BatchTooSmallError),
+        ("n_train", 0, DatasetEmptyError),
         ("n_val", 0, DatasetEmptyError),
         ("n_test", 0, DatasetEmptyError),
         ("image_size", 20, InvalidConfigError),
-        ("batch_size", 1, BatchTooSmallError),
+        ("batch_size", 0, InvalidConfigError),
         ("lr", float("nan"), InvalidConfigError),
         ("epochs", 0, InvalidConfigError),
     ],

@@ -141,6 +141,13 @@ def test_train_on_a_single_pair_at_batch_one():
     assert not np.array_equal(result.params.values["head.conv.weight"], initial)
 
 
+def test_train_rejects_a_bad_loss_config_before_any_work(monkeypatch):
+    train_set, val_set = tiny_sets(2, 2)
+    monkeypatch.setattr(train_module, "sndm_encode", lambda mask: pytest.fail("a target was encoded"))
+    with pytest.raises(InvalidConfigError):  # raised when the LossConfig is built, before train() runs
+        train(train_set, val_set, TINY_NET, TrainConfig(max_epochs=1, batch_size=2), loss_config=LossConfig(lam=0.5))
+
+
 def test_trailing_one_pair_batch_is_trained(monkeypatch):
     steps = []
     train_losses = []  # (pairs, loss) of every train-mode loss, in step order

@@ -22,25 +22,31 @@ needs: 3x3 convolution (stride 1, zero padding 1), 2x2 stride-2
 transposed convolution, per-channel batch normalization with running
 statistics, relu/tanh, 2x2 max pooling, concatenation/slicing, batched
 matrix multiply, and per-position L2 channel normalization; the loss
-enters through :func:`map_loss`. Convolutions are expressed as matrix
+enters through :func:`map_loss`. Training runs every batch norm and the
+relu after it as one fused op, :func:`batch_norm_relu`, which holds only
+its input and its output and writes its input's gradient into the buffer
+of its own; :func:`batch_norm` and :func:`relu` stay as the two-node
+reference it is tested against. Convolutions are expressed as matrix
 multiplies so the heavy lifting stays in BLAS. The 3x3 conv runs one
-GEMM per batch item over a patch workspace that all items reuse, and
-takes its input gradient as the same conv of the output gradient with
-the flipped, transposed kernel. The single-output head
-conv (:func:`head_conv`) takes its input as a list of channel pieces, so
-the network's decoder outputs and image feed it without a concatenated
-copy; it reads them unpadded, one GEMM per piece for all nine taps, and
-zeroes the tap entries that would read padding. The transposed conv
-computes one output phase at a time into a reused block. The
-memory-bound ops (batch norm, max pooling, the placement around the
-transposed conv's GEMMs) are written to make as few passes over their
-tensors as they can, with every per-channel reduction accumulated in
-float64.
+GEMM per batch item over a patch workspace that all items reuse; its
+backward builds one patch matrix of the output gradient per item and
+takes both its input and its weight gradient from it. The single-output
+head conv (:func:`head_conv`) takes its input as a list of channel
+pieces, so the network's decoder outputs and image feed it without a
+concatenated copy; it reads them unpadded, one GEMM per piece for all
+nine taps, and zeroes the tap entries that would read padding. The
+transposed conv computes one output phase at a time into a reused block.
+The memory-bound ops (the fused batch norm, max pooling, the placement
+around the transposed conv's GEMMs) are written to make as few passes
+over their tensors as they can. The fused op's per-channel reductions are
+per-(item, channel) sums in the input's dtype (float32 in training)
+combined in float64; the reference :func:`batch_norm` accumulates its
+reductions in float64 throughout.
 
-A forward-only pass does no training-only work: max pooling builds its
-argmax index only under a gradient, and an eval forward folds each batch
-norm into the conv before it (:func:`fold_batch_norm`), so no batch-norm
-pass runs at all.
+A forward-only pass does no training-only work: max pooling keeps no
+argmax index (its backward finds the maxima again), and an eval forward
+folds each batch norm into the conv before it (:func:`fold_batch_norm`),
+so no batch-norm pass runs at all.
 
 Training runs in float32; feed float64 arrays when checking gradients,
 since 32-bit noise masks real defects.
@@ -359,11 +365,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     single-output prediction head calls :func:`head_conv` on its input
     pieces instead. No patch matrix covers the whole batch: each item's
     patches go into one reused workspace (:func:`_item_patches`) and its
-    GEMM writes straight into the output. dX is the forward conv of the
-    output gradient with the flipped, transposed kernel (C_in, C_out*9), so
-    it needs neither a gradient patch matrix nor a col2im scatter. dW
-    rebuilds each item's patches and accumulates the items' GEMMs in batch
-    order.
+    GEMM writes straight into the output. Backward builds one patch matrix
+    of the output gradient per item and takes both gradients from it. dX
+    is the forward conv of the output gradient with the flipped,
+    transposed kernel (C_in, C_out*9), so it needs no col2im scatter. dW
+    is the product of the same patches with the item's input,
+    (C_out*9, H*W) @ (H*W, C_in), accumulated in batch order: gradient
+    tap k reads the output at the offset that input tap 8 - k writes, so
+    flipping the taps back gives (C_out, C_in, 3, 3).
     """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"conv2d input must be (B, C, H, W), got {x.data.shape}")
@@ -376,16 +385,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     data = out.reshape(batch, c_out, height, width)
 
     def backward(g):
-        gm = g.reshape(batch, c_out, height * width)
         if bias.requires_grad:
-            bias.accumulate(gm.sum(axis=(0, 2)))
-        if x.requires_grad:
-            # flipped tap (di, dj) of output channel o reads weight[o, :, 2 - di, 2 - dj]
-            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(channels, c_out * 9)
-            x.accumulate(_conv_items(g, wflip).reshape(x.data.shape))
+            bias.accumulate(g.sum(axis=(0, 2, 3)))
+        # flipped tap (di, dj) of output channel o reads weight[o, :, 2 - di, 2 - dj]
+        wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(channels, c_out * 9)
+        xm = x.data.reshape(batch, channels, height * width)
+        dx = np.empty(xm.shape, dtype=np.result_type(g, wflip)) if x.requires_grad else None
+        dw_taps = 0  # (C_out*9, C_in): row (o, k) holds dW[o, :, 2 - di, 2 - dj] for tap k = (di, dj)
+        for i, cols in enumerate(_item_patches(g)):
+            if dx is not None:
+                np.matmul(wflip, cols, out=dx[i])
+            if weight.requires_grad:
+                dw_taps += cols @ xm[i].T
+        if dx is not None:
+            x.accumulate(dx.reshape(x.data.shape))
         if weight.requires_grad:
-            dw = sum(np.matmul(gm[i], cols.T) for i, cols in enumerate(_item_patches(x.data)))
-            weight.accumulate(dw.reshape(weight.data.shape))
+            dw = dw_taps.reshape(c_out, 3, 3, channels)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+            weight.accumulate(np.ascontiguousarray(dw))
 
     return _node(data, (x, weight, bias), backward)
 
@@ -436,8 +452,12 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling, stride 2; ties route the gradient to the first maximum.
 
-    The argmax index that routes the gradient is built only when ``x``
-    requires a gradient; a forward-only pass makes just the max.
+    The op keeps no argmax index. Backward compares each of the four
+    window positions, in order, with the pooled output, and a window's
+    gradient goes to the first position that equals it; a running
+    "not yet taken" mask stops later ties from taking it again. Position
+    3 takes every window left over, which includes a window holding NaN,
+    whose maximum equals none of its entries.
     """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"max_pool2 input must be (B, C, H, W), got {x.data.shape}")
@@ -449,14 +469,19 @@ def max_pool2(x: Tensor) -> Tensor:
     data = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
     if not x.requires_grad:
         return Tensor(data)
-    idx = np.full(data.shape, 3, dtype=np.int8)
-    for k in (2, 1, 0):  # lower positions overwrite, so ties keep the first maximum
-        idx[views[k] == data] = k
 
     def backward(g):
         dx = np.empty(x.data.shape, dtype=g.dtype)
+        free = np.ones(data.shape, dtype=bool)  # windows whose gradient no earlier position took
+        hit = np.empty_like(free)
         for k, (i, j) in enumerate(_BLOCK_OFFSETS):
-            dx[:, :, i::2, j::2] = np.where(idx == k, g, 0)
+            if k < 3:
+                np.equal(views[k], data, out=hit)
+                hit &= free
+                free ^= hit
+            else:
+                hit = free
+            np.multiply(g, hit, out=dx[:, :, i::2, j::2])
         x.accumulate(dx)
 
     return _node(data, (x,), backward)
@@ -497,7 +522,9 @@ def batch_norm(
     """Per-channel batch normalization over (batch, H, W).
 
     In training mode the batch statistics normalize the input and update
-    the running buffers in place with momentum ``BN_MOMENTUM``. In eval mode
+    the running buffers in place with momentum ``BN_MOMENTUM``; the
+    network trains with :func:`batch_norm_relu` instead, and this mode
+    stays as the reference the fused op is tested against. In eval mode
     the op is a pure per-channel affine map of the running statistics;
     the network's eval forward does not call it but folds that same map
     into the preceding convolution (:func:`fold_batch_norm`), and this
@@ -541,6 +568,59 @@ def batch_norm(
     return _node(data, (x, gamma, beta), backward)
 
 
+def _channel_sums(rows: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel sums of (B, C, N) ``rows``, or of ``rows * other``: per-(item, channel) sums in the rows' dtype, added in float64."""
+    per_row = rows.sum(axis=2) if other is None else np.einsum("bcn,bcn->bc", rows, other)
+    return per_row.sum(axis=0, dtype=np.float64)
+
+
+def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray, running_var: np.ndarray) -> Tensor:
+    """Train-mode ``relu(batch_norm(x, training=True))`` as one node that holds only ``x`` and its output.
+
+    Forward writes ``x - mean`` once into the output buffer, takes the
+    variance from that centered buffer, and then scales, shifts and
+    clamps it in place; the running buffers update as in
+    :func:`batch_norm`. Backward masks the op's own gradient in place by
+    ``output > 0``, which is where the relu passed its input, and builds
+    ``dx`` in that same buffer, which ``x`` then receives: the walk reads
+    an op output's gradient no more once its closure has run.
+    """
+    batch, channels = x.data.shape[:2]
+    n = x.data.size // channels
+    xr = x.data.reshape(batch, channels, -1)
+    mean = (_channel_sums(xr) / n).astype(x.dtype)
+    rows = xr - mean[:, None]
+    var = (_channel_sums(rows, rows) / n).astype(x.dtype)
+    running_mean *= BN_MOMENTUM
+    running_mean += (1.0 - BN_MOMENTUM) * mean
+    running_var *= BN_MOMENTUM
+    running_var += (1.0 - BN_MOMENTUM) * var
+    inv_std, scale, _ = _bn_affine(gamma.data, beta.data, mean, var)
+    rows *= scale[:, None]
+    rows += beta.data[:, None]
+    np.maximum(rows, 0, out=rows)
+
+    def backward(g):
+        gr = g.reshape(rows.shape)
+        gr *= rows > 0
+        sum_g = _channel_sums(gr)
+        dgamma = inv_std * (_channel_sums(gr, xr) - mean * sum_g)  # sum(g * xhat)
+        if beta.requires_grad:
+            beta.accumulate(sum_g.astype(beta.dtype))
+        if gamma.requires_grad:
+            gamma.accumulate(dgamma.astype(gamma.dtype))
+        if x.requires_grad:
+            # dx = scale * (g - mean(g) - xhat * mean(g * xhat)) = scale * g + a * x + c
+            a = -scale * inv_std * dgamma / n
+            c = -scale * sum_g / n - a * mean
+            gr *= scale[:, None]
+            gr += a.astype(gr.dtype)[:, None] * xr
+            gr += c.astype(gr.dtype)[:, None]
+            x.accumulate(gr.reshape(x.data.shape))
+
+    return _node(rows.reshape(x.data.shape), (x, gamma, beta), backward)
+
+
 def map_loss(pred: Tensor, targets: np.ndarray, loss_fn, cfg) -> Tensor:
     """Bridge a per-map loss (value + analytic gradient) into the graph.
 
@@ -577,6 +657,7 @@ __all__ = [
     "conv_transpose2d",
     "max_pool2",
     "batch_norm",
+    "batch_norm_relu",
     "fold_batch_norm",
     "map_loss",
 ]

@@ -13,9 +13,11 @@ preceding one otherwise. The final 3x3 convolution reads the level-1
 skip, one adapter output per source module and the raw input image as
 its input's channel pieces, with no concatenated copy, and tanh maps its
 output to the signed normalized distance map every loss trains on; the
-mask is the sign of that map (:func:`sndm.sndm_decode`). In eval mode
-each batch norm is folded into the weights and bias of the conv or deconv
-before it, and the relu after it runs in place on the conv's output.
+mask is the sign of that map (:func:`sndm.sndm_decode`). In train mode
+each batch norm and the relu after it run as one fused graph node
+(:func:`autodiff.batch_norm_relu`). In eval mode each batch norm is folded
+into the weights and bias of the conv or deconv before it, and the relu
+after it runs in place on the conv's output.
 
 Both branches share every parameter, so swapping the two input images
 swaps the two outputs exactly. They run as one joint batch from the input
@@ -207,7 +209,8 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     A targets stacked on the B targets is the mean over both branches.
     ``param_tensors`` maps each parameter name to its graph node.
 
-    Train mode records the graph for every parameter, normalizes with
+    Train mode records the graph for every parameter and runs each batch
+    norm with the relu after it as one fused op, which normalizes with
     batch statistics and updates the running buffers in place. Eval mode
     records no graph: it folds every batch norm into the conv or deconv
     before it and runs no batch-norm pass.
@@ -233,7 +236,7 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
             y = op(x, *map(ad.Tensor, folded))
             np.maximum(y.data, 0, out=y.data)  # the fresh conv output has no other reader
             return y
-        return ad.relu(ad.batch_norm(op(x, weight, bias), gamma, beta, mean, var, training=True))
+        return ad.batch_norm_relu(op(x, weight, bias), gamma, beta, mean, var)
 
     def conv_bn_relu(x, conv_name, bn_name):
         return normalized(ad.conv2d, x, conv_name, bn_name, out_axis=0)

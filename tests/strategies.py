@@ -50,6 +50,11 @@ def weighted_sum(y, mult=1.0):
     return ad.map_loss(ad.reshape(y, (1, 1, 1, n)), np.zeros((1, 1, n)), linear, None)
 
 
+def bn_relu_composite(x, gamma, beta, running_mean, running_var):
+    """The two-node reference of ``ad.batch_norm_relu``: ``relu(batch_norm(x, training=True))``."""
+    return ad.relu(ad.batch_norm(x, gamma, beta, running_mean, running_var, training=True))
+
+
 def weighted_total(scalars, weights):
     """sum(w * s) over scalar nodes, joined by a concat of their (1, 1) reshapes in the given order."""
     return weighted_sum(ad.concat([ad.reshape(s, (1, 1)) for s in scalars]), weights)

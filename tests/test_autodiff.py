@@ -5,7 +5,7 @@ import pytest
 
 import sndmseg.autodiff as ad
 from sndmseg.errors import NoForwardPassError, ShapeMismatchError
-from strategies import weighted_sum, weighted_total
+from strategies import bn_relu_composite, weighted_sum, weighted_total
 
 RNG = np.random.Generator(np.random.Philox(101))
 
@@ -139,24 +139,27 @@ def test_backward_releases_the_graph():
         RNG.normal(size=(1,)),  # head bias
     ]
     targets = RNG.normal(size=(2, 4, 4))
-    built = []
 
-    def graph(ts):
-        x, w, b, gamma, beta, wt, bt, wh, bh = ts
-        # the skip h feeds both the concat and the max pool, as an encoder level does
-        h = ad.relu(ad.batch_norm(ad.conv2d(x, w, b), gamma, beta, np.zeros(3), np.ones(3), training=True))
-        up = ad.conv_transpose2d(ad.max_pool2(h), wt, bt)
-        loss = ad.map_loss(ad.tanh(ad.conv2d(ad.concat([h, up]), wh, bh)), targets, sq, None)
-        built.append((loss, [n for n in ad._topo_order(loss) if n._backward is not None]))
-        return loss
+    # the two-node batch norm + relu of the reference, then the fused op the network trains with
+    for block, op_count in ((bn_relu_composite, 9), (ad.batch_norm_relu, 8)):
+        built = []
 
-    assert finite_difference_check(graph, arrays) < 1e-6
-    loss, ops = built[0]
-    assert len(ops) == 9
-    for node in ops:
-        assert node.grad is None and node._backward is None and node._parents == ()
-    with pytest.raises(NoForwardPassError):
-        loss.backward()
+        def graph(ts):
+            x, w, b, gamma, beta, wt, bt, wh, bh = ts
+            # the skip h feeds both the concat and the max pool, as an encoder level does
+            h = block(ad.conv2d(x, w, b), gamma, beta, np.zeros(3), np.ones(3))
+            up = ad.conv_transpose2d(ad.max_pool2(h), wt, bt)
+            loss = ad.map_loss(ad.tanh(ad.conv2d(ad.concat([h, up]), wh, bh)), targets, sq, None)
+            built.append((loss, [n for n in ad._topo_order(loss) if n._backward is not None]))
+            return loss
+
+        assert finite_difference_check(graph, arrays) < 1e-6, block
+        loss, ops = built[0]
+        assert len(ops) == op_count, block
+        for node in ops:
+            assert node.grad is None and node._backward is None and node._parents == ()
+        with pytest.raises(NoForwardPassError):
+            loss.backward()
 
 
 def test_matmul_gradients():
@@ -414,22 +417,63 @@ def test_max_pool_ties_route_to_first_maximum():
         assert np.array_equal(xt.grad[0, 0, :, 2 * n : 2 * n + 2].ravel(), expected), window
 
 
-def test_batch_norm_float32_matches_float64_far_from_zero_mean():
-    # large channel means stress the sum(x^2) - sum(x)^2 / n form of the statistics
-    x = RNG.normal(50.0, 1.0, size=(4, 3, 8, 8))
+def test_max_pool_nan_window_routes_to_the_last_position():
+    # a window holding NaN pools to NaN, which equals none of its entries, so position 3 takes its gradient
+    x = np.random.Generator(np.random.Philox(29)).normal(size=(1, 1, 2, 8)).astype(np.float32)
+    for n in range(4):  # window n holds its NaN at position n
+        x[0, 0, n // 2, 2 * n + n % 2] = np.nan
+    xt = ad.Tensor(x, requires_grad=True)
+    y = ad.max_pool2(xt)
+    assert np.isnan(y.data).all()
+    y._backward(np.array([[[[1.0, 2.0, 3.0, 4.0]]]], dtype=np.float32))
+    for n in range(4):
+        assert np.array_equal(xt.grad[0, 0, :, 2 * n : 2 * n + 2].ravel(), [0.0, 0.0, 0.0, n + 1.0]), n
+
+
+@pytest.mark.parametrize("form", ["batch_norm", "batch_norm_relu"])
+def test_batch_norm_float32_matches_float64_far_from_zero_mean(form):
+    # large channel means stress the statistics: the composite's sum(x^2) - sum(x)^2 / n, and the fused
+    # op's float32 per-item sums of x and of g * x
+    rng = np.random.Generator(np.random.Philox(37))
+    x = rng.normal(50.0, 1.0, size=(4, 3, 8, 8))
     gamma = np.array([1.0, 0.5, 2.0])
     beta = np.array([0.0, 0.3, -0.2])
-    mult = RNG.normal(size=x.shape)
+    mult = rng.normal(size=x.shape)
+    op = {"batch_norm": lambda *args: ad.batch_norm(*args, training=True), "batch_norm_relu": ad.batch_norm_relu}[form]
 
     def run(dtype):
         ts = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in (x, gamma, beta)]
         rm, rv = np.zeros(3, dtype), np.ones(3, dtype)
-        y = ad.batch_norm(*ts, rm, rv, training=True)
+        y = op(*ts, rm, rv)
         weighted_sum(y, mult.astype(dtype)).backward()
         return [y.data, rm, rv] + [t.grad for t in ts]
 
     for got, want in zip(run(np.float32), run(np.float64)):
         assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
+
+
+def test_batch_norm_relu_matches_the_composite_in_float64():
+    rng = np.random.Generator(np.random.Philox(23))
+    x = rng.normal(0.3, 1.5, size=(3, 4, 6, 6))
+    gamma = rng.normal(size=4)  # a negative gamma flips which side the relu keeps
+    beta = rng.normal(size=4)
+    other = rng.normal(size=(3, 2, 6, 6))
+    mult_cat = rng.normal(size=(3, 6, 6, 6))
+    mult_pool = rng.normal(size=(3, 4, 3, 3))
+
+    def run(block):
+        ts = [ad.Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+        rm, rv = np.full(4, 0.2), np.full(4, 1.3)
+        y = block(*ts, rm, rv)
+        # the output feeds a concat and a max pool, as an encoder skip does
+        joined = weighted_sum(ad.concat([y, ad.Tensor(other)]), mult_cat)
+        weighted_total([joined, weighted_sum(ad.max_pool2(y), mult_pool)], 1.0).backward()
+        return {"output": y.data, "running_mean": rm, "running_var": rv, "x": ts[0].grad, "gamma": ts[1].grad, "beta": ts[2].grad}
+
+    fused, composite = run(ad.batch_norm_relu), run(bn_relu_composite)
+    assert (fused["output"] == 0).any() and (fused["output"] > 0).any()  # the relu both blocks and passes
+    for key, want in composite.items():
+        assert np.max(np.abs(fused[key] - want)) <= 1e-10 * np.max(np.abs(want)), key
 
 
 def test_conv2d_head_float32_matches_float64():

@@ -43,6 +43,17 @@ per-(item, channel) sums in the input's dtype (float32 in training)
 combined in float64; the reference :func:`batch_norm` accumulates its
 reductions in float64 throughout.
 
+The three conv kernels split their batch items over threads
+(:func:`split_items`): up to ``SNDM_THREADS`` contiguous item ranges, by
+default one per usable core, each run as the serial loop over its items
+with a workspace of its own; a call with too little work for two ranges
+runs on the calling thread alone. An item's GEMMs are the same BLAS calls
+whatever range holds it, so its result does not depend on the split. A weight
+gradient is a sum over items: each range writes its items' products into
+one (B, ...) array, and the calling thread sums that array over the
+batch axis in batch order, so outputs are bit-identical at any thread
+count.
+
 A forward-only pass does no training-only work: max pooling keeps no
 argmax index (its backward finds the maxima again), and an eval forward
 folds each batch norm into the conv before it (:func:`fold_batch_norm`),
@@ -54,9 +65,13 @@ since 32-bit noise masks real defects.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
-from .errors import NoForwardPassError, ShapeMismatchError
+from .errors import InvalidConfigError, NoForwardPassError, ShapeMismatchError
 
 BN_MOMENTUM = 0.9  # running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch
 BN_EPS = 1e-5
@@ -145,6 +160,85 @@ def _node(data, parents, backward_fn) -> Tensor:
         out._parents = tuple(parents)
         out._backward = backward_fn
     return out
+
+
+# ---------------------------------------------------------------------------
+# batch items over threads
+
+
+def thread_cap() -> int:
+    """The ``SNDM_THREADS`` cap on kernel threads and worker processes; by default the cores this process may run on."""
+    env = os.environ.get("SNDM_THREADS", "").strip()
+    if not env:
+        return len(os.sched_getaffinity(0))
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidConfigError(f"SNDM_THREADS must be an integer >= 1, got {env!r}")
+    return cap
+
+
+_pool = None  # (worker count, executor), made by the first split that needs a worker
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """A forked child has none of its parent's threads, so it makes a pool of its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _workers(count: int) -> ThreadPoolExecutor:
+    """The process's worker pool, replaced by a larger one when a split needs more than ``count`` workers."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < count:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)  # its queued ranges still run
+            _pool = (count, ThreadPoolExecutor(count, thread_name_prefix="sndmseg-items"))
+        return _pool[1]
+
+
+# A range hands over to the worker only with at least this many flops: handing a range over
+# costs about 0.1 ms, and small ranges slow both threads down (the default network's eval
+# forward at 8 pairs was fastest from 1e6 to 1e7, the selftest's 16 px train at 5e6 and up)
+MIN_RANGE_FLOPS = 1e7
+
+
+def split_items(fn, items: int, item_flops: float) -> None:
+    """Run ``fn(lo, hi)`` over contiguous ranges that cover ``range(items)``, one range per thread.
+
+    There are ``thread_cap()`` ranges, or fewer: one per item at most, and
+    at most one per ``MIN_RANGE_FLOPS`` of the split's work, which the
+    caller gives as ``item_flops`` per item. The range sizes differ by at
+    most one. A lazily made worker pool takes
+    every range but the last, the caller runs the last, and the call
+    returns only once every range has finished: it waits in a ``finally``,
+    so an error from either side is raised only when no worker still writes
+    into the op's buffers. At one range ``fn(0, items)`` runs on the
+    caller's thread alone. ``fn`` must write only the items of its range
+    and compute each item as it would alone, so that outputs do not depend
+    on the thread count. Code run in a worker must call no name that
+    ``bench/tracing.py`` patches, because the tracer's span stack is not
+    thread-safe.
+    """
+    parts = max(1, min(thread_cap(), items, int(items * item_flops // MIN_RANGE_FLOPS)))
+    bounds = [items * k // parts for k in range(parts + 1)]
+    futures = []
+    if parts > 1:
+        pool = _workers(parts - 1)
+        futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
+    try:
+        fn(bounds[-2], bounds[-1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +373,18 @@ def _item_patches(x: np.ndarray):
         yield cols
 
 
-def _conv_items(x: np.ndarray, wmat: np.ndarray) -> np.ndarray:
-    """(B, K, H*W): ``wmat`` (K, C*9) times each item's patch matrix, one GEMM per item."""
+def _conv_items(x: np.ndarray, wmat: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """(B, K, H*W): ``wmat`` (K, C*9) times each item's patch matrix plus ``bias``, one GEMM per item, items split over threads."""
     batch, _, height, width = x.shape
     out = np.empty((batch, wmat.shape[0], height * width), dtype=np.result_type(x, wmat))
-    for i, cols in enumerate(_item_patches(x)):
-        np.matmul(wmat, cols, out=out[i])
+    bias_col = bias.reshape(-1, 1)
+
+    def items(lo, hi):
+        for i, cols in enumerate(_item_patches(x[lo:hi]), lo):
+            np.matmul(wmat, cols, out=out[i])
+            out[i] += bias_col
+
+    split_items(items, batch, 2.0 * wmat.size * height * width)
     return out
 
 
@@ -324,17 +424,21 @@ def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
         if dst.start < dst.stop:
             wrap = {0: 0, 2: width - 1}.get(dj)
             taps.append((k, shift, dst, src, None if wrap is None else (wrap + shift) % width))
-    # taps_in[b, k, q] = the weights of tap k times input column q, summed over every piece's channels
-    taps_in = np.matmul(wmat[offsets[0] : offsets[1]].T, flats[0])
-    prod = np.empty_like(taps_in) if len(pieces) > 1 else None
-    for lo, hi, xf in zip(offsets[1:-1], offsets[2:], flats[1:]):
-        taps_in += np.matmul(wmat[lo:hi].T, xf, out=prod)
-    acc = np.zeros((batch, 1, n), dtype=taps_in.dtype)
-    for k, _, dst, src, wrapped in taps:
-        if wrapped is not None:
-            taps_in[:, k, wrapped::width] = 0
-        acc[:, 0, dst] += taps_in[:, k, src]
-    acc += bias.data
+    acc = np.zeros((batch, 1, n), dtype=np.result_type(wmat, flats[0]))
+
+    def forward_items(b0, b1):
+        # taps_in[b, k, q] = the weights of tap k times input column q, summed over every piece's channels
+        taps_in = np.matmul(wmat[offsets[0] : offsets[1]].T, flats[0][b0:b1])
+        prod = np.empty_like(taps_in) if len(pieces) > 1 else None
+        for lo, hi, xf in zip(offsets[1:-1], offsets[2:], flats[1:]):
+            taps_in += np.matmul(wmat[lo:hi].T, xf[b0:b1], out=prod)
+        for k, _, dst, src, wrapped in taps:
+            if wrapped is not None:
+                taps_in[:, k, wrapped::width] = 0
+            acc[b0:b1, 0, dst] += taps_in[:, k, src]
+        acc[b0:b1] += bias.data
+
+    split_items(forward_items, batch, 2.0 * wmat.size * n)
     data = acc.reshape(batch, 1, height, width)
 
     def backward(g):
@@ -343,16 +447,26 @@ def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
         gf = g.reshape(batch, n)
         # laid[b, k, q] = g at the output that reads input q through tap k
         laid = np.zeros((batch, 9, n), dtype=g.dtype)
-        for k, shift, dst, src, wrapped in taps:
-            laid[:, k, src] = gf[:, dst]
-            if wrapped is not None:
-                laid[:, k, wrapped::width] = 0
-        if weight.requires_grad:
-            dw = np.concatenate([np.matmul(xf, laid.transpose(0, 2, 1)).sum(axis=0) for xf in flats])
-            weight.accumulate(dw.reshape(weight.data.shape))
-        for p, lo, hi in zip(pieces, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p.accumulate(np.matmul(wmat[lo:hi], laid).reshape(p.data.shape))
+        dw_items = np.empty((batch, channels, 9), dtype=np.result_type(*flats, g)) if weight.requires_grad else None
+        dxs = [np.empty(p.data.shape, dtype=np.result_type(wmat, g)) if p.requires_grad else None for p in pieces]
+
+        def backward_items(b0, b1):
+            for k, shift, dst, src, wrapped in taps:
+                laid[b0:b1, k, src] = gf[b0:b1, dst]
+                if wrapped is not None:
+                    laid[b0:b1, k, wrapped::width] = 0
+            for xf, dx, lo, hi in zip(flats, dxs, offsets[:-1], offsets[1:]):
+                if dw_items is not None:
+                    np.matmul(xf[b0:b1], laid[b0:b1].transpose(0, 2, 1), out=dw_items[b0:b1, lo:hi])
+                if dx is not None:
+                    np.matmul(wmat[lo:hi], laid[b0:b1], out=dx.reshape(batch, hi - lo, n)[b0:b1])
+
+        split_items(backward_items, batch, 4.0 * wmat.size * n)
+        if dw_items is not None:
+            weight.accumulate(dw_items.sum(axis=0).reshape(weight.data.shape))
+        for p, dx in zip(pieces, dxs):
+            if dx is not None:
+                p.accumulate(dx)
 
     return _node(data, (*pieces, weight, bias), backward)
 
@@ -365,14 +479,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     single-output prediction head calls :func:`head_conv` on its input
     pieces instead. No patch matrix covers the whole batch: each item's
     patches go into one reused workspace (:func:`_item_patches`) and its
-    GEMM writes straight into the output. Backward builds one patch matrix
-    of the output gradient per item and takes both gradients from it. dX
-    is the forward conv of the output gradient with the flipped,
-    transposed kernel (C_in, C_out*9), so it needs no col2im scatter. dW
-    is the product of the same patches with the item's input,
-    (C_out*9, H*W) @ (H*W, C_in), accumulated in batch order: gradient
+    GEMM and bias add write straight into the output. Backward builds one
+    patch matrix of the output gradient per item and takes both gradients
+    from it. dX is the forward conv of the output gradient with the
+    flipped, transposed kernel (C_in, C_out*9), so it needs no col2im
+    scatter. dW is the product of the same patches with the item's input,
+    (C_out*9, H*W) @ (H*W, C_in), written per item into a
+    (B, C_out*9, C_in) array and summed over items in batch order: gradient
     tap k reads the output at the offset that input tap 8 - k writes, so
-    flipping the taps back gives (C_out, C_in, 3, 3).
+    flipping the taps back gives (C_out, C_in, 3, 3). Forward and backward
+    split the items over threads (:func:`split_items`), each range with a
+    patch workspace of its own.
     """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"conv2d input must be (B, C, H, W), got {x.data.shape}")
@@ -380,8 +497,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if c_in != x.data.shape[1] or (kh, kw) != (3, 3):
         raise ShapeMismatchError(f"conv2d weight {weight.data.shape} incompatible with input {x.data.shape}")
     batch, channels, height, width = x.data.shape
-    out = _conv_items(x.data, weight.data.reshape(c_out, channels * 9))
-    out += bias.data.reshape(-1, 1)
+    out = _conv_items(x.data, weight.data.reshape(c_out, channels * 9), bias.data)
     data = out.reshape(batch, c_out, height, width)
 
     def backward(g):
@@ -391,16 +507,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(channels, c_out * 9)
         xm = x.data.reshape(batch, channels, height * width)
         dx = np.empty(xm.shape, dtype=np.result_type(g, wflip)) if x.requires_grad else None
-        dw_taps = 0  # (C_out*9, C_in): row (o, k) holds dW[o, :, 2 - di, 2 - dj] for tap k = (di, dj)
-        for i, cols in enumerate(_item_patches(g)):
-            if dx is not None:
-                np.matmul(wflip, cols, out=dx[i])
-            if weight.requires_grad:
-                dw_taps += cols @ xm[i].T
+        # dw_items[i]: (C_out*9, C_in), row (o, k) holds item i's dW[o, :, 2 - di, 2 - dj] for tap k = (di, dj)
+        dw_items = np.empty((batch, c_out * 9, channels), dtype=np.result_type(g, xm)) if weight.requires_grad else None
+
+        def items(lo, hi):
+            for i, cols in enumerate(_item_patches(g[lo:hi]), lo):
+                if dx is not None:
+                    np.matmul(wflip, cols, out=dx[i])
+                if dw_items is not None:
+                    np.matmul(cols, xm[i].T, out=dw_items[i])
+
+        split_items(items, batch, 4.0 * wflip.size * height * width)
         if dx is not None:
             x.accumulate(dx.reshape(x.data.shape))
-        if weight.requires_grad:
-            dw = dw_taps.reshape(c_out, 3, 3, channels)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        if dw_items is not None:
+            dw = dw_items.sum(axis=0).reshape(c_out, 3, 3, channels)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
             weight.accumulate(np.ascontiguousarray(dw))
 
     return _node(data, (x, weight, bias), backward)
@@ -428,23 +549,36 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     data = np.empty((batch, c_out, 2 * height, 2 * width), dtype=dtype)
     block = np.empty((batch, c_out, height * width), dtype=dtype)
     bias_col = bias.data.reshape(-1, 1)
-    for i, j in _BLOCK_OFFSETS:
-        np.matmul(phases[i, j].T, xm, out=block)
-        block += bias_col
-        data[:, :, i::2, j::2] = block.reshape(batch, c_out, height, width)
+
+    def forward_items(lo, hi):
+        for i, j in _BLOCK_OFFSETS:
+            np.matmul(phases[i, j].T, xm[lo:hi], out=block[lo:hi])
+            block[lo:hi] += bias_col
+            data[lo:hi, :, i::2, j::2] = block[lo:hi].reshape(hi - lo, c_out, height, width)
+
+    split_items(forward_items, batch, 2.0 * wmat.size * height * width)
 
     def backward(g):
         gm = np.empty((batch, c_out, 2, 2, height, width), dtype=g.dtype)
-        for i, j in _BLOCK_OFFSETS:
-            gm[:, :, i, j] = g[:, :, i::2, j::2]
-        gm = gm.reshape(batch, c_out * 4, height * width)
-        if weight.requires_grad:
-            dw = np.matmul(xm, gm.transpose(0, 2, 1)).sum(axis=0)
-            weight.accumulate(dw.reshape(weight.data.shape))
+        gm_rows = gm.reshape(batch, c_out * 4, height * width)
+        dw_items = np.empty((batch, channels, c_out * 4), dtype=np.result_type(xm, g)) if weight.requires_grad else None
+        dx = np.empty(xm.shape, dtype=np.result_type(wmat, g)) if x.requires_grad else None
+
+        def backward_items(lo, hi):
+            for i, j in _BLOCK_OFFSETS:
+                gm[lo:hi, :, i, j] = g[lo:hi, :, i::2, j::2]
+            if dw_items is not None:
+                np.matmul(xm[lo:hi], gm_rows[lo:hi].transpose(0, 2, 1), out=dw_items[lo:hi])
+            if dx is not None:
+                np.matmul(wmat, gm_rows[lo:hi], out=dx[lo:hi])
+
+        split_items(backward_items, batch, 4.0 * wmat.size * height * width)
+        if dw_items is not None:
+            weight.accumulate(dw_items.sum(axis=0).reshape(weight.data.shape))
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            x.accumulate(np.matmul(wmat, gm).reshape(x.data.shape))
+        if dx is not None:
+            x.accumulate(dx.reshape(x.data.shape))
 
     return _node(data, (x, weight, bias), backward)
 

@@ -23,8 +23,12 @@ any data is read. ``eval`` prints one ``name=value`` per entry of
 ``metrics.METRICS``, in its order. Domain failures exit 1 with a single
 machine-parseable line ``error: <code>: <detail>``; usage problems exit 2.
 
-The environment variable SNDM_THREADS caps worker processes for the
-ablation command (default: machine cores).
+The environment variable SNDM_THREADS caps the cores a command uses
+(default: the cores this process may run on): the threads over which
+``train``, ``eval`` and ``gradcheck`` split each batch's items, and the
+worker processes of ``ablation``, which run one thread each. These
+commands check it before any work; the thread count does not change any
+output.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .autodiff import thread_cap
 from .distance import edt, edt_squared, edt_squared_brute
 from .errors import InvalidConfigError, IoFailureError, OracleMismatchError, SndmError
 from .losses import LOSSES, LossConfig, grad_check_loss
@@ -161,6 +166,7 @@ def _cmd_sndm_decode(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    thread_cap()  # a bad SNDM_THREADS fails here, before any data is read
     net = _given(args, input_size="size", widths="widths")
     if args.widths is not None:
         net["levels"] = len(args.widths)
@@ -188,6 +194,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    thread_cap()
     _check_out_dirs((args.report,), (args.config, args.ckpt, manifest_path(args.data)))
     records = load_dataset(args.data)
     net_config, params = load_net(args.ckpt)
@@ -199,6 +206,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    thread_cap()
     target = args.target or "loss"
     given = _given(args, trials="trials", seed="seed")
     if target == "loss":
@@ -247,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sndmseg",
         description="Signed-map co-segmentation toolkit.",
-        epilog="SNDM_THREADS caps worker processes (default: machine cores).",
+        epilog="SNDM_THREADS caps the cores used: kernel threads, or ablation worker processes (default: usable cores).",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 

@@ -14,9 +14,12 @@ training-step loss, gradient norm or validation loss stops the run with
 Everything downstream of a (configuration, seed) pair is deterministic:
 shuffling uses a counter-based generator, reductions keep a fixed order,
 and history/metric files are written with repr-exact floats, so reruns
-produce byte-identical outputs. That holds for one numpy/scipy build and
-one BLAS thread count: BLAS splits its sums by thread, so another thread
-count gives other float32 roundings, and no artifact records the count.
+produce byte-identical outputs. The kernel threads of ``SNDM_THREADS``
+do not change them: each thread runs whole batch items, and every sum
+over items runs in batch order on the calling thread. That holds for one
+numpy/scipy build and one BLAS thread count: BLAS splits its sums by
+thread, so another BLAS thread count gives other float32 roundings, and
+no artifact records the count.
 """
 
 from __future__ import annotations
@@ -445,15 +448,8 @@ def _ablation_job(job) -> dict:
 
 
 def worker_count(total_jobs: int) -> int:
-    """Honor the SNDM_THREADS cap; default to the machine's cores."""
-    env = os.environ.get("SNDM_THREADS", "").strip()
-    try:
-        cap = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise InvalidConfigError(f"SNDM_THREADS must be an integer >= 1, got {env!r}")
-    return max(1, min(cap, total_jobs))
+    """Worker processes for ``total_jobs`` jobs: at most ``ad.thread_cap()``, the SNDM_THREADS cap."""
+    return max(1, min(ad.thread_cap(), total_jobs))
 
 
 def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationConfig()) -> dict:
@@ -464,7 +460,9 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
     TrainConfig), before it generates a dataset or starts a process.
     Each seed's datasets are generated once and shared by its variants.
     Workers only train and evaluate, each in a spawned process pinned to
-    a single BLAS thread, so the table does not depend on the worker count.
+    a single BLAS thread and a single kernel thread (``SNDM_THREADS=1``),
+    so the table does not depend on the worker count and the workers do
+    not contend for the cores.
     """
     if runs < 1 or base_seed < 0:
         raise InvalidConfigError(f"runs must be >= 1 and base_seed >= 0, got {runs} and {base_seed}")
@@ -476,10 +474,11 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
     for seed, pairs in configs.items():
         datasets = _ablation_datasets(seed, gen, config)
         jobs += [(net_config, train_config, datasets) for net_config, train_config in pairs]
-    # even one worker is a spawned process: BLAS threads change the summation order
-    saved = {key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    os.environ["OMP_NUM_THREADS"] = "1"
+    # even one worker is a spawned process: BLAS threads change the summation order, and
+    # one kernel thread per worker keeps the workers from contending for the cores
+    saved = {key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "SNDM_THREADS")}
+    for key in saved:
+        os.environ[key] = "1"
     try:
         context = multiprocessing.get_context("spawn")
         with context.Pool(processes=workers) as pool:

@@ -1,4 +1,9 @@
+import os
+import signal
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,17 +12,19 @@ import sndmseg.autodiff as ad
 from sndmseg.errors import NoForwardPassError, ShapeMismatchError
 from strategies import bn_relu_composite, weighted_sum, weighted_total
 
-RNG = np.random.Generator(np.random.Philox(101))
+def seeded(seed: int) -> np.random.Generator:
+    """A test's own generator, so what it draws does not depend on which tests ran before it."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
-def finite_difference_check(make_graph, arrays, samples=6, step=1e-6):
-    """Max error of analytic grads vs central differences, float64 arrays."""
+def finite_difference_check(make_graph, arrays, rng, samples=6, step=1e-6):
+    """Max error of analytic grads vs central differences at probe points drawn from ``rng``, float64 arrays."""
     tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
     make_graph(tensors).backward()
     worst = 0.0
     for which, tensor in enumerate(tensors):
         for _ in range(min(samples, tensor.data.size)):
-            idx = np.unravel_index(int(RNG.integers(tensor.data.size)), tensor.data.shape)
+            idx = np.unravel_index(int(rng.integers(tensor.data.size)), tensor.data.shape)
 
             def value(eps):
                 probe = [a.copy() for a in arrays]
@@ -40,7 +47,8 @@ def test_relu_tanh_fixtures():
 
 
 def test_conv_delta_kernel_is_identity():
-    x = ad.Tensor(RNG.normal(size=(1, 1, 6, 6)))
+    rng = seeded(101)
+    x = ad.Tensor(rng.normal(size=(1, 1, 6, 6)))
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
     y = ad.conv2d(x, ad.Tensor(w), ad.Tensor(np.zeros(1)))
@@ -62,7 +70,8 @@ def test_accumulate_keeps_the_array_it_is_handed_then_adds_in_place():
 
 
 def test_backward_requires_scalar():
-    x = ad.Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
+    rng = seeded(102)
+    x = ad.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
     with pytest.raises(ShapeMismatchError):
         ad.relu(x).backward()
 
@@ -73,35 +82,38 @@ def test_backward_requires_recorded_graph():
 
 
 def test_elementwise_and_structural_gradients():
-    x = RNG.normal(size=(2, 3, 6, 6))
-    mult = RNG.normal(size=(2, 3, 6, 6))
+    rng = seeded(103)
+    x = rng.normal(size=(2, 3, 6, 6))
+    mult = rng.normal(size=(2, 3, 6, 6))
     checks = {
         "relu": lambda ts: weighted_sum(ad.relu(ts[0]), mult),
         "tanh": lambda ts: weighted_sum(ad.tanh(ts[0]), mult),
         "l2norm": lambda ts: weighted_sum(ad.l2_normalize(ts[0], axis=1), mult),
     }
     for name, graph in checks.items():
-        assert finite_difference_check(graph, [x]) < 1e-6, name
+        assert finite_difference_check(graph, [x], rng) < 1e-6, name
 
 
 def test_concat_slice_transpose_reshape_gradients():
-    x = RNG.normal(size=(2, 3, 4, 4))
-    y = RNG.normal(size=(2, 2, 4, 4))
-    mult = RNG.normal(size=(1, 5, 4, 4))
+    rng = seeded(104)
+    x = rng.normal(size=(2, 3, 4, 4))
+    y = rng.normal(size=(2, 2, 4, 4))
+    mult = rng.normal(size=(1, 5, 4, 4))
     graph = lambda ts: weighted_sum(ad.slice_batch(ad.concat([ts[0], ts[1]], axis=1), 0, 1), mult)  # noqa: E731
-    assert finite_difference_check(graph, [x, y]) < 1e-6
-    tr = RNG.normal(size=(2, 3, 5))
-    mult2 = RNG.normal(size=(2, 15))
+    assert finite_difference_check(graph, [x, y], rng) < 1e-6
+    tr = rng.normal(size=(2, 3, 5))
+    mult2 = rng.normal(size=(2, 15))
     graph2 = lambda ts: weighted_sum(ad.reshape(ad.transpose(ts[0], (0, 2, 1)), (2, 15)), mult2)  # noqa: E731
-    assert finite_difference_check(graph2, [tr]) < 1e-6
+    assert finite_difference_check(graph2, [tr], rng) < 1e-6
 
 
 def test_concat_piece_with_a_second_consumer():
+    rng = seeded(105)
     # an encoder skip feeds both a decoder concat and the next max pool
-    x = RNG.normal(size=(2, 3, 4, 4))
-    y = RNG.normal(size=(2, 2, 4, 4))
-    mult = RNG.normal(size=(2, 5, 4, 4))
-    mult_pool = RNG.normal(size=(2, 3, 2, 2))
+    x = rng.normal(size=(2, 3, 4, 4))
+    y = rng.normal(size=(2, 2, 4, 4))
+    mult = rng.normal(size=(2, 5, 4, 4))
+    mult_pool = rng.normal(size=(2, 3, 2, 2))
 
     def branches(ts):
         skip = ad.tanh(ts[0])
@@ -110,8 +122,8 @@ def test_concat_piece_with_a_second_consumer():
         return [joined, pooled]
 
     # both orders, so either backward can be the one that finds the gradient already set
-    assert finite_difference_check(lambda ts: weighted_total(branches(ts), 1.0), [x, y]) < 1e-6
-    assert finite_difference_check(lambda ts: weighted_total(branches(ts)[::-1], 1.0), [x, y]) < 1e-6
+    assert finite_difference_check(lambda ts: weighted_total(branches(ts), 1.0), [x, y], rng) < 1e-6
+    assert finite_difference_check(lambda ts: weighted_total(branches(ts)[::-1], 1.0), [x, y], rng) < 1e-6
     # the pieces keep views of the one gradient buffer the concat received instead of copies
     a, b = ad.Tensor(x, requires_grad=True), ad.Tensor(y, requires_grad=True)
     joined = ad.concat([a, b], axis=1)
@@ -121,6 +133,7 @@ def test_concat_piece_with_a_second_consumer():
 
 
 def test_backward_releases_the_graph():
+    rng = seeded(106)
     from sndmseg.losses import LossReport
 
     def sq(pred, gt, cfg):
@@ -128,17 +141,17 @@ def test_backward_releases_the_graph():
         return LossReport(float((diff * diff).sum()), 2.0 * diff)
 
     arrays = [
-        RNG.normal(size=(2, 2, 4, 4)),  # x
-        RNG.normal(size=(3, 2, 3, 3)) * 0.5,  # conv weight
-        RNG.normal(size=(3,)),  # conv bias
-        RNG.normal(size=(3,)),  # gamma
-        RNG.normal(size=(3,)),  # beta
-        RNG.normal(size=(3, 2, 2, 2)) * 0.5,  # deconv weight
-        RNG.normal(size=(2,)),  # deconv bias
-        RNG.normal(size=(1, 5, 3, 3)) * 0.5,  # head weight
-        RNG.normal(size=(1,)),  # head bias
+        rng.normal(size=(2, 2, 4, 4)),  # x
+        rng.normal(size=(3, 2, 3, 3)) * 0.5,  # conv weight
+        rng.normal(size=(3,)),  # conv bias
+        rng.normal(size=(3,)),  # gamma
+        rng.normal(size=(3,)),  # beta
+        rng.normal(size=(3, 2, 2, 2)) * 0.5,  # deconv weight
+        rng.normal(size=(2,)),  # deconv bias
+        rng.normal(size=(1, 5, 3, 3)) * 0.5,  # head weight
+        rng.normal(size=(1,)),  # head bias
     ]
-    targets = RNG.normal(size=(2, 4, 4))
+    targets = rng.normal(size=(2, 4, 4))
 
     # the two-node batch norm + relu of the reference, then the fused op the network trains with
     for block, op_count in ((bn_relu_composite, 9), (ad.batch_norm_relu, 8)):
@@ -153,7 +166,7 @@ def test_backward_releases_the_graph():
             built.append((loss, [n for n in ad._topo_order(loss) if n._backward is not None]))
             return loss
 
-        assert finite_difference_check(graph, arrays) < 1e-6, block
+        assert finite_difference_check(graph, arrays, rng) < 1e-6, block
         loss, ops = built[0]
         assert len(ops) == op_count, block
         for node in ops:
@@ -163,26 +176,28 @@ def test_backward_releases_the_graph():
 
 
 def test_matmul_gradients():
-    a = RNG.normal(size=(2, 4, 3))
-    b = RNG.normal(size=(2, 3, 5))
-    mult = RNG.normal(size=(2, 4, 5))
+    rng = seeded(107)
+    a = rng.normal(size=(2, 4, 3))
+    b = rng.normal(size=(2, 3, 5))
+    mult = rng.normal(size=(2, 4, 5))
     graph = lambda ts: weighted_sum(ad.matmul(ts[0], ts[1]), mult)  # noqa: E731
-    assert finite_difference_check(graph, [a, b]) < 1e-6
+    assert finite_difference_check(graph, [a, b], rng) < 1e-6
 
 
 def test_conv2d_gradients_both_routes():
-    x = RNG.normal(size=(2, 5, 6, 6))
-    mult_wide = RNG.normal(size=(2, 4, 6, 6))
-    w_wide = RNG.normal(size=(4, 5, 3, 3)) * 0.5
-    b_wide = RNG.normal(size=(4,))
+    rng = seeded(108)
+    x = rng.normal(size=(2, 5, 6, 6))
+    mult_wide = rng.normal(size=(2, 4, 6, 6))
+    w_wide = rng.normal(size=(4, 5, 3, 3)) * 0.5
+    b_wide = rng.normal(size=(4,))
     graph = lambda ts: weighted_sum(ad.conv2d(ts[0], ts[1], ts[2]), mult_wide)  # noqa: E731
-    assert finite_difference_check(graph, [x, w_wide, b_wide]) < 1e-6
+    assert finite_difference_check(graph, [x, w_wide, b_wide], rng) < 1e-6
     # single-output-channel head route
-    mult_head = RNG.normal(size=(2, 1, 6, 6))
-    w_head = RNG.normal(size=(1, 5, 3, 3)) * 0.5
-    b_head = RNG.normal(size=(1,))
+    mult_head = rng.normal(size=(2, 1, 6, 6))
+    w_head = rng.normal(size=(1, 5, 3, 3)) * 0.5
+    b_head = rng.normal(size=(1,))
     graph2 = lambda ts: weighted_sum(ad.head_conv([ts[0]], ts[1], ts[2]), mult_head)  # noqa: E731
-    assert finite_difference_check(graph2, [x, w_head, b_head]) < 1e-6
+    assert finite_difference_check(graph2, [x, w_head, b_head], rng) < 1e-6
     # conv2d with one output channel takes the patch route and agrees with the head
     via_patches = ad.conv2d(*map(ad.Tensor, (x, w_head, b_head))).data
     via_head = ad.head_conv([ad.Tensor(x)], ad.Tensor(w_head), ad.Tensor(b_head)).data
@@ -191,20 +206,22 @@ def test_conv2d_gradients_both_routes():
 
 @pytest.mark.parametrize("c_in, c_out", [(3, 6), (6, 3)])
 def test_conv2d_gradients_non_square(c_in, c_out):
+    rng = seeded(109)
     # the patch workspace holds C_in taps forward and C_out taps for dX
-    x = RNG.normal(size=(3, c_in, 5, 7))
-    w = RNG.normal(size=(c_out, c_in, 3, 3)) * 0.5
-    b = RNG.normal(size=(c_out,))
-    mult = RNG.normal(size=(3, c_out, 5, 7))
+    x = rng.normal(size=(3, c_in, 5, 7))
+    w = rng.normal(size=(c_out, c_in, 3, 3)) * 0.5
+    b = rng.normal(size=(c_out,))
+    mult = rng.normal(size=(3, c_out, 5, 7))
     graph = lambda ts: weighted_sum(ad.conv2d(ts[0], ts[1], ts[2]), mult)  # noqa: E731
-    assert finite_difference_check(graph, [x, w, b], samples=12) < 1e-6
+    assert finite_difference_check(graph, [x, w, b], rng, samples=12) < 1e-6
 
 
 def test_conv2d_im2col_float32_matches_float64():
-    x = RNG.normal(size=(3, 7, 10, 12))
-    w = RNG.normal(size=(5, 7, 3, 3)) * 0.5
-    b = RNG.normal(size=(5,))
-    mult = RNG.normal(size=(3, 5, 10, 12))
+    rng = seeded(110)
+    x = rng.normal(size=(3, 7, 10, 12))
+    w = rng.normal(size=(5, 7, 3, 3)) * 0.5
+    b = rng.normal(size=(5,))
+    mult = rng.normal(size=(3, 5, 10, 12))
 
     def run(dtype):
         ts = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in (x, w, b)]
@@ -234,7 +251,7 @@ def _padded_head_reference(x, w, b, g):
 
 @pytest.mark.parametrize("height, width", [(1, 1), (1, 5), (5, 1), (3, 7), (64, 64)])
 def test_conv2d_head_matches_padded_reference(height, width):
-    rng = np.random.Generator(np.random.Philox(height * 100 + width))
+    rng = seeded(height * 100 + width)
     x = rng.normal(size=(3, 5, height, width))
     w = rng.normal(size=(1, 5, 3, 3))
     b = rng.normal(size=(1,))
@@ -291,7 +308,7 @@ def test_spatial_ops_reject_input_that_is_not_4d(op, shape):
 
 @pytest.mark.parametrize("op, weight_shape, out_axis", [(ad.conv2d, (4, 3, 3, 3), 0), (ad.conv_transpose2d, (3, 4, 2, 2), 1)])
 def test_fold_batch_norm_matches_eval_batch_norm(op, weight_shape, out_axis):
-    rng = np.random.Generator(np.random.Philox(61))
+    rng = seeded(61)
     x = rng.normal(size=(2, 3, 5, 6))
     w = rng.normal(size=weight_shape)
     b = rng.normal(size=4)
@@ -310,7 +327,8 @@ def test_fold_batch_norm_matches_eval_batch_norm(op, weight_shape, out_axis):
 
 
 def test_max_pool_without_gradient_gives_the_same_bytes():
-    x = RNG.normal(size=(2, 3, 6, 8)).astype(np.float32)
+    rng = seeded(111)
+    x = rng.normal(size=(2, 3, 6, 8)).astype(np.float32)
     x[0, 0, :2, :2] = 1.5  # a tied window
     with_grad = ad.max_pool2(ad.Tensor(x, requires_grad=True))
     without = ad.max_pool2(ad.Tensor(x))
@@ -320,7 +338,7 @@ def test_max_pool_without_gradient_gives_the_same_bytes():
 
 def test_conv2d_batch_item_equals_item_alone_bitwise():
     # the Siamese A/B swap is bit-exact only if an item's conv ignores its batch neighbors
-    rng = np.random.Generator(np.random.Philox(3))
+    rng = seeded(3)
     x = rng.normal(size=(4, 6, 9, 8)).astype(np.float32)
     w = ad.Tensor(rng.normal(size=(5, 6, 3, 3)).astype(np.float32))
     b = ad.Tensor(rng.normal(size=(5,)).astype(np.float32))
@@ -339,7 +357,7 @@ def test_conv2d_batch_item_equals_item_alone_bitwise():
 
 
 def test_conv2d_memory_stays_below_one_batch_patch_matrix():
-    rng = np.random.Generator(np.random.Philox(5))
+    rng = seeded(5)
     batch, channels, size = 8, 16, 64
     x = ad.Tensor(rng.normal(size=(batch, channels, size, size)).astype(np.float32), requires_grad=True)
     w = ad.Tensor(rng.normal(size=(channels, channels, 3, 3)).astype(np.float32), requires_grad=True)
@@ -358,12 +376,13 @@ def test_conv2d_memory_stays_below_one_batch_patch_matrix():
 
 
 def test_conv_transpose_gradients():
-    x = RNG.normal(size=(2, 3, 5, 4))
-    w = RNG.normal(size=(3, 4, 2, 2)) * 0.5
-    b = RNG.normal(size=(4,))
-    mult = RNG.normal(size=(2, 4, 10, 8))
+    rng = seeded(112)
+    x = rng.normal(size=(2, 3, 5, 4))
+    w = rng.normal(size=(3, 4, 2, 2)) * 0.5
+    b = rng.normal(size=(4,))
+    mult = rng.normal(size=(2, 4, 10, 8))
     graph = lambda ts: weighted_sum(ad.conv_transpose2d(ts[0], ts[1], ts[2]), mult)  # noqa: E731
-    assert finite_difference_check(graph, [x, w, b]) < 1e-6
+    assert finite_difference_check(graph, [x, w, b], rng) < 1e-6
     y = ad.conv_transpose2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
     assert y.data.shape == (2, 4, 10, 8)
 
@@ -383,7 +402,7 @@ def _conv_transpose_one_gemm(x, w, b):
 
 @pytest.mark.parametrize("batch, c_in, c_out, height, width", [(2, 3, 4, 5, 4), (16, 64, 16, 8, 8), (4, 16, 16, 16, 16), (3, 7, 2, 1, 3)])
 def test_conv_transpose_forward_matches_one_gemm_bitwise(batch, c_in, c_out, height, width):
-    rng = np.random.Generator(np.random.Philox(c_in * 100 + c_out))
+    rng = seeded(c_in * 100 + c_out)
     x = rng.normal(size=(batch, c_in, height, width)).astype(np.float32)
     w = rng.normal(size=(c_in, c_out, 2, 2)).astype(np.float32)
     b = rng.normal(size=(c_out,)).astype(np.float32)
@@ -393,12 +412,13 @@ def test_conv_transpose_forward_matches_one_gemm_bitwise(batch, c_in, c_out, hei
 
 
 def test_max_pool_gradients_and_shape():
-    x = RNG.normal(size=(2, 3, 6, 8))
-    mult = RNG.normal(size=(2, 3, 3, 4))
+    rng = seeded(113)
+    x = rng.normal(size=(2, 3, 6, 8))
+    mult = rng.normal(size=(2, 3, 3, 4))
     graph = lambda ts: weighted_sum(ad.max_pool2(ts[0]), mult)  # noqa: E731
-    assert finite_difference_check(graph, [x]) < 1e-6
+    assert finite_difference_check(graph, [x], rng) < 1e-6
     with pytest.raises(ShapeMismatchError):
-        ad.max_pool2(ad.Tensor(RNG.normal(size=(1, 1, 5, 4))))
+        ad.max_pool2(ad.Tensor(rng.normal(size=(1, 1, 5, 4))))
 
 
 def test_max_pool_ties_route_to_first_maximum():
@@ -419,7 +439,7 @@ def test_max_pool_ties_route_to_first_maximum():
 
 def test_max_pool_nan_window_routes_to_the_last_position():
     # a window holding NaN pools to NaN, which equals none of its entries, so position 3 takes its gradient
-    x = np.random.Generator(np.random.Philox(29)).normal(size=(1, 1, 2, 8)).astype(np.float32)
+    x = seeded(29).normal(size=(1, 1, 2, 8)).astype(np.float32)
     for n in range(4):  # window n holds its NaN at position n
         x[0, 0, n // 2, 2 * n + n % 2] = np.nan
     xt = ad.Tensor(x, requires_grad=True)
@@ -434,7 +454,7 @@ def test_max_pool_nan_window_routes_to_the_last_position():
 def test_batch_norm_float32_matches_float64_far_from_zero_mean(form):
     # large channel means stress the statistics: the composite's sum(x^2) - sum(x)^2 / n, and the fused
     # op's float32 per-item sums of x and of g * x
-    rng = np.random.Generator(np.random.Philox(37))
+    rng = seeded(37)
     x = rng.normal(50.0, 1.0, size=(4, 3, 8, 8))
     gamma = np.array([1.0, 0.5, 2.0])
     beta = np.array([0.0, 0.3, -0.2])
@@ -453,7 +473,7 @@ def test_batch_norm_float32_matches_float64_far_from_zero_mean(form):
 
 
 def test_batch_norm_relu_matches_the_composite_in_float64():
-    rng = np.random.Generator(np.random.Philox(23))
+    rng = seeded(23)
     x = rng.normal(0.3, 1.5, size=(3, 4, 6, 6))
     gamma = rng.normal(size=4)  # a negative gamma flips which side the relu keeps
     beta = rng.normal(size=4)
@@ -477,10 +497,11 @@ def test_batch_norm_relu_matches_the_composite_in_float64():
 
 
 def test_conv2d_head_float32_matches_float64():
-    x = RNG.normal(size=(2, 7, 10, 12))
-    w = RNG.normal(size=(1, 7, 3, 3)) * 0.5
-    b = RNG.normal(size=(1,))
-    mult = RNG.normal(size=(2, 1, 10, 12))
+    rng = seeded(114)
+    x = rng.normal(size=(2, 7, 10, 12))
+    w = rng.normal(size=(1, 7, 3, 3)) * 0.5
+    b = rng.normal(size=(1,))
+    mult = rng.normal(size=(2, 1, 10, 12))
 
     def run(dtype):
         ts = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in (x, w, b)]
@@ -493,21 +514,23 @@ def test_conv2d_head_float32_matches_float64():
 
 
 def test_batch_norm_train_and_eval_gradients():
-    x = RNG.normal(size=(3, 4, 5, 5))
-    gamma = np.abs(RNG.normal(size=4)) + 0.5
-    beta = RNG.normal(size=4) * 0.3
-    mult = RNG.normal(size=(3, 4, 5, 5))
+    rng = seeded(115)
+    x = rng.normal(size=(3, 4, 5, 5))
+    gamma = np.abs(rng.normal(size=4)) + 0.5
+    beta = rng.normal(size=4) * 0.3
+    mult = rng.normal(size=(3, 4, 5, 5))
     rm, rv = np.zeros(4), np.ones(4)
     graph_train = lambda ts: weighted_sum(ad.batch_norm(ts[0], ts[1], ts[2], rm.copy(), rv.copy(), training=True), mult)  # noqa: E731
-    assert finite_difference_check(graph_train, [x, gamma, beta]) < 1e-6
-    rm2 = RNG.normal(size=4) * 0.2
-    rv2 = np.abs(RNG.normal(size=4)) + 0.4
+    assert finite_difference_check(graph_train, [x, gamma, beta], rng) < 1e-6
+    rm2 = rng.normal(size=4) * 0.2
+    rv2 = np.abs(rng.normal(size=4)) + 0.4
     graph_eval = lambda ts: weighted_sum(ad.batch_norm(ts[0], ts[1], ts[2], rm2, rv2, training=False), mult)  # noqa: E731
-    assert finite_difference_check(graph_eval, [x, gamma, beta]) < 1e-6
+    assert finite_difference_check(graph_eval, [x, gamma, beta], rng) < 1e-6
 
 
 def test_batch_norm_eval_is_pure_affine():
-    x = RNG.normal(size=(2, 3, 4, 4)).astype(np.float32)
+    rng = seeded(116)
+    x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
     gamma = np.array([1.0, 2.0, 0.5], dtype=np.float32)
     beta = np.array([0.1, -0.2, 0.0], dtype=np.float32)
     rm = np.array([0.3, -0.1, 0.0], dtype=np.float32)
@@ -521,7 +544,8 @@ def test_batch_norm_eval_is_pure_affine():
 
 
 def test_batch_norm_running_stats_update():
-    x = RNG.normal(size=(4, 2, 3, 3)).astype(np.float32) * 2 + 1
+    rng = seeded(117)
+    x = rng.normal(size=(4, 2, 3, 3)).astype(np.float32) * 2 + 1
     rm, rv = np.zeros(2, dtype=np.float32), np.ones(2, dtype=np.float32)
     ad.batch_norm(ad.Tensor(x), ad.Tensor(np.ones(2, np.float32)), ad.Tensor(np.zeros(2, np.float32)), rm, rv, training=True)
     mean = x.mean(axis=(0, 2, 3))
@@ -531,14 +555,15 @@ def test_batch_norm_running_stats_update():
 
 
 def test_map_loss_bridges_value_and_gradient():
+    rng = seeded(118)
     from sndmseg.losses import LossReport
 
     def sq(pred, gt, cfg):
         diff = pred - gt
         return LossReport(float((diff * diff).sum()), 2.0 * diff)
 
-    pred = ad.Tensor(RNG.normal(size=(3, 1, 4, 4)), requires_grad=True)
-    gts = RNG.normal(size=(3, 4, 4))
+    pred = ad.Tensor(rng.normal(size=(3, 1, 4, 4)), requires_grad=True)
+    gts = rng.normal(size=(3, 4, 4))
     loss = ad.map_loss(pred, gts, sq, None)
     expected = np.mean([((pred.data[i, 0] - gts[i]) ** 2).sum() for i in range(3)])
     assert abs(float(loss.data) - expected) < 1e-12
@@ -548,7 +573,7 @@ def test_map_loss_bridges_value_and_gradient():
 
 def test_determinism_bitwise():
     def run():
-        rng = np.random.Generator(np.random.Philox(7))
+        rng = seeded(7)
         x = ad.Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
         b = ad.Tensor(np.zeros(4, np.float32), requires_grad=True)
@@ -562,3 +587,110 @@ def test_determinism_bitwise():
     second = run()
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# batch items over threads
+
+
+def test_split_items_covers_the_items_in_contiguous_ranges(monkeypatch):
+    ranges = []
+    enough = ad.MIN_RANGE_FLOPS  # work per item that lets every item be a range of its own
+    cases = [
+        ("3", 8, enough, [(0, 2), (2, 5), (5, 8)]),
+        ("3", 2, enough, [(0, 1), (1, 2)]),
+        ("2", 1, enough, [(0, 1)]),
+        ("1", 5, enough, [(0, 5)]),
+        # too little work for a second range, then for a third
+        ("3", 8, enough / 8, [(0, 8)]),
+        ("3", 8, enough / 4, [(0, 4), (4, 8)]),
+    ]
+    for threads, items, item_flops, want in cases:
+        monkeypatch.setenv("SNDM_THREADS", threads)
+        ranges.clear()
+        ad.split_items(lambda lo, hi: ranges.append((lo, hi)), items, item_flops)
+        assert sorted(ranges) == want, (threads, items, item_flops)
+
+
+def test_split_items_runs_the_other_ranges_on_a_worker_thread(monkeypatch):
+    monkeypatch.setenv("SNDM_THREADS", "2")
+    threads = {}
+    ad.split_items(lambda lo, hi: threads.__setitem__(lo, threading.get_ident()), 2, ad.MIN_RANGE_FLOPS)
+    assert threads[1] == threading.get_ident() and threads[0] != threading.get_ident()
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_split_items_raises_only_once_the_other_range_has_finished(monkeypatch, failing):
+    monkeypatch.setenv("SNDM_THREADS", "2")
+    written = np.zeros(2)
+
+    def fn(lo, hi):
+        side = "worker" if lo == 0 else "caller"  # the caller runs the last range
+        if side == failing:
+            raise ValueError(side)
+        time.sleep(0.2)
+        written[lo:hi] = 1.0
+
+    with pytest.raises(ValueError, match=failing):
+        ad.split_items(fn, 2, ad.MIN_RANGE_FLOPS)
+    assert written.tolist() == ([0.0, 1.0] if failing == "worker" else [1.0, 0.0])
+    # the pool still runs the next split
+    ad.split_items(lambda lo, hi: written.__setitem__(slice(lo, hi), 2.0), 2, ad.MIN_RANGE_FLOPS)
+    assert written.tolist() == [2.0, 2.0]
+
+
+def test_split_items_works_in_a_forked_child(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads
+    monkeypatch.setenv("SNDM_THREADS", "2")
+    ad.split_items(lambda lo, hi: None, 2, ad.MIN_RANGE_FLOPS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a process that has threads
+        pid = os.fork()
+    if pid == 0:
+        done = np.zeros(2)
+        try:
+            ad.split_items(lambda lo, hi: done.__setitem__(slice(lo, hi), 1.0), 2, ad.MIN_RANGE_FLOPS)
+        finally:
+            os._exit(0 if done.all() else 1)
+    deadline = time.monotonic() + 20.0
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0, "the child's split did not finish"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_conv_kernels_are_bit_identical_at_any_thread_count(monkeypatch, dtype, batch):
+    monkeypatch.setattr(ad, "MIN_RANGE_FLOPS", 1.0)  # split even these small convs
+    rng = seeded(119)
+    x = rng.normal(size=(batch, 5, 6, 7)).astype(dtype)
+    other = rng.normal(size=(batch, 2, 6, 7)).astype(dtype)
+    shapes = {"conv": (4, 5, 3, 3), "deconv": (5, 3, 2, 2), "head": (1, 7, 3, 3)}
+    weights = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+    biases = {name: rng.normal(size=shape[1 if name == "deconv" else 0]).astype(dtype) for name, shape in shapes.items()}
+    grads = {"conv": (batch, 4, 6, 7), "deconv": (batch, 3, 12, 14), "head": (batch, 1, 6, 7)}
+    grads = {name: rng.normal(size=shape).astype(dtype) for name, shape in grads.items()}
+    ops = {
+        "conv": lambda ins, w, b: ad.conv2d(ins[0], w, b),
+        "deconv": lambda ins, w, b: ad.conv_transpose2d(ins[0], w, b),
+        "head": lambda ins, w, b: ad.head_conv(ins, w, b),
+    }
+
+    def run():
+        out = []
+        for name, op in ops.items():
+            ins = [ad.Tensor(x, requires_grad=True)] + ([ad.Tensor(other, requires_grad=True)] if name == "head" else [])
+            w, b = ad.Tensor(weights[name], requires_grad=True), ad.Tensor(biases[name], requires_grad=True)
+            y = op(ins, w, b)
+            y._backward(grads[name])
+            out += [a.tobytes() for a in (y.data, w.grad, b.grad, *(t.grad for t in ins))]
+        return out
+
+    runs = {}
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("SNDM_THREADS", threads)
+        runs[threads] = run()
+    assert runs["2"] == runs["1"] and runs["3"] == runs["1"]

@@ -587,3 +587,26 @@ def test_gradcheck_fails_on_nan_loss(monkeypatch, capsys, target, loss):
     argv = ["gradcheck", "--target", target, "--trials", "2"] + (["--loss", loss] if loss else [])
     assert main(argv) == 1
     assert "max relative error nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "d", "--val", "v", "--out", "OUT"],
+        ["eval", "--ckpt", "c", "--data", "d", "--report", "OUT"],
+        ["gradcheck", "--target", "loss", "--trials", "1"],
+        ["gradcheck", "--target", "net", "--trials", "1"],
+    ],
+)
+@pytest.mark.parametrize("threads", ["0", "two"])
+def test_bad_thread_cap_is_one_error_line_before_any_work(tmp_path, monkeypatch, capsys, argv, threads):
+    monkeypatch.setenv("SNDM_THREADS", threads)
+    for name in ("load_dataset", "load_net", "grad_check_loss", "grad_check_net"):
+        # wraps keeps the signature, whose defaults the parser reads
+        refused = functools.wraps(getattr(cli, name))(lambda *args, **kwargs: pytest.fail("work started"))
+        monkeypatch.setattr(cli, name, refused)
+    out = tmp_path / "out"
+    assert main([str(out) if word == "OUT" else word for word in argv]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: InvalidConfig: SNDM_THREADS[^\n]*\n", err), err
+    assert not out.exists()

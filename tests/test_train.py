@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -392,3 +393,69 @@ def test_ablation_table_does_not_depend_on_worker_count(monkeypatch):
         monkeypatch.setenv("SNDM_THREADS", workers)
         tables.append(ablation(1, base_seed=0, config=cfg))
     assert tables[0] == tables[1]
+
+
+def test_worker_count_and_the_kernel_split_share_one_thread_cap(monkeypatch):
+    monkeypatch.setattr(train_module.ad, "thread_cap", lambda: 3)
+    assert worker_count(8) == 3
+    ranges = []
+    train_module.ad.split_items(lambda lo, hi: ranges.append((lo, hi)), 8, train_module.ad.MIN_RANGE_FLOPS)
+    assert len(ranges) == 3
+
+
+def test_thread_cap_defaults_to_the_usable_cores(monkeypatch):
+    monkeypatch.delenv("SNDM_THREADS", raising=False)
+    monkeypatch.setattr(train_module.ad.os, "sched_getaffinity", lambda pid: {3})
+    monkeypatch.setattr(train_module.ad.os, "cpu_count", lambda: 64)
+    assert train_module.ad.thread_cap() == 1
+
+
+def test_train_and_evaluate_do_not_depend_on_the_thread_count(monkeypatch):
+    monkeypatch.setattr(train_module.ad, "MIN_RANGE_FLOPS", 1.0)  # split every conv of this small net
+    net = NetConfig(input_size=16, widths=(4, 6), levels=2)
+    gen = GenConfig(image_size=16)
+    train_set, val_set = make_pairs(910, gen, 5), make_pairs(920, gen, 3)
+    cfg = TrainConfig(batch_size=2, max_epochs=2, seed=4)
+    runs = {}
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("SNDM_THREADS", threads)
+        result = train(train_set, val_set, net, cfg)
+        arrays = {**result.params.values, **result.params.buffers}
+        runs[threads] = (
+            {name: arr.tobytes() for name, arr in arrays.items()},
+            [(h.epoch, h.train_loss, h.val_loss, h.lr) for h in result.history],
+            (result.best_epoch, result.best_val_loss),
+            evaluate(result.params, net, val_set + train_set).to_json_dict(),
+        )
+    assert runs["2"] == runs["1"] and runs["3"] == runs["1"]
+
+
+def test_ablation_workers_run_one_kernel_thread_and_the_cap_is_restored(monkeypatch):
+    seen = []
+
+    class InlinePool:
+        """Runs the jobs in this process and records the SNDM_THREADS a spawned worker would inherit."""
+
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            seen.append(os.environ.get("SNDM_THREADS"))
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(train_module.multiprocessing, "get_context", lambda method: type("Context", (), {"Pool": InlinePool}))
+    cfg = AblationConfig(n_train=2, n_val=1, n_test=1, epochs=1, batch_size=2, image_size=16)
+    for before in ("2", None):
+        if before is None:
+            monkeypatch.delenv("SNDM_THREADS")
+        else:
+            monkeypatch.setenv("SNDM_THREADS", before)
+        ablation(1, config=cfg)
+        assert os.environ.get("SNDM_THREADS") == before
+    assert seen == ["1", "1"]

@@ -11,37 +11,39 @@ backward. A graph can therefore be backpropagated once, and only leaves
 (parameters and user tensors) keep ``.grad``.
 
 Gradients follow one ownership rule, :meth:`Tensor.accumulate`: an op
-hands each parent an array that nothing reads after the hand-over (a
-fresh result, or a view of the op output's own gradient, which the walk
-releases), and an empty gradient slot keeps that very array while a
-filled one adds to it in place. No op hands overlapping memory to two
-slots, so no two gradients share memory.
+hands each parent an array of the parent's shape that nothing reads
+after the hand-over (a fresh result, or a view of the op output's own
+gradient, which the walk releases), and an empty gradient slot keeps
+that very array while a filled one adds to it in place. No op hands
+overlapping memory to two slots, so no two gradients share memory.
 
-The primitive set is exactly what a small convolutional encoder-decoder
-needs: 3x3 convolution (stride 1, zero padding 1), 2x2 stride-2
-transposed convolution, per-channel batch normalization with running
-statistics, relu/tanh, 2x2 max pooling, concatenation/slicing, batched
-matrix multiply, and per-position L2 channel normalization; the loss
-enters through :func:`map_loss`. Training runs every batch norm and the
-relu after it as one fused op, :func:`batch_norm_relu`, which holds only
-its input and its output and writes its input's gradient into the buffer
-of its own; :func:`batch_norm` and :func:`relu` stay as the two-node
-reference it is tested against. Convolutions are expressed as matrix
-multiplies so the heavy lifting stays in BLAS. The 3x3 conv runs one
-GEMM per batch item over a patch workspace that all items reuse; its
-backward builds one patch matrix of the output gradient per item and
-takes both its input and its weight gradient from it. The single-output
-head conv (:func:`head_conv`) takes its input as a list of channel
-pieces, so the network's decoder outputs and image feed it without a
-concatenated copy; it reads them unpadded, one GEMM per piece for all
-nine taps, and zeroes the tap entries that would read padding. The
-transposed conv computes one output phase at a time into a reused block.
-The memory-bound ops (the fused batch norm, max pooling, the placement
-around the transposed conv's GEMMs) are written to make as few passes
-over their tensors as they can. The fused op's per-channel reductions are
-per-(item, channel) sums in the input's dtype (float32 in training)
-combined in float64; the reference :func:`batch_norm` accumulates its
-reductions in float64 throughout.
+The network runs these ops: 3x3 convolution (stride 1, zero padding 1),
+2x2 stride-2 transposed convolution, train-mode batch normalization
+fused with its relu, tanh, 2x2 max pooling, channel concatenation, and
+the Siamese correlation block (:func:`correlation`), one node with a
+hand-written backward for the all-pairs cosine similarity between the
+two branches; the loss enters through :func:`map_loss`. The fused
+:func:`batch_norm_relu` holds only its input and its output and writes
+its input's gradient into the buffer of its own. :func:`batch_norm`,
+:func:`relu`, :func:`matmul`, :func:`l2_normalize` and
+:func:`slice_batch` are no part of the network: they are the generic
+ops the fused op and the correlation block are tested against.
+
+Convolutions are expressed as matrix multiplies so the heavy lifting
+stays in BLAS. The 3x3 conv runs one GEMM per batch item over a patch
+workspace that all items reuse; its backward builds one patch matrix of
+the output gradient per item and takes both its input and its weight
+gradient from it. The single-output head conv (:func:`head_conv`) takes
+its input as a list of channel pieces, so the network's decoder outputs
+and image feed it without a concatenated copy; it reads them unpadded,
+one GEMM per piece for all nine taps, and zeroes the tap entries that
+would read padding. The transposed conv computes one output phase at a
+time into a reused block. The memory-bound ops (the fused batch norm,
+max pooling, the placement around the transposed conv's GEMMs) are
+written to make as few passes over their tensors as they can. The fused
+op's per-channel reductions are per-(item, channel) sums in the input's
+dtype (float32 in training) combined in float64; the reference
+:func:`batch_norm` accumulates its reductions in float64 throughout.
 
 The three conv kernels split their batch items over threads
 (:func:`split_items`): up to ``SNDM_THREADS`` contiguous item ranges, by
@@ -98,10 +100,9 @@ class Tensor:
         return self.data.dtype
 
     def accumulate(self, g) -> None:
-        """Add ``g`` to the gradient; an empty slot keeps ``g`` itself when its shape and dtype fit."""
+        """Add ``g`` to the gradient; an empty slot keeps ``g`` itself."""
         if self.grad is None:
-            fits = g.shape == self.data.shape and g.dtype == self.data.dtype
-            self.grad = g if fits else np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+            self.grad = g
         else:
             self.grad += g
 
@@ -170,7 +171,9 @@ def thread_cap() -> int:
     """The ``SNDM_THREADS`` cap on kernel threads and worker processes; by default the cores this process may run on."""
     env = os.environ.get("SNDM_THREADS", "").strip()
     if not env:
-        return len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1  # no affinity call on macOS or Windows
     try:
         cap = int(env)
     except ValueError:
@@ -190,7 +193,8 @@ def _drop_pool() -> None:
     _pool, _pool_lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_drop_pool)
+if hasattr(os, "register_at_fork"):  # Windows has no fork
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _workers(count: int) -> ThreadPoolExecutor:
@@ -265,29 +269,6 @@ def tanh(x: Tensor) -> Tensor:
     return _node(data, (x,), backward)
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    old = x.data.shape
-    data = x.data.reshape(shape)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(g.reshape(old))
-
-    return _node(data, (x,), backward)
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    data = x.data.transpose(axes)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(g.transpose(inverse))
-
-    return _node(data, (x,), backward)
-
-
 def concat(tensors, axis: int = 1) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -341,6 +322,37 @@ def l2_normalize(x: Tensor, axis: int = 1, eps: float = 1e-12) -> Tensor:
             x.accumulate(g / norm - x.data * dot / (norm**3))
 
     return _node(data, (x,), backward)
+
+
+def correlation(joint: Tensor) -> Tensor:
+    """Correlation block: all-pairs cosine similarity between the two branches of a joint batch.
+
+    joint: (2B, C, H, W) with branch A in items [0, B) and branch B in
+    [B, 2B). Returns (2B, H*W, H, W) in the same layout: channel j of an
+    item at position i is the cosine similarity between that branch's
+    vector at i and the other branch's vector at j. Forward scales each
+    position's channel vector to unit L2 norm, swaps the branches and runs
+    one batched matmul; backward takes the unit vectors' gradient from
+    both sides of that matmul and carries it through the normalization.
+    """
+    items, channels, height, width = joint.data.shape
+    batch, hw = items // 2, height * width
+    x = joint.data.reshape(items, channels, hw)
+    norm = np.sqrt(np.sum(x * x, axis=1, keepdims=True) + 1e-12)
+    unit = x / norm
+    other = np.concatenate([unit[batch:], unit[:batch]])  # branches swapped
+    data = np.matmul(other.transpose(0, 2, 1), unit)
+
+    def backward(g):
+        gm = g.reshape(items, hw, hw)
+        dunit = np.matmul(other, gm)
+        dother = np.matmul(gm, unit.transpose(0, 2, 1)).transpose(0, 2, 1)
+        dunit[batch:] += dother[:batch]
+        dunit[:batch] += dother[batch:]
+        dot = np.sum(dunit * x, axis=1, keepdims=True)
+        joint.accumulate((dunit / norm - x * dot / (norm**3)).reshape(joint.data.shape))
+
+    return _node(data.reshape(items, hw, height, width), (joint,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +613,6 @@ def max_pool2(x: Tensor) -> Tensor:
     # window position k = 2 * row + col, each a strided view of x
     views = [x.data[:, :, i::2, j::2] for i, j in _BLOCK_OFFSETS]
     data = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
-    if not x.requires_grad:
-        return Tensor(data)
 
     def backward(g):
         dx = np.empty(x.data.shape, dtype=g.dtype)
@@ -780,12 +790,11 @@ __all__ = [
     "Tensor",
     "relu",
     "tanh",
-    "reshape",
-    "transpose",
     "concat",
     "slice_batch",
     "matmul",
     "l2_normalize",
+    "correlation",
     "conv2d",
     "head_conv",
     "conv_transpose2d",

@@ -2,9 +2,10 @@
 
 Two images pass through one shared convolutional encoder (two 3x3
 conv+BN+ReLU blocks per level, 2x2 max pool). At the bottleneck a
-correlation block computes, for every spatial position of one branch,
-its cosine similarity to every position of the other branch; each branch
-then decodes its own features. Decoder module 1 consumes the bottleneck
+correlation block (:func:`autodiff.correlation`, one graph node)
+computes, for every spatial position of one branch, its cosine
+similarity to every position of the other branch; each branch then
+decodes its own features. Decoder module 1 consumes the bottleneck
 features concatenated with the branch's correlation map; every later
 module consumes the matching encoder skip plus, through small
 deconv+BN+ReLU resolution adapters, the outputs of preceding decoder
@@ -257,7 +258,7 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
         x = ad.max_pool2(x)
     bottleneck = x
 
-    corr = correlation(bottleneck)
+    corr = ad.correlation(bottleneck)
 
     outputs = {}
     x = conv_bn_relu(ad.concat([bottleneck, corr], axis=1), "dec1.conv", "dec1.bn")
@@ -283,23 +284,6 @@ def forward_pair(img_a, img_b, params: NetParams, config: NetConfig):
     pred, _ = build_forward(img_a, img_b, params, config, mode="eval")
     batch = pred.data.shape[0] // 2
     return pred.data[:batch, 0], pred.data[batch:, 0]
-
-
-def correlation(joint: ad.Tensor) -> ad.Tensor:
-    """Correlation block: all-pairs cosine similarity between the two branches.
-
-    joint: (2B, C, H, W) with branch A in items [0, B) and branch B in
-    [B, 2B). Returns (2B, H*W, H, W) in the same layout: channel j of an
-    item at position i is the cosine similarity between that branch's
-    vector at i and the other branch's vector at j.
-    """
-    items, channels, height, width = joint.data.shape
-    batch = items // 2
-    hw = height * width
-    normed = ad.l2_normalize(joint, axis=1)
-    flat = ad.reshape(normed, (items, channels, hw))
-    other = ad.concat([ad.slice_batch(flat, batch, items), ad.slice_batch(flat, 0, batch)], axis=0)  # branches swapped
-    return ad.reshape(ad.matmul(ad.transpose(other, (0, 2, 1)), flat), (items, hw, height, width))
 
 
 # ---------------------------------------------------------------------------

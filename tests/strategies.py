@@ -47,7 +47,19 @@ def weighted_sum(y, mult=1.0):
     def linear(pred, gt, cfg):
         return LossReport(float(np.sum(weights * pred)), weights)
 
-    return ad.map_loss(ad.reshape(y, (1, 1, 1, n)), np.zeros((1, 1, n)), linear, None)
+    return ad.map_loss(reshape(y, (1, 1, 1, n)), np.zeros((1, 1, n)), linear, None)
+
+
+def reshape(x, shape):
+    """``x`` viewed in ``shape`` as a graph node; its gradient is the output's, viewed back."""
+    old = x.data.shape
+    return ad._node(x.data.reshape(shape), (x,), lambda g: x.accumulate(g.reshape(old)))
+
+
+def transpose(x, axes):
+    """``x`` with its axes permuted as a graph node; its gradient is the output's, permuted back."""
+    inverse = tuple(np.argsort(axes))
+    return ad._node(x.data.transpose(axes), (x,), lambda g: x.accumulate(g.transpose(inverse)))
 
 
 def bn_relu_composite(x, gamma, beta, running_mean, running_var):
@@ -55,9 +67,18 @@ def bn_relu_composite(x, gamma, beta, running_mean, running_var):
     return ad.relu(ad.batch_norm(x, gamma, beta, running_mean, running_var, training=True))
 
 
+def correlation_composite(joint):
+    """The eight-node reference of ``ad.correlation``: normalize, flatten, swap the branches, one batched matmul."""
+    items, channels, height, width = joint.data.shape
+    batch, hw = items // 2, height * width
+    flat = reshape(ad.l2_normalize(joint, axis=1), (items, channels, hw))
+    other = ad.concat([ad.slice_batch(flat, batch, items), ad.slice_batch(flat, 0, batch)], axis=0)
+    return reshape(ad.matmul(transpose(other, (0, 2, 1)), flat), (items, hw, height, width))
+
+
 def weighted_total(scalars, weights):
     """sum(w * s) over scalar nodes, joined by a concat of their (1, 1) reshapes in the given order."""
-    return weighted_sum(ad.concat([ad.reshape(s, (1, 1)) for s in scalars]), weights)
+    return weighted_sum(ad.concat([reshape(s, (1, 1)) for s in scalars]), weights)
 
 
 def save_with_lying_header(monkeypatch, path, input_size):

@@ -2,18 +2,37 @@
 
 import importlib
 import os
+import re
 import sys
+from pathlib import Path
+
+import pytest
 
 import sndmseg.autodiff as ad
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+SRC = Path(ROOT, "src", "sndmseg")
 
 
-def test_every_name_the_tracer_patches_resolves(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
+    """``bench/tracing.py`` imported read-only: it patches nothing until a tracer is installed."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no cache files under bench/
     monkeypatch.syspath_prepend(BENCH)
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_every_name_the_tracer_patches_resolves(tracing):
     missing = [f"{module.__name__}.{attr}" for module, attr, _ in tracing.PLAIN_SPANS if not hasattr(module, attr)]
     missing += [f"{ad.__name__}.{op}" for op in tracing.AUTODIFF_OPS if not hasattr(ad, op)]
     assert not missing, missing
+
+
+def test_every_autodiff_export_has_a_user(tracing):
+    """Each name in ``ad.__all__`` is used as ``ad.<name>`` in the package or patched by the tracer."""
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")))
+    used = set(re.findall(r"\bad\.(\w+)", text)) | set(tracing.AUTODIFF_OPS)
+    unused = [name for name in ad.__all__ if name not in used]
+    assert not unused, unused

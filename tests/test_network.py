@@ -20,7 +20,6 @@ from sndmseg.network import (
     build_forward,
     config_from_header,
     config_to_header,
-    correlation,
     forward_pair,
     init_params,
     load_net,
@@ -202,6 +201,16 @@ def _train_batch(cfg, seed=50):
     return img_a, img_b, np.stack([sndm_encode(m) for m in masks])
 
 
+def test_default_train_step_graph_holds_128_nodes():
+    from sndmseg.losses import LOSSES, LossConfig
+
+    cfg = NetConfig()
+    img_a, img_b, gt = _train_batch(cfg)
+    pred, _ = build_forward(img_a, img_b, init_params(cfg), cfg, mode="train")
+    loss = ad.map_loss(pred, gt, LOSSES["iou3d-edge"], LossConfig())
+    assert len(ad._topo_order(loss)) == 128
+
+
 def test_gradient_reaches_every_parameter():
     from sndmseg.losses import LossConfig, loss_dice, loss_iou3d_edge
 
@@ -322,7 +331,7 @@ def test_joint_loss_matches_mean_of_branch_losses(loss_id):
 
 def _correlate(feat_a, feat_b):
     """Correlation of two (C, H, W) float64 maps as a joint batch of one pair."""
-    corr = correlation(ad.Tensor(np.stack([feat_a, feat_b]).astype(np.float64))).data
+    corr = ad.correlation(ad.Tensor(np.stack([feat_a, feat_b]).astype(np.float64))).data
     return corr[0], corr[1]
 
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -408,6 +410,27 @@ def test_thread_cap_defaults_to_the_usable_cores(monkeypatch):
     monkeypatch.setattr(train_module.ad.os, "sched_getaffinity", lambda pid: {3})
     monkeypatch.setattr(train_module.ad.os, "cpu_count", lambda: 64)
     assert train_module.ad.thread_cap() == 1
+
+
+def test_thread_cap_counts_the_cores_where_affinity_is_missing(monkeypatch):
+    ad = train_module.ad
+    monkeypatch.delenv("SNDM_THREADS", raising=False)
+    monkeypatch.delattr(ad.os, "sched_getaffinity")  # as on macOS and Windows
+    monkeypatch.setattr(ad.os, "cpu_count", lambda: 5)
+    assert ad.thread_cap() == 5
+    monkeypatch.setattr(ad.os, "cpu_count", lambda: None)
+    assert ad.thread_cap() == 1
+    x = ad.Tensor(np.ones((2, 1, 4, 4)))
+    assert ad.conv2d(x, ad.Tensor(np.ones((1, 1, 3, 3))), ad.Tensor(np.zeros(1))).shape == x.shape  # a conv reads the cap
+
+
+def test_package_imports_without_a_fork_hook():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sndmseg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import os; del os.register_at_fork; import sndmseg; print(sndmseg.autodiff.thread_cap() >= 1)"  # as on Windows
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
 
 
 def test_train_and_evaluate_do_not_depend_on_the_thread_count(monkeypatch):

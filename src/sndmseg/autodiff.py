@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation over dense numpy tensors.
 
-A :class:`Tensor` wraps an ndarray; operations build a computation graph
+A :class:`Tensor` holds an ndarray; operations build a computation graph
 on the fly by recording parents and a backward closure. Calling
 ``backward()`` on a scalar output walks the graph in reverse topological
 order and accumulates gradients into every node with ``requires_grad``.
@@ -30,20 +30,22 @@ its input's gradient into the buffer of its own. :func:`batch_norm`,
 ops the fused op and the correlation block are tested against.
 
 Convolutions are expressed as matrix multiplies so the heavy lifting
-stays in BLAS. The 3x3 conv runs one GEMM per batch item over a patch
-workspace that all items reuse; its backward builds one patch matrix of
-the output gradient per item and takes both its input and its weight
-gradient from it. The single-output head conv (:func:`head_conv`) takes
-its input as a list of channel pieces, so the network's decoder outputs
-and image feed it without a concatenated copy; it reads them unpadded,
-one GEMM per piece for all nine taps, and zeroes the tap entries that
-would read padding. The transposed conv computes one output phase at a
-time into a reused block. The memory-bound ops (the fused batch norm,
-max pooling, the placement around the transposed conv's GEMMs) are
-written to make as few passes over their tensors as they can. The fused
-op's per-channel reductions are per-(item, channel) sums in the input's
-dtype (float32 in training) combined in float64; the reference
-:func:`batch_norm` accumulates its reductions in float64 throughout.
+stays in BLAS. Both 3x3 convs take their zero padding from one tap rule,
+:func:`_taps`, whose spans leave every read of padding unwritten at zero.
+The 3x3 conv runs one GEMM per batch item over a patch workspace that
+all items reuse; its backward builds one patch matrix of the output
+gradient per item and takes both its input and its weight gradient from
+it. The single-output head conv (:func:`head_conv`) takes its input as a
+list of channel pieces, so the network's decoder outputs and image feed
+it without a concatenated copy; it runs one GEMM per piece for all nine
+taps over the unpadded input and adds each tap's plane over its spans.
+The transposed conv computes one output phase at a time into a reused
+block. The memory-bound ops (the fused batch norm, max pooling, the
+placement around the transposed conv's GEMMs) are written to make as
+few passes over their tensors as they can. The fused op's per-channel
+reductions are per-(item, channel) sums in the input's dtype (float32
+in training) combined in float64; the reference :func:`batch_norm`
+accumulates its reductions in float64 throughout.
 
 The three conv kernels split their batch items over threads
 (:func:`split_items`): up to ``SNDM_THREADS`` contiguous item ranges, by
@@ -358,13 +360,20 @@ def correlation(joint: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolutional primitives
 
-_TAP_OFFSETS = [(di, dj) for di in range(3) for dj in range(3)]
 _BLOCK_OFFSETS = [(i, j) for i in range(2) for j in range(2)]
 
 
-def _shifted_span(shift: int, n: int):
-    """(destination, source) slices of an axis of length n read at offset ``shift``, clipped to it."""
-    return slice(max(-shift, 0), n - max(shift, 0)), slice(max(shift, 0), n + min(shift, 0))
+def _taps(height: int, width: int):
+    """The nine taps of a zero-padded 3x3 window over an H x W map: ``(k, (dst_rows, src_rows), (dst_cols, src_cols))``.
+
+    Tap k = 3 * di + dj makes output (r, c) read input (r + di - 1, c + dj - 1)
+    over the spans whose reads stay inside the map; a read outside it is padding.
+    """
+
+    def span(shift, n):
+        return slice(max(-shift, 0), n - max(shift, 0)), slice(max(shift, 0), n + min(shift, 0))
+
+    return [(3 * di + dj, span(di - 1, height), span(dj - 1, width)) for di in range(3) for dj in range(3)]
 
 
 def _item_patches(x: np.ndarray):
@@ -378,26 +387,11 @@ def _item_patches(x: np.ndarray):
     batch, channels, height, width = x.shape
     ws = np.zeros((channels, 9, height, width), dtype=x.dtype)
     cols = ws.reshape(channels * 9, height * width)
-    taps = [(k, _shifted_span(di - 1, height), _shifted_span(dj - 1, width)) for k, (di, dj) in enumerate(_TAP_OFFSETS)]
+    taps = _taps(height, width)
     for i in range(batch):
         for k, (dst_rows, src_rows), (dst_cols, src_cols) in taps:
             ws[:, k, dst_rows, dst_cols] = x[i, :, src_rows, src_cols]
         yield cols
-
-
-def _conv_items(x: np.ndarray, wmat: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """(B, K, H*W): ``wmat`` (K, C*9) times each item's patch matrix plus ``bias``, one GEMM per item, items split over threads."""
-    batch, _, height, width = x.shape
-    out = np.empty((batch, wmat.shape[0], height * width), dtype=np.result_type(x, wmat))
-    bias_col = bias.reshape(-1, 1)
-
-    def items(lo, hi):
-        for i, cols in enumerate(_item_patches(x[lo:hi]), lo):
-            np.matmul(wmat, cols, out=out[i])
-            out[i] += bias_col
-
-    split_items(items, batch, 2.0 * wmat.size * height * width)
-    return out
 
 
 def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
@@ -406,13 +400,10 @@ def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
     The pieces are (B, C_p, H, W) tensors whose channels, in order, make
     up the conv's input; reading them in place spares the concatenated
     copy. Forward runs one (9, C_p) @ (C_p, H*W) GEMM per piece and sums
-    the products into one (B, 9, H*W) array whose row k is tap k over the
-    flat, unpadded input at row pitch W. Each tap is then shifted into
-    place over the outputs whose reads stay inside the flat range, with
-    its entries in the column where the shift wraps across rows zeroed;
-    together those zeros stand in for the zero padding. Backward lays the
-    output gradient out once per tap with the same zeros, so each piece's
-    dX and its channel block of dW are a single GEMM against those taps.
+    the products into (B, 9, H, W) tap planes, each added into the output
+    over its spans from :func:`_taps`. Backward lays the output gradient
+    out over the same spans into zeroed planes, so each piece's dX and
+    its channel block of dW are a single GEMM against them.
     """
     pieces = list(pieces)
     shapes = [p.data.shape for p in pieces]
@@ -427,16 +418,8 @@ def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
     offsets = np.cumsum([0] + sizes)
     wmat = weight.data.reshape(channels, 9)
     flats = [p.data.reshape(batch, size, n) for p, size in zip(pieces, sizes)]
-    # tap k: output p reads flat input p + shift over the outputs ``dst`` whose read stays in
-    # range; a column shift of -1 (+1) wraps output column 0 (W - 1) into the neighboring row
-    taps = []
-    for k, (di, dj) in enumerate(_TAP_OFFSETS):
-        shift = (di - 1) * width + (dj - 1)
-        dst, src = _shifted_span(shift, n)
-        if dst.start < dst.stop:
-            wrap = {0: 0, 2: width - 1}.get(dj)
-            taps.append((k, shift, dst, src, None if wrap is None else (wrap + shift) % width))
-    acc = np.zeros((batch, 1, n), dtype=np.result_type(wmat, flats[0]))
+    taps = _taps(height, width)
+    acc = np.zeros((batch, height, width), dtype=np.result_type(wmat, flats[0]))
 
     def forward_items(b0, b1):
         # taps_in[b, k, q] = the weights of tap k times input column q, summed over every piece's channels
@@ -444,10 +427,9 @@ def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
         prod = np.empty_like(taps_in) if len(pieces) > 1 else None
         for lo, hi, xf in zip(offsets[1:-1], offsets[2:], flats[1:]):
             taps_in += np.matmul(wmat[lo:hi].T, xf[b0:b1], out=prod)
-        for k, _, dst, src, wrapped in taps:
-            if wrapped is not None:
-                taps_in[:, k, wrapped::width] = 0
-            acc[b0:b1, 0, dst] += taps_in[:, k, src]
+        planes = taps_in.reshape(b1 - b0, 9, height, width)
+        for k, (dst_rows, src_rows), (dst_cols, src_cols) in taps:
+            acc[b0:b1, dst_rows, dst_cols] += planes[:, k, src_rows, src_cols]
         acc[b0:b1] += bias.data
 
     split_items(forward_items, batch, 2.0 * wmat.size * n)
@@ -456,17 +438,15 @@ def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
     def backward(g):
         if bias.requires_grad:
             bias.accumulate(g.sum(axis=(0, 2, 3)))
-        gf = g.reshape(batch, n)
         # laid[b, k, q] = g at the output that reads input q through tap k
         laid = np.zeros((batch, 9, n), dtype=g.dtype)
+        planes = laid.reshape(batch, 9, height, width)
         dw_items = np.empty((batch, channels, 9), dtype=np.result_type(*flats, g)) if weight.requires_grad else None
         dxs = [np.empty(p.data.shape, dtype=np.result_type(wmat, g)) if p.requires_grad else None for p in pieces]
 
         def backward_items(b0, b1):
-            for k, shift, dst, src, wrapped in taps:
-                laid[b0:b1, k, src] = gf[b0:b1, dst]
-                if wrapped is not None:
-                    laid[b0:b1, k, wrapped::width] = 0
+            for k, (dst_rows, src_rows), (dst_cols, src_cols) in taps:
+                planes[b0:b1, k, src_rows, src_cols] = g[b0:b1, 0, dst_rows, dst_cols]
             for xf, dx, lo, hi in zip(flats, dxs, offsets[:-1], offsets[1:]):
                 if dw_items is not None:
                     np.matmul(xf[b0:b1], laid[b0:b1].transpose(0, 2, 1), out=dw_items[b0:b1, lo:hi])
@@ -509,7 +489,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if c_in != x.data.shape[1] or (kh, kw) != (3, 3):
         raise ShapeMismatchError(f"conv2d weight {weight.data.shape} incompatible with input {x.data.shape}")
     batch, channels, height, width = x.data.shape
-    out = _conv_items(x.data, weight.data.reshape(c_out, channels * 9), bias.data)
+    wmat = weight.data.reshape(c_out, channels * 9)
+    out = np.empty((batch, c_out, height * width), dtype=np.result_type(x.data, wmat))
+    bias_col = bias.data.reshape(-1, 1)
+
+    def forward_items(lo, hi):
+        for i, cols in enumerate(_item_patches(x.data[lo:hi]), lo):
+            np.matmul(wmat, cols, out=out[i])
+            out[i] += bias_col
+
+    split_items(forward_items, batch, 2.0 * wmat.size * height * width)
     data = out.reshape(batch, c_out, height, width)
 
     def backward(g):
@@ -522,14 +511,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         # dw_items[i]: (C_out*9, C_in), row (o, k) holds item i's dW[o, :, 2 - di, 2 - dj] for tap k = (di, dj)
         dw_items = np.empty((batch, c_out * 9, channels), dtype=np.result_type(g, xm)) if weight.requires_grad else None
 
-        def items(lo, hi):
+        def backward_items(lo, hi):
             for i, cols in enumerate(_item_patches(g[lo:hi]), lo):
                 if dx is not None:
                     np.matmul(wflip, cols, out=dx[i])
                 if dw_items is not None:
                     np.matmul(cols, xm[i].T, out=dw_items[i])
 
-        split_items(items, batch, 4.0 * wflip.size * height * width)
+        split_items(backward_items, batch, 4.0 * wflip.size * height * width)
         if dx is not None:
             x.accumulate(dx.reshape(x.data.shape))
         if dw_items is not None:

@@ -302,11 +302,16 @@ def config_from_header(text: str) -> NetConfig:
     """Keys the config does not read are ignored, so older headers that still name an output head load."""
     try:
         fields = parse_key_values(text)
+        # only what config_to_header writes: int() would also take a sign, "1_6" or non-ASCII digits
+        numbers = [fields["input_size"], fields["levels"], *fields["widths"].split(",")]
+        bad = [v for v in numbers if not (v.isascii() and v.isdigit())]
+        if bad or fields["dense_connections"] not in ("0", "1"):
+            raise ValueError(f"integers must be ASCII decimal digits and dense_connections 0 or 1, got {bad or fields['dense_connections']!r}")
         return NetConfig(
             input_size=int(fields["input_size"]),
             widths=tuple(int(w) for w in fields["widths"].split(",")),
             levels=int(fields["levels"]),
-            dense_connections=bool(int(fields["dense_connections"])),
+            dense_connections=fields["dense_connections"] == "1",
         )
     except (KeyError, ValueError, InvalidConfigError) as exc:
         raise CheckpointCorruptError(f"bad checkpoint header: {exc}") from exc

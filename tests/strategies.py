@@ -103,3 +103,18 @@ def mixed_size_dataset(root):
     rows = [small_row, ("pair_0001", *(f"big_{name}" for name in big_row[1:]))]
     (data / "manifest.tsv").write_text("".join("\t".join(row) + "\n" for row in rows))
     return data
+
+
+def noisy_forward(monkeypatch, scale=1e-7):
+    """Give every network forward of ``sndmseg.train`` fresh noise, as a nondeterministic kernel would."""
+    import sndmseg.train as train_module
+
+    real_build_forward = train_module.build_forward
+    rng = np.random.default_rng(0)
+
+    def build_forward_with_noise(*args, **kwargs):
+        pred, tensors = real_build_forward(*args, **kwargs)
+        pred.data += scale * rng.standard_normal(pred.data.shape)
+        return pred, tensors
+
+    monkeypatch.setattr(train_module, "build_forward", build_forward_with_noise)

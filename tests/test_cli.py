@@ -19,7 +19,7 @@ from sndmseg.raster import read_float_map, read_mask, write_float_map, write_mas
 from sndmseg.sndm import sndm_encode
 from sndmseg.synth import gen_dataset, GenConfig, load_dataset
 from sndmseg.train import AblationConfig, TrainConfig, ablation, reference_config
-from strategies import mixed_size_dataset, save_with_lying_header
+from strategies import mixed_size_dataset, noisy_forward, save_with_lying_header
 
 
 @pytest.fixture
@@ -587,6 +587,12 @@ def test_gradcheck_fails_on_nan_loss(monkeypatch, capsys, target, loss):
     argv = ["gradcheck", "--target", target, "--trials", "2"] + (["--loss", loss] if loss else [])
     assert main(argv) == 1
     assert "max relative error nan" in capsys.readouterr().out
+
+
+def test_gradcheck_net_fails_when_too_few_probes_are_checked(monkeypatch, capsys):
+    noisy_forward(monkeypatch)
+    assert main(["gradcheck", "--target", "net", "--trials", "2"]) == 1
+    assert "max relative error inf" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -25,9 +25,10 @@ from sndmseg.network import (
     load_net,
     save_net,
 )
+from sndmseg.raster import parse_key_values
 from sndmseg.synth import GenConfig, gen_pair
 from sndmseg.train import grad_check_net
-from strategies import bn_relu_composite, save_with_lying_header, weighted_sum, weighted_total
+from strategies import bn_relu_composite, noisy_forward, save_with_lying_header, weighted_sum, weighted_total, with_examples
 
 SMALL = NetConfig(input_size=16, widths=(4, 6), levels=2)
 
@@ -411,13 +412,33 @@ def test_config_header_round_trip(config):
     assert config_from_header(config_to_header(config) + "output_head = mask-sigmoid\n") == config
 
 
+# a repeated key's last line wins, so each case is the SMALL header with one field overwritten
+NONCANONICAL_HEADER_FIELDS = [
+    ("dense_connections", "7"),
+    ("dense_connections", "-1"),
+    ("dense_connections", "true"),
+    ("input_size", "1_6"),
+    ("input_size", "+16"),
+    ("input_size", "\uff11\uff16"),  # fullwidth digits, which int() reads as 16
+    ("levels", "-2"),
+    ("widths", "+4, 6"),
+    ("widths", "4, 6"),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(), st.builds(lambda c, extra: config_to_header(c) + extra, net_configs(), st.text())))
+@with_examples([config_to_header(SMALL) + f"{key} = {value}\n" for key, value in NONCANONICAL_HEADER_FIELDS])
 def test_config_header_parses_or_is_corrupt(text):
     try:
         config = config_from_header(text)
     except CheckpointCorruptError:
         return
+    # only the digits config_to_header writes load: no sign, underscore, inner space or non-ASCII digit
+    fields = parse_key_values(text)
+    assert fields["dense_connections"] in ("0", "1")
+    for value in (fields["input_size"], fields["levels"], *fields["widths"].split(",")):
+        assert value.isascii() and value.isdigit(), value
     assert config_from_header(config_to_header(config)) == config
 
 
@@ -602,6 +623,12 @@ def test_grad_check_net_fails_on_non_finite_loss(monkeypatch):
     # the edge loss looks up loss_iou3d_weighted in its module's globals, so the patch reaches it
     monkeypatch.setattr(sndmseg.losses, "loss_iou3d_weighted", nan_loss)
     assert np.isnan(grad_check_net(trials=2, seed=1))
+
+
+def test_grad_check_net_fails_when_too_few_probes_are_checked(monkeypatch):
+    # the noise swamps every central difference, so no probe passes the step-halving test
+    noisy_forward(monkeypatch)
+    assert grad_check_net(trials=3, seed=0) == np.inf
 
 
 def test_grad_check_net_rejects_bad_trials_and_seed():

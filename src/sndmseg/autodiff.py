@@ -176,12 +176,10 @@ def thread_cap() -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1  # no affinity call on macOS or Windows
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
+    # ASCII decimal digits only: int() alone would also take a sign, "1_6" or non-ASCII digits
+    cap = int(env) if env.isascii() and env.isdigit() else 0
     if cap < 1:
-        raise InvalidConfigError(f"SNDM_THREADS must be an integer >= 1, got {env!r}")
+        raise InvalidConfigError(f"SNDM_THREADS must be an integer >= 1 in ASCII decimal digits, got {env!r}")
     return cap
 
 

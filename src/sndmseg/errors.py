@@ -2,7 +2,11 @@
 
 Every exception carries a stable short ``code`` so the command line tool
 can print one-line machine-parseable messages (``error: <code>: <detail>``).
+The integer checks every config runs when it is built live here too.
 """
+
+import dataclasses
+import numbers
 
 
 class SndmError(Exception):
@@ -65,3 +69,15 @@ class CheckpointCorruptError(SndmError):
 
 class OracleMismatchError(SndmError):
     code = "OracleMismatch"
+
+
+def require_integer_fields(config) -> None:
+    """Raise ``InvalidConfig`` unless each ``int`` field of the dataclass ``config``, and each item of a ``tuple`` field, is a Python or numpy integer.
+
+    A float such as 2.0 fails here, not later in a ``range`` or an array shape.
+    """
+    for item in dataclasses.fields(config):
+        value = getattr(config, item.name)
+        for number in {"int": (value,), "tuple": value}.get(item.type, ()):  # every module defers annotations to strings
+            if not isinstance(number, numbers.Integral):
+                raise InvalidConfigError(f"{item.name}: {number!r} is not an integer")

@@ -14,8 +14,10 @@ preceding one otherwise. The final 3x3 convolution reads the level-1
 skip, one adapter output per source module and the raw input image as
 its input's channel pieces, with no concatenated copy, and tanh maps its
 output to the signed normalized distance map every loss trains on; the
-mask is the sign of that map (:func:`sndm.sndm_decode`). In train mode
-each batch norm and the relu after it run as one fused graph node
+mask is the sign of that map (:func:`sndm.sndm_decode`). One function,
+:func:`_decoder`, states this wiring; :func:`_declare` and
+:func:`build_forward` both read it. In train mode each batch norm and
+the relu after it run as one fused graph node
 (:func:`autodiff.batch_norm_relu`). In eval mode each batch norm is folded
 into the weights and bias of the conv or deconv before it, and the relu
 after it runs in place on the conv's output.
@@ -51,6 +53,7 @@ from .errors import (
     CheckpointCorruptError,
     InvalidConfigError,
     ShapeMismatchError,
+    require_integer_fields,
 )
 from .raster import _atomic_write, _read_bytes, parse_key_values
 from .seeding import seeded_rng
@@ -68,6 +71,7 @@ class NetConfig:
     dense_connections: bool = True
 
     def __post_init__(self):
+        require_integer_fields(self)
         if self.levels < 1 or len(self.widths) != self.levels:
             raise InvalidConfigError(f"need one width per level, got {self.widths} for {self.levels} levels")
         if any(w < 1 for w in self.widths):
@@ -78,12 +82,8 @@ class NetConfig:
             )
 
     @property
-    def bottleneck_size(self) -> int:
-        return self.input_size // 2**self.levels
-
-    @property
-    def correlation_channels(self) -> int:
-        return self.bottleneck_size**2
+    def correlation_channels(self) -> int:  # one per bottleneck position
+        return (self.input_size // 2**self.levels) ** 2
 
 
 @dataclass
@@ -106,32 +106,23 @@ class NetParams:
         )
 
 
-def _module_out_channels(cfg: NetConfig, module: int) -> int:
-    if module == 1:
-        return cfg.widths[-1]
-    level = cfg.levels + 2 - module  # encoder level the module corresponds to
-    return cfg.widths[level - 1]
+def _decoder(cfg: NetConfig) -> list:
+    """Decoder modules 1..L, then the head as module L + 1, each as ``(name, c_in, c_out, skip, sources)``.
 
-
-def _module_sources(cfg: NetConfig, module: int) -> list:
-    """Earlier decoder modules feeding module ``module`` >= 2 through adapters."""
-    if cfg.dense_connections:
-        return list(range(1, module))
-    return [module - 1]
-
-
-def _module_in_channels(cfg: NetConfig, module: int) -> int:
-    if module == 1:
-        return cfg.widths[-1] + cfg.correlation_channels
-    level = cfg.levels + 2 - module
-    skip = cfg.widths[level - 1]
-    extra = 3 if module == cfg.levels + 1 else 0
-    return skip + ADAPTER_CHANNELS * len(_module_sources(cfg, module)) + extra
-
-
-def _adapter_names(module_from: int, module_to: int):
-    base = f"adapt.{module_from}to{module_to}"
-    return [f"{base}.{s}" for s in range(module_to - module_from)]
+    Module 1 reads the bottleneck and its correlation map (``skip`` None).
+    Module m >= 2 reads encoder output ``skip`` and each source module src,
+    ``(src, its width, the names of its m - src adapters)``: every earlier
+    module when dense, else only m - 1. The head also reads the input image.
+    """
+    last = cfg.levels + 1
+    modules = [("dec1", cfg.widths[-1] + cfg.correlation_channels, cfg.widths[-1], None, [])]
+    for m in range(2, last + 1):
+        skip = last - m  # encoder level L + 2 - m
+        froms = range(1, m) if cfg.dense_connections else [m - 1]
+        sources = [(src, modules[src - 1][2], [f"adapt.{src}to{m}.{s}" for s in range(m - src)]) for src in froms]
+        c_in = cfg.widths[skip] + ADAPTER_CHANNELS * len(sources)
+        modules.append(("head", c_in + 3, 1, skip, sources) if m == last else (f"dec{m}", c_in, cfg.widths[skip], skip, sources))
+    return modules
 
 
 def _declare(cfg: NetConfig) -> list:
@@ -165,20 +156,20 @@ def _declare(cfg: NetConfig) -> list:
         bn(f"enc{i}.bn2", width)
         c_prev = width
 
-    for module in range(1, cfg.levels + 1):
-        out_ch = _module_out_channels(cfg, module)
-        conv(f"dec{module}.conv", out_ch, _module_in_channels(cfg, module))
-        bn(f"dec{module}.bn", out_ch)
+    decoder = _decoder(cfg)
+    for name, c_in, c_out, _, _ in decoder[:-1]:
+        conv(f"{name}.conv", c_out, c_in)
+        bn(f"{name}.bn", c_out)
 
-    for module in range(2, cfg.levels + 2):
-        for src in _module_sources(cfg, module):
-            c_in = _module_out_channels(cfg, src)
-            for name in _adapter_names(src, module):
+    for *_, sources in decoder:
+        for _, c_in, names in sources:
+            for name in names:
                 deconv(f"{name}.deconv", c_in, ADAPTER_CHANNELS)
                 bn(f"{name}.bn", ADAPTER_CHANNELS)
                 c_in = ADAPTER_CHANNELS
 
-    conv("head.conv", 1, _module_in_channels(cfg, cfg.levels + 1), gain=1.0)
+    name, c_in, c_out, *_ = decoder[-1]
+    conv(f"{name}.conv", c_out, c_in, gain=1.0)
     return specs
 
 
@@ -226,12 +217,11 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     dtype = a.dtype
 
     pt = {name: ad.Tensor(value, requires_grad=training) for name, value in params.values.items()}
-    bufs = params.buffers
 
     def normalized(op, x, layer, bn, out_axis):
         """relu(batch_norm(op(x))) for the conv or deconv ``layer`` and its batch norm ``bn``."""
         weight, bias, gamma, beta = pt[f"{layer}.weight"], pt[f"{layer}.bias"], pt[f"{bn}.gamma"], pt[f"{bn}.beta"]
-        mean, var = bufs[f"{bn}.running_mean"], bufs[f"{bn}.running_var"]
+        mean, var = params.buffers[f"{bn}.running_mean"], params.buffers[f"{bn}.running_var"]
         if not training:
             folded = ad.fold_batch_norm(weight.data, bias.data, gamma.data, beta.data, mean, var, out_axis)
             y = op(x, *map(ad.Tensor, folded))
@@ -242,8 +232,8 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     def conv_bn_relu(x, conv_name, bn_name):
         return normalized(ad.conv2d, x, conv_name, bn_name, out_axis=0)
 
-    def adapter(x, src, dst):
-        for name in _adapter_names(src, dst):
+    def adapter(x, names):
+        for name in names:
             x = normalized(ad.conv_transpose2d, x, f"{name}.deconv", f"{name}.bn", out_axis=1)
         return x
 
@@ -258,20 +248,14 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
         x = ad.max_pool2(x)
     bottleneck = x
 
-    corr = ad.correlation(bottleneck)
-
-    outputs = {}
-    x = conv_bn_relu(ad.concat([bottleneck, corr], axis=1), "dec1.conv", "dec1.bn")
-    outputs[1] = x
-    for module in range(2, config.levels + 1):
-        skip = skips[config.levels + 1 - module]  # encoder level config.levels + 2 - module
-        pieces = [skip] + [adapter(outputs[src], src, module) for src in _module_sources(config, module)]
-        x = conv_bn_relu(ad.concat(pieces, axis=1), f"dec{module}.conv", f"dec{module}.bn")
-        outputs[module] = x
-
-    last = config.levels + 1
-    adapters = [adapter(outputs[src], src, last) for src in _module_sources(config, last)]
-    head = ad.head_conv([skips[0], *adapters, ad.Tensor(joint)], pt["head.conv.weight"], pt["head.conv.bias"])
+    outputs = []
+    for name, _, _, skip, sources in _decoder(config):
+        pieces = [bottleneck, ad.correlation(bottleneck)] if skip is None else [skips[skip]]
+        pieces += [adapter(outputs[src - 1], names) for src, _, names in sources]
+        if name != "head":
+            outputs.append(conv_bn_relu(ad.concat(pieces, axis=1), f"{name}.conv", f"{name}.bn"))
+    # the head's pieces: the level-1 skip, then one adapter output per source module
+    head = ad.head_conv([*pieces, ad.Tensor(joint)], pt["head.conv.weight"], pt["head.conv.bias"])
     return ad.tanh(head), pt
 
 
@@ -307,12 +291,8 @@ def config_from_header(text: str) -> NetConfig:
         bad = [v for v in numbers if not (v.isascii() and v.isdigit())]
         if bad or fields["dense_connections"] not in ("0", "1"):
             raise ValueError(f"integers must be ASCII decimal digits and dense_connections 0 or 1, got {bad or fields['dense_connections']!r}")
-        return NetConfig(
-            input_size=int(fields["input_size"]),
-            widths=tuple(int(w) for w in fields["widths"].split(",")),
-            levels=int(fields["levels"]),
-            dense_connections=fields["dense_connections"] == "1",
-        )
+        input_size, levels, *widths = map(int, numbers)
+        return NetConfig(input_size=input_size, widths=tuple(widths), levels=levels, dense_connections=fields["dense_connections"] == "1")
     except (KeyError, ValueError, InvalidConfigError) as exc:
         raise CheckpointCorruptError(f"bad checkpoint header: {exc}") from exc
 

@@ -1,13 +1,14 @@
 """Deterministic synthetic co-object image pairs.
 
-Each sample renders one shared object — a random smoothed polygon — into
-two images under independent similarity transforms (scale in
-``OBJECT_SCALE`` times 0.24 of the image side, rotation in ``ROTATION``,
-translation that keeps the object inside the image) with a shared base
-color plus per-image jitter of up to ``COLOR_JITTER`` per channel. Each
-image additionally gets its own ``DISTRACTORS`` range of distractor
-shapes, differing between the two images in both shape and color, over a
-solid background with Gaussian noise of deviation ``NOISE_SIGMA``. The
+Each sample renders one shared object — a random smoothed polygon with
+``POLYGON_CORNERS`` corners before smoothing — into two images under
+independent similarity transforms (scale in ``OBJECT_SCALE`` times 0.24
+of the image side, rotation in ``ROTATION``, translation that keeps the
+object inside the image) with a shared base color plus per-image jitter
+of up to ``COLOR_JITTER`` per channel. Each image additionally gets its
+own ``DISTRACTORS`` range of distractor shapes, differing between the
+two images in both shape and color, over a solid background with
+Gaussian noise of deviation ``NOISE_SIGMA``. The
 image side length is the one setting (:class:`GenConfig`). Ground truth
 masks mark exactly the pixels whose centers fall inside the common
 object's polygon: image colors are rendered with 2x2 supersampled
@@ -38,13 +39,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError, ShapeMismatchError
+from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError, ShapeMismatchError, require_integer_fields
 from .raster import _atomic_write, _read_bytes, read_image, read_mask, write_image, write_mask
 from .seeding import seeded_rng
 
 FG_FRACTION = (0.02, 0.6)
 MAX_ATTEMPTS = 32
 DISTRACTORS = (0, 3)  # inclusive count range per image
+POLYGON_CORNERS = (8, 12)  # inclusive corner count range of the shared object, before corner cutting
 OBJECT_SCALE = (0.7, 1.3)  # multiplier of the base radius 0.24 * image_size
 ROTATION = (0.0, 2.0 * np.pi)
 COLOR_JITTER = 0.1  # per-channel offset range of the object color in each image
@@ -63,6 +65,7 @@ class GenConfig:
     image_size: int = 64
 
     def __post_init__(self):
+        require_integer_fields(self)
         if self.image_size < 16:
             raise InvalidConfigError(f"image_size must be >= 16, got {self.image_size}")
 
@@ -82,9 +85,9 @@ class PairSample:
 # geometry
 
 
-def _smooth_polygon(rng, n_lo: int = 8, n_hi: int = 12) -> np.ndarray:
+def _smooth_polygon(rng) -> np.ndarray:
     """Star-shaped polygon around the origin, corner-cut once for smoothness."""
-    n = int(rng.integers(n_lo, n_hi + 1))
+    n = int(rng.integers(POLYGON_CORNERS[0], POLYGON_CORNERS[1] + 1))
     angles = (np.arange(n) + rng.uniform(-0.35, 0.35, size=n)) * (2.0 * np.pi / n)
     radii = rng.uniform(0.55, 1.0, size=n)
     pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
@@ -190,8 +193,6 @@ def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
     base_color = rng.uniform(0.2, 0.95, size=3)
     base_radius = 0.24 * size
 
-    shared = None
-    poses = None
     for _ in range(MAX_ATTEMPTS):
         poly = _smooth_polygon(rng)
         candidate = []
@@ -206,10 +207,9 @@ def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
                 break
             candidate.append((mask, cover, center, 1.05 * scale))
         if len(candidate) == 2:
-            shared = poly
             poses = candidate
             break
-    if poses is None:
+    else:  # no pose fit in MAX_ATTEMPTS draws
         mask, cover = _ellipse_coverage(size)
         poses = [(mask, cover, np.array([size / 2.0, size / 2.0]), 0.32 * size)] * 2
 

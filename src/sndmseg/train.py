@@ -38,6 +38,7 @@ from .errors import (
     InvalidConfigError,
     NonFiniteError,
     ShapeMismatchError,
+    require_integer_fields,
 )
 from .losses import LOSSES, LossConfig
 from .metrics import ItemMetrics, MetricsReport
@@ -64,6 +65,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integer_fields(self)
         if self.batch_size < 1:
             raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         # every range test below is False for NaN
@@ -418,6 +420,7 @@ class AblationConfig:
     image_size: int = 64
 
     def __post_init__(self):
+        require_integer_fields(self)
         _check_set_sizes(self.n_train, self.n_val, self.n_test)
 
 

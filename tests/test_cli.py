@@ -604,7 +604,8 @@ def test_gradcheck_net_fails_when_too_few_probes_are_checked(monkeypatch, capsys
         ["gradcheck", "--target", "net", "--trials", "1"],
     ],
 )
-@pytest.mark.parametrize("threads", ["0", "two"])
+# int() would read "1_6" as 16 and each of the other three as 2
+@pytest.mark.parametrize("threads", ["0", "two", "1_6", "+2", "\u0662", "\uff12"])
 def test_bad_thread_cap_is_one_error_line_before_any_work(tmp_path, monkeypatch, capsys, argv, threads):
     monkeypatch.setenv("SNDM_THREADS", threads)
     for name in ("load_dataset", "load_net", "grad_check_loss", "grad_check_net"):

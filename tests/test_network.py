@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from sndmseg.train import grad_check_net
 from strategies import bn_relu_composite, noisy_forward, save_with_lying_header, weighted_sum, weighted_total, with_examples
 
 SMALL = NetConfig(input_size=16, widths=(4, 6), levels=2)
+ONE_LEVEL = NetConfig(input_size=8, widths=(3,), levels=1)
+FOUR_LEVELS = NetConfig(input_size=32, widths=(4, 5, 6, 7), levels=4)
 
 
 def batch_of_pairs(size, n, seed=0):
@@ -99,6 +102,8 @@ def test_parameter_count_matches_shape_walk(dense):
     for cfg in (
         NetConfig(input_size=64, widths=(16, 32, 64), levels=3, dense_connections=dense),
         NetConfig(input_size=16, widths=(4, 6), levels=2, dense_connections=dense),
+        replace(ONE_LEVEL, dense_connections=dense),
+        replace(FOUR_LEVELS, dense_connections=dense),
     ):
         params = init_params(cfg, seed=0)
         assert sum(v.size for v in params.values.values()) == expected_parameter_count(cfg)
@@ -210,6 +215,31 @@ def test_default_train_step_graph_holds_128_nodes():
     pred, _ = build_forward(img_a, img_b, init_params(cfg), cfg, mode="train")
     loss = ad.map_loss(pred, gt, LOSSES["iou3d-edge"], LossConfig())
     assert len(ad._topo_order(loss)) == 128
+
+
+@pytest.mark.parametrize("cfg", [ONE_LEVEL, FOUR_LEVELS])
+@pytest.mark.parametrize("dense", [True, False])
+def test_one_and_four_level_nets_run_eval_and_a_train_step(cfg, dense):
+    from sndmseg.losses import LossConfig, loss_iou3d_edge
+    from sndmseg.sndm import sndm_encode
+
+    cfg, size = replace(cfg, dense_connections=dense), cfg.input_size
+    rng = np.random.default_rng(8)  # an 8 px net is below the synthetic pairs' 16 px minimum
+    img_a, img_b = rng.random((2, 2, size, size, 3), dtype=np.float32)
+    square = np.zeros((size, size), dtype=bool)
+    square[size // 4 : 3 * size // 4, size // 4 : 3 * size // 4] = True
+    gt = np.stack([sndm_encode(np.roll(square, shift, axis=1)) for shift in range(4)])
+    params = init_params(cfg, seed=3)
+    pred_a, pred_b = forward_pair(img_a, img_b, params, cfg)
+    assert pred_a.shape == pred_b.shape == (2, size, size)
+    assert np.isfinite(pred_a).all() and np.isfinite(pred_b).all()
+    pred, param_tensors = build_forward(img_a, img_b, params, cfg, mode="train")
+    assert pred.data.shape == (4, 1, size, size)
+    ad.map_loss(pred, gt, loss_iou3d_edge, LossConfig()).backward()
+    assert param_tensors.keys() == params.values.keys()
+    for name, tensor in param_tensors.items():
+        assert tensor.grad is not None and tensor.grad.shape == tensor.data.shape, name
+        assert np.isfinite(tensor.grad).all(), name
 
 
 def test_gradient_reaches_every_parameter():
@@ -382,6 +412,10 @@ CHECKPOINT_PINS = [
     (NetConfig(), 964529, "d7ec141f305cce69c99d23de81c80788a5244eef265ae5b64c001f27a2942b76"),
     (NetConfig(dense_connections=False), 875461, "53dbefda0e0f5d0e7ba49e37dbf4e6b8a7c3f231c6c9d82791e31fd858bd3995"),
     (SMALL, 27000, "cbe752677d0450a08e75bb57bf560892ef1e8cdfa8101e4284c84fe4ca87d52f"),
+    (ONE_LEVEL, 5737, "bf64b1cc2e96d6c0905b76e486ef3840112f8e41b27301fa29c59b6125a37e26"),
+    (replace(ONE_LEVEL, dense_connections=False), 5737, "1e873ae190c0c2d2bf48fc4efd8749ae19e872ab56f1228b7c69c392bec0e60e"),
+    (FOUR_LEVELS, 110172, "ff2784477a82ea17774825eed3c8dc91804d5999a4bd63887147aa1d1678ae80"),
+    (replace(FOUR_LEVELS, dense_connections=False), 38748, "daab7050cce1a1a1d56307796c943a2a3aa506add2ed303b4f4b382c16d9b54a"),
 ]
 
 

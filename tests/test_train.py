@@ -121,6 +121,26 @@ def test_bad_value_fails_when_the_config_is_built(config_class, name, value, err
     assert str(built.value) == str(replaced.value)
 
 
+@pytest.mark.parametrize(
+    "config_class, name, bad, good",
+    [
+        (NetConfig, "input_size", 64.0, np.int64(64)),
+        (NetConfig, "widths", (16.5, 32, 64), (np.int32(16), 32, 64)),
+        (NetConfig, "levels", 3.0, np.int64(3)),
+        (GenConfig, "image_size", 20.5, np.int64(20)),
+        (TrainConfig, "batch_size", 2.5, np.int64(2)),
+        (TrainConfig, "max_epochs", 1.5, np.int64(1)),
+        (TrainConfig, "seed", 1.0, np.uint8(1)),
+        (AblationConfig, "n_train", 2.5, np.int64(2)),
+        (AblationConfig, "epochs", 1.5, np.int64(1)),
+    ],
+)
+def test_integer_fields_refuse_other_numbers_when_the_config_is_built(config_class, name, bad, good):
+    with pytest.raises(InvalidConfigError, match=f"{name}: .* is not an integer"):
+        config_class(**{name: bad})
+    assert getattr(config_class(**{name: good}), name) == good  # numpy integers pass
+
+
 def test_every_loss_trains_the_default_net():
     gen = GenConfig(image_size=NetConfig().input_size)
     train_set, val_set = make_pairs(910, gen, 2), make_pairs(920, gen, 2)

@@ -6,9 +6,10 @@ train, eval, gradcheck, ablation. Argparse declares every option once.
 subcommand's valued flags without the leading dashes (``batch-size = 8``);
 each value goes through that flag's own type and choices. A key that is
 no valued flag of the subcommand (a positional, ``--oracle``, ``--config``
-or a typo) fails. The file is read like every other path argument: a
-missing one is ``MissingFile``, a directory or an unreadable file
-``IoFailure``. Flags win over file values; an option set by neither
+or a typo) fails, and so does a key given twice. The file is read like
+every other path argument: a missing one is ``MissingFile``, a
+directory or an unreadable file ``IoFailure``. Flags win over file
+values; an option set by neither
 keeps the default of the class or function that owns it. Every loss
 trains the same network, whose tanh head regresses the SNDM; ``gradcheck
 --target net`` takes neither ``--loss`` nor ``--lam``. Every config

@@ -2,11 +2,13 @@
 
 Every exception carries a stable short ``code`` so the command line tool
 can print one-line machine-parseable messages (``error: <code>: <detail>``).
-The integer checks every config runs when it is built live here too.
+The type check every config runs when it is built lives here too.
 """
 
 import dataclasses
 import numbers
+
+import numpy as np
 
 
 class SndmError(Exception):
@@ -71,13 +73,28 @@ class OracleMismatchError(SndmError):
     code = "OracleMismatch"
 
 
-def require_integer_fields(config) -> None:
-    """Raise ``InvalidConfig`` unless each ``int`` field of the dataclass ``config``, and each item of a ``tuple`` field, is a Python or numpy integer.
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
-    A float such as 2.0 fails here, not later in a ``range`` or an array shape.
+
+# annotation -> (test, what a value must be); every module defers annotations to strings, and a bool is no number
+_FIELD_TYPES = {
+    "int": (_integer, "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
+    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
+    "str": (lambda v: isinstance(v, str), "a str"),
+    "tuple": (lambda v: isinstance(v, tuple) and all(map(_integer, v)), "a tuple of integers"),
+}
+
+
+def require_field_types(config) -> None:
+    """Raise ``InvalidConfig`` unless each field of the dataclass ``config`` holds a value of its annotated type.
+
+    A float such as 2.0 fails here, not later in a ``range``, and so does a
+    list, which would leave the frozen config unhashable.
     """
     for item in dataclasses.fields(config):
         value = getattr(config, item.name)
-        for number in {"int": (value,), "tuple": value}.get(item.type, ()):  # every module defers annotations to strings
-            if not isinstance(number, numbers.Integral):
-                raise InvalidConfigError(f"{item.name}: {number!r} is not an integer")
+        test, kind = _FIELD_TYPES[item.type]
+        if not test(value):
+            raise InvalidConfigError(f"{item.name}: {value!r} is not {kind}")

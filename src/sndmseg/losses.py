@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, ShapeMismatchError
+from .errors import InvalidConfigError, ShapeMismatchError, require_field_types
 from .seeding import seeded_rng
 from .sndm import sndm_encode
 
@@ -50,6 +50,7 @@ class LossConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
+        require_field_types(self)
         if not 1.0 <= self.lam < np.inf:
             raise InvalidConfigError(f"lam must be finite and >= 1, got {self.lam}")
         if not 0.0 < self.epsilon <= 1e-4:

@@ -53,7 +53,7 @@ from .errors import (
     CheckpointCorruptError,
     InvalidConfigError,
     ShapeMismatchError,
-    require_integer_fields,
+    require_field_types,
 )
 from .raster import _atomic_write, _read_bytes, parse_key_values
 from .seeding import seeded_rng
@@ -71,7 +71,7 @@ class NetConfig:
     dense_connections: bool = True
 
     def __post_init__(self):
-        require_integer_fields(self)
+        require_field_types(self)
         if self.levels < 1 or len(self.widths) != self.levels:
             raise InvalidConfigError(f"need one width per level, got {self.widths} for {self.levels} levels")
         if any(w < 1 for w in self.widths):

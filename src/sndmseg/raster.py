@@ -192,10 +192,11 @@ def write_image(image, path: str) -> None:
 
 
 def parse_key_values(text: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment.
+    """Flat ``key = value`` lines; '#' starts a comment, and a key may appear once.
 
     Raises ValueError starting with the 1-based line number of the first
-    bad line; callers turn it into their own domain error.
+    bad line, a repeated key included; callers turn it into their own
+    domain error.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -207,6 +208,8 @@ def parse_key_values(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ValueError(f"{lineno}: empty key")
+        if key in values:
+            raise ValueError(f"{lineno}: repeated key {key!r}")
         values[key] = value
     return values
 

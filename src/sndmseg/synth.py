@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError, ShapeMismatchError, require_integer_fields
+from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError, ShapeMismatchError, require_field_types
 from .raster import _atomic_write, _read_bytes, read_image, read_mask, write_image, write_mask
 from .seeding import seeded_rng
 
@@ -65,7 +65,7 @@ class GenConfig:
     image_size: int = 64
 
     def __post_init__(self):
-        require_integer_fields(self)
+        require_field_types(self)
         if self.image_size < 16:
             raise InvalidConfigError(f"image_size must be >= 16, got {self.image_size}")
 

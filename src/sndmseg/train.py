@@ -38,7 +38,7 @@ from .errors import (
     InvalidConfigError,
     NonFiniteError,
     ShapeMismatchError,
-    require_integer_fields,
+    require_field_types,
 )
 from .losses import LOSSES, LossConfig
 from .metrics import ItemMetrics, MetricsReport
@@ -65,7 +65,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integer_fields(self)
+        require_field_types(self)
         if self.batch_size < 1:
             raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         # every range test below is False for NaN
@@ -98,16 +98,21 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float, weight_dec
     """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8) with decoupled decay.
 
     Mutates ``params`` and ``state`` in place; gradients are read only.
+    ``grads`` must hold an array for every parameter (None counts as
+    missing) and name no other, or the call raises ``ShapeMismatch``
+    before any update.
     """
+    missing = sorted(name for name in params if grads.get(name) is None)
+    extra = sorted(grads.keys() - params.keys())
+    if missing or extra:
+        raise ShapeMismatchError(f"gradients do not match the parameters: missing {missing[:3]}, unknown {extra[:3]}")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
     bias1 = 1.0 - beta1**t
     bias2 = 1.0 - beta2**t
     for name, theta in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(theta)
+        g = grads[name]
         if g.shape != theta.shape:
             raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {theta.shape} for {name}")
         if name not in state.m:
@@ -200,7 +205,7 @@ def _stack_batch(records, targets, indices):
 
 def _global_norm(grads) -> float:
     """L2 norm over all gradient arrays, accumulated in float64 (finite iff every entry is)."""
-    total = sum(float(np.einsum("i,i->", g.ravel(), g.ravel(), dtype=np.float64)) for g in grads if g is not None)
+    total = sum(float(np.einsum("i,i->", g.ravel(), g.ravel(), dtype=np.float64)) for g in grads)
     return float(np.sqrt(total))
 
 
@@ -256,7 +261,8 @@ def train(
             if not np.isfinite(step_loss):
                 raise NonFiniteError(f"training loss is {step_loss} in epoch {epoch} at batch {start // train_config.batch_size}")
             loss.backward()
-            grads = {name: tensor.grad for name, tensor in param_tensors.items()}
+            # a parameter the backward never reached has no entry, which adam_step refuses
+            grads = {name: tensor.grad for name, tensor in param_tensors.items() if tensor.grad is not None}
             norm = _global_norm(grads.values())
             if not np.isfinite(norm):
                 raise NonFiniteError(f"gradient norm is {norm} in epoch {epoch} at batch {start // train_config.batch_size}")
@@ -420,7 +426,7 @@ class AblationConfig:
     image_size: int = 64
 
     def __post_init__(self):
-        require_integer_fields(self)
+        require_field_types(self)
         _check_set_sizes(self.n_train, self.n_val, self.n_test)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import sndmseg.autodiff as ad
 from sndmseg.errors import NoForwardPassError, ShapeMismatchError
+from sndmseg.losses import LossReport
 from strategies import bn_relu_composite, correlation_composite, reshape, transpose, weighted_sum, weighted_total
 
 def seeded(seed: int) -> np.random.Generator:
@@ -155,7 +156,6 @@ def test_concat_piece_with_a_second_consumer():
 
 def test_backward_releases_the_graph():
     rng = seeded(106)
-    from sndmseg.losses import LossReport
 
     def sq(pred, gt, cfg):
         diff = pred - gt
@@ -577,7 +577,6 @@ def test_batch_norm_running_stats_update():
 
 def test_map_loss_bridges_value_and_gradient():
     rng = seeded(118)
-    from sndmseg.losses import LossReport
 
     def sq(pred, gt, cfg):
         diff = pred - gt
@@ -590,6 +589,56 @@ def test_map_loss_bridges_value_and_gradient():
     assert abs(float(loss.data) - expected) < 1e-12
     loss.backward()
     assert np.allclose(pred.grad, 2.0 * (pred.data - gts[:, None]) / 3.0, atol=1e-12)
+
+
+def _square_loss(pred, gt, cfg):
+    return LossReport(float((pred * pred).sum()), 2.0 * pred)
+
+
+# op -> (graph over its operand tensors, operand shapes)
+GRADIENT_RULE_OPS = {
+    "relu": (lambda ts: ad.relu(ts[0]), [(2, 3, 4, 4)]),
+    "tanh": (lambda ts: ad.tanh(ts[0]), [(2, 3, 4, 4)]),
+    "l2_normalize": (lambda ts: ad.l2_normalize(ts[0]), [(2, 3, 4, 4)]),
+    "slice_batch": (lambda ts: ad.slice_batch(ts[0], 1, 3), [(4, 3, 2, 2)]),
+    "correlation": (lambda ts: ad.correlation(ts[0]), [(4, 3, 2, 2)]),
+    "max_pool2": (lambda ts: ad.max_pool2(ts[0]), [(2, 3, 4, 4)]),
+    "map_loss": (lambda ts: ad.map_loss(ts[0], np.zeros((2, 4, 4)), _square_loss, None), [(2, 1, 4, 4)]),
+    "concat": (lambda ts: ad.concat(ts, axis=1), [(2, 3, 4, 4), (2, 2, 4, 4)]),
+    "matmul": (lambda ts: ad.matmul(*ts), [(2, 3, 4), (2, 4, 5)]),
+    "conv2d": (lambda ts: ad.conv2d(*ts), [(2, 3, 5, 5), (4, 3, 3, 3), (4,)]),
+    "head_conv": (lambda ts: ad.head_conv(ts[:2], *ts[2:]), [(2, 3, 5, 5), (2, 2, 5, 5), (1, 5, 3, 3), (1,)]),
+    "conv_transpose2d": (lambda ts: ad.conv_transpose2d(*ts), [(2, 3, 3, 3), (3, 4, 2, 2), (4,)]),
+    "batch_norm_train": (lambda ts: ad.batch_norm(*ts, np.zeros(3), np.ones(3), training=True), [(2, 3, 4, 4), (3,), (3,)]),
+    "batch_norm_eval": (lambda ts: ad.batch_norm(*ts, np.zeros(3), np.ones(3), training=False), [(2, 3, 4, 4), (3,), (3,)]),
+    "batch_norm_relu": (lambda ts: ad.batch_norm_relu(*ts, np.zeros(3), np.ones(3)), [(2, 3, 4, 4), (3,), (3,)]),
+}
+
+
+@pytest.mark.parametrize(
+    "op, frozen", [(op, k) for op, (_, shapes) in GRADIENT_RULE_OPS.items() for k in range(len(shapes))]
+)
+def test_an_operand_that_requires_no_gradient_gets_none(op, frozen):
+    """``Tensor.accumulate`` drops what its tensor does not require, and the other operands' gradients do not change."""
+    graph, shapes = GRADIENT_RULE_OPS[op]
+    rng = seeded(120)
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    mult = rng.normal(size=graph([ad.Tensor(a) for a in arrays]).shape)
+
+    def grads(frozen=None):
+        ts = [ad.Tensor(a.copy(), requires_grad=k != frozen) for k, a in enumerate(arrays)]
+        out = graph(ts)
+        if out.requires_grad:
+            weighted_sum(out, mult).backward()
+        else:  # the op's only operand was frozen, so no graph was recorded
+            assert out._backward is None and len(ts) == 1
+        return [t.grad for t in ts]
+
+    want, got = grads(), grads(frozen)
+    assert got[frozen] is None
+    for k, (g, w) in enumerate(zip(got, want)):
+        if k != frozen:
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), k
 
 
 def test_determinism_bitwise():

@@ -1,5 +1,6 @@
 """The benchmark's tracer patches package attributes by name; every name it patches must exist."""
 
+import ast
 import importlib
 import os
 import re
@@ -36,3 +37,12 @@ def test_every_autodiff_export_has_a_user(tracing):
     used = set(re.findall(r"\bad\.(\w+)", text)) | set(tracing.AUTODIFF_OPS)
     unused = [name for name in ad.__all__ if name not in used]
     assert not unused, unused
+
+
+def test_only_tensor_writes_a_gradient_slot():
+    """``.grad =``, ``.grad +=`` and ``.grad[`` appear in ``autodiff.py`` only inside class ``Tensor``: ops go through ``accumulate``."""
+    text = (SRC / "autodiff.py").read_text(encoding="utf-8")
+    (tensor,) = [node for node in ast.parse(text).body if isinstance(node, ast.ClassDef) and node.name == "Tensor"]
+    writes = [n for n, line in enumerate(text.splitlines(), 1) if re.search(r"\.grad\s*(\[|[-+*/]?=(?!=))", line)]
+    outside = [n for n in writes if not tensor.lineno <= n <= tensor.end_lineno]
+    assert writes and not outside, outside

@@ -416,6 +416,14 @@ def test_config_file_bad_line(tmp_path, mask_file, capsys):
         assert not out.exists()
 
 
+def test_config_file_repeated_key_is_one_error_line(tmp_path, capsys):
+    config, out = tmp_path / "settings.cfg", tmp_path / "data"
+    config.write_text("pairs = 1\nsize = 16\npairs = 3\n")
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: InvalidConfig: {config}:3: repeated key 'pairs'\n"
+    assert not out.exists()
+
+
 def test_bad_widths_flag_is_usage_error(capsys):
     assert main(["train", "--widths", "a,b"]) == 2
     err = capsys.readouterr().err

@@ -446,7 +446,7 @@ def test_config_header_round_trip(config):
     assert config_from_header(config_to_header(config) + "output_head = mask-sigmoid\n") == config
 
 
-# a repeated key's last line wins, so each case is the SMALL header with one field overwritten
+# each case is the SMALL header with one field's value replaced
 NONCANONICAL_HEADER_FIELDS = [
     ("dense_connections", "7"),
     ("dense_connections", "-1"),
@@ -462,7 +462,12 @@ NONCANONICAL_HEADER_FIELDS = [
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(), st.builds(lambda c, extra: config_to_header(c) + extra, net_configs(), st.text())))
-@with_examples([config_to_header(SMALL) + f"{key} = {value}\n" for key, value in NONCANONICAL_HEADER_FIELDS])
+@with_examples(
+    [
+        "".join(f"{name} = {value if name == key else old}\n" for name, old in parse_key_values(config_to_header(SMALL)).items())
+        for key, value in NONCANONICAL_HEADER_FIELDS
+    ]
+)
 def test_config_header_parses_or_is_corrupt(text):
     try:
         config = config_from_header(text)
@@ -474,6 +479,13 @@ def test_config_header_parses_or_is_corrupt(text):
     for value in (fields["input_size"], fields["levels"], *fields["widths"].split(",")):
         assert value.isascii() and value.isdigit(), value
     assert config_from_header(config_to_header(config)) == config
+
+
+def test_config_header_with_a_repeated_key_is_corrupt():
+    # read key by key, this header is valid whichever dense_connections line wins
+    header = config_to_header(SMALL) + f"dense_connections = {int(not SMALL.dense_connections)}\n"
+    with pytest.raises(CheckpointCorruptError, match="5: repeated key 'dense_connections'"):
+        config_from_header(header)
 
 
 CHECKPOINT_DAMAGES = {

@@ -65,6 +65,34 @@ def test_adam_decay_only_shrinks_params():
         assert abs(params["w"][0] - 2.0 * (1.0 - lr * wd) ** step) < 1e-12
 
 
+def test_adam_needs_a_gradient_for_every_parameter():
+    params = {"w": np.array([1.0]), "v": np.array([2.0])}
+    state = AdamState()
+    for grads in (
+        {"w": np.array([1.0])},
+        {"w": np.array([1.0]), "v": None},
+        {"w": np.array([1.0]), "v": np.array([1.0]), "u": np.array([1.0])},
+    ):
+        with pytest.raises(ShapeMismatchError, match="gradients do not match the parameters"):
+            adam_step(params, grads, state, lr=0.1)
+    assert params["w"].tolist() == [1.0] and params["v"].tolist() == [2.0]  # nothing was updated
+    assert state.step == 0 and not state.m
+
+
+def test_a_parameter_without_a_gradient_stops_training(monkeypatch):
+    real_build_forward = train_module.build_forward
+
+    def forward_missing_the_head_bias(*args, **kwargs):
+        pred, param_tensors = real_build_forward(*args, **kwargs)
+        # a tensor outside the graph stands in for the head bias, so the backward never reaches it
+        param_tensors["head.conv.bias"] = train_module.ad.Tensor(param_tensors["head.conv.bias"].data, requires_grad=True)
+        return pred, param_tensors
+
+    monkeypatch.setattr(train_module, "build_forward", forward_missing_the_head_bias)
+    with pytest.raises(ShapeMismatchError, match=r"missing \['head.conv.bias'\]"):
+        train(*tiny_sets(2, 2), TINY_NET, TrainConfig(max_epochs=1, batch_size=2))
+
+
 def test_plateau_halves_exactly_on_patience():
     sched = PlateauScheduler(lr=1.0, patience=3, factor=0.5)
     lrs = [sched.update(v) for v in (1.0, 0.9, 0.95, 0.95, 0.95, 0.8, 0.85, 0.85, 0.85, 0.85)]
@@ -122,23 +150,35 @@ def test_bad_value_fails_when_the_config_is_built(config_class, name, value, err
 
 
 @pytest.mark.parametrize(
-    "config_class, name, bad, good",
+    "config_class, name, bad, good, kind",
     [
-        (NetConfig, "input_size", 64.0, np.int64(64)),
-        (NetConfig, "widths", (16.5, 32, 64), (np.int32(16), 32, 64)),
-        (NetConfig, "levels", 3.0, np.int64(3)),
-        (GenConfig, "image_size", 20.5, np.int64(20)),
-        (TrainConfig, "batch_size", 2.5, np.int64(2)),
-        (TrainConfig, "max_epochs", 1.5, np.int64(1)),
-        (TrainConfig, "seed", 1.0, np.uint8(1)),
-        (AblationConfig, "n_train", 2.5, np.int64(2)),
-        (AblationConfig, "epochs", 1.5, np.int64(1)),
+        (NetConfig, "input_size", 64.0, np.int64(64), "an integer"),
+        (NetConfig, "widths", (16.5, 32, 64), (np.int32(16), 32, 64), "a tuple of integers"),
+        (NetConfig, "levels", 3.0, np.int64(3), "an integer"),
+        (GenConfig, "image_size", 20.5, np.int64(20), "an integer"),
+        (TrainConfig, "batch_size", 2.5, np.int64(2), "an integer"),
+        (TrainConfig, "max_epochs", 1.5, np.int64(1), "an integer"),
+        (TrainConfig, "seed", 1.0, np.uint8(1), "an integer"),
+        (AblationConfig, "n_train", 2.5, np.int64(2), "an integer"),
+        (AblationConfig, "epochs", 1.5, np.int64(1), "an integer"),
+        # each of these used to build, or to fail later with a raw TypeError or ValueError
+        (NetConfig, "dense_connections", "no", np.bool_(False), "a bool"),
+        (NetConfig, "widths", 16, (16, 32, 64), "a tuple of integers"),
+        (NetConfig, "widths", [16, 32, 64], (16, 32, 64), "a tuple of integers"),  # a list is unhashable
+        (TrainConfig, "loss_id", ["dice"], "dice", "a str"),
+        (TrainConfig, "lr", "1e-3", np.float32(1e-3), "a real number"),
+        (TrainConfig, "batch_size", True, 2, "an integer"),
+        (LossConfig, "lam", "5", np.int64(5), "a real number"),
+        (LossConfig, "lam", True, 5.0, "a real number"),
+        (AblationConfig, "lr", "x", 1, "a real number"),
     ],
 )
-def test_integer_fields_refuse_other_numbers_when_the_config_is_built(config_class, name, bad, good):
-    with pytest.raises(InvalidConfigError, match=f"{name}: .* is not an integer"):
+def test_integer_fields_refuse_other_numbers_when_the_config_is_built(config_class, name, bad, good, kind):
+    """Every field holds its annotated type: the check runs first, so no other error comes out raw."""
+    with pytest.raises(InvalidConfigError, match=f"{name}: .* is not {kind}$"):
         config_class(**{name: bad})
-    assert getattr(config_class(**{name: good}), name) == good  # numpy integers pass
+    built = config_class(**{name: good})  # numpy scalars pass
+    assert getattr(built, name) == good and hash(built) == hash(built)
 
 
 def test_every_loss_trains_the_default_net():

@@ -61,7 +61,12 @@ whatever range holds it, so its result does not depend on the split. A weight
 gradient is a sum over items: each range writes its items' products into
 one (B, ...) array, and the calling thread sums that array over the
 batch axis in batch order, so outputs are bit-identical at any thread
-count.
+count. BLAS itself runs on one thread: OpenBLAS splits a GEMM's sums by
+thread, so its thread count would change float32 roundings. Training,
+evaluation and the network gradient check therefore run inside
+:func:`one_blas_thread`, which pins numpy's OpenBLAS to one thread in
+process, and ``SNDM_THREADS`` is the only setting that changes how many
+threads run; no setting changes the bits.
 
 A forward-only pass does no training-only work: max pooling keeps no
 argmax index (its backward finds the maxima again), and an eval forward
@@ -74,6 +79,10 @@ since 32-bit noise masks real defects.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -250,6 +259,56 @@ def split_items(fn, items: int, item_flops: float) -> None:
         wait(futures)
     for future in futures:
         future.result()
+
+
+@functools.cache
+def _openblas_threads():
+    """The thread-count (get, set) functions of numpy's bundled OpenBLAS, or None if numpy bundles none."""
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(root + ".libs", "libscipy_openblas*")) + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas*"))
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)  # the library numpy already loaded
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_pin = [0, 0]  # [entries now open, the count the outermost entry saved]
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore its previous thread count.
+
+    The count is process-global: numpy calls made from other threads meanwhile
+    also run on one BLAS thread. Entries may nest and overlap across threads;
+    the outermost saves the count and the last exit restores it. Without a
+    bundled OpenBLAS (a numpy built on MKL, Accelerate or a system BLAS) the
+    body runs unpinned, at whatever count that BLAS uses.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        if _blas_pin[0] == 0:
+            _blas_pin[1] = get()
+            set_(1)
+        _blas_pin[0] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pin[0] -= 1
+            if _blas_pin[0] == 0:
+                set_(_blas_pin[1])
 
 
 # ---------------------------------------------------------------------------

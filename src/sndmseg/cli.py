@@ -29,7 +29,9 @@ The environment variable SNDM_THREADS caps the cores a command uses
 ``train``, ``eval`` and ``gradcheck`` split each batch's items, and the
 worker processes of ``ablation``, which run one thread each. These
 commands check it before any work; the thread count does not change any
-output.
+output. It is the only thread setting: every command runs numpy's
+OpenBLAS on one thread in process, whatever ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` say, unless numpy was built on another BLAS.
 """
 
 from __future__ import annotations

@@ -259,11 +259,13 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     return ad.tanh(head), pt
 
 
+@ad.one_blas_thread()
 def forward_pair(img_a, img_b, params: NetParams, config: NetConfig):
     """Eval-mode predicted maps for both images as (B, H, W) float arrays.
 
     Splits the joint prediction of :func:`build_forward`: its first B items
-    are branch A, the rest branch B.
+    are branch A, the rest branch B. BLAS runs on one thread
+    (:func:`autodiff.one_blas_thread`).
     """
     pred, _ = build_forward(img_a, img_b, params, config, mode="eval")
     batch = pred.data.shape[0] // 2

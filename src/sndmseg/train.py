@@ -16,10 +16,13 @@ shuffling uses a counter-based generator, reductions keep a fixed order,
 and history/metric files are written with repr-exact floats, so reruns
 produce byte-identical outputs. The kernel threads of ``SNDM_THREADS``
 do not change them: each thread runs whole batch items, and every sum
-over items runs in batch order on the calling thread. That holds for one
-numpy/scipy build and one BLAS thread count: BLAS splits its sums by
-thread, so another BLAS thread count gives other float32 roundings, and
-no artifact records the count.
+over items runs in batch order on the calling thread. :func:`train`,
+:func:`evaluate` (through ``forward_pair``) and :func:`grad_check_net`
+run numpy's OpenBLAS on one thread (:func:`autodiff.one_blas_thread`),
+so the outputs hold for one numpy/scipy build whatever the environment.
+A numpy built on another BLAS runs unpinned: its thread count then
+splits the BLAS sums and changes float32 roundings, and no artifact
+records it.
 """
 
 from __future__ import annotations
@@ -219,6 +222,7 @@ def _dataset_loss(records, targets, params, net_config, loss_fn, loss_cfg, batch
     return total / len(records)
 
 
+@ad.one_blas_thread()
 def train(
     train_records,
     val_records,
@@ -329,6 +333,7 @@ def evaluate(
     return report
 
 
+@ad.one_blas_thread()
 def grad_check_net(trials: int = 20, seed: int = 0) -> float:
     """Finite-difference check of the full network + loss gradient.
 
@@ -455,6 +460,11 @@ def _ablation_job(job) -> dict:
     return evaluate(result.params, net_config, test_set).mean()
 
 
+def _one_kernel_thread() -> None:
+    """Pool initializer: a worker splits no kernel, so the workers do not contend for the cores."""
+    os.environ["SNDM_THREADS"] = "1"
+
+
 def worker_count(total_jobs: int) -> int:
     """Worker processes for ``total_jobs`` jobs: at most ``ad.thread_cap()``, the SNDM_THREADS cap."""
     return max(1, min(ad.thread_cap(), total_jobs))
@@ -467,10 +477,11 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
     values are checked when the parent builds every job's (NetConfig,
     TrainConfig), before it generates a dataset or starts a process.
     Each seed's datasets are generated once and shared by its variants.
-    Workers only train and evaluate, each in a spawned process pinned to
-    a single BLAS thread and a single kernel thread (``SNDM_THREADS=1``),
-    so the table does not depend on the worker count and the workers do
-    not contend for the cores.
+    Workers only train and evaluate, each in a spawned process whose
+    initializer sets ``SNDM_THREADS=1``, so the workers do not contend for
+    the cores; ``train`` pins BLAS to one thread in every worker, so the
+    table does not depend on the worker count. The parent's environment
+    is left as it was.
     """
     if runs < 1 or base_seed < 0:
         raise InvalidConfigError(f"runs must be >= 1 and base_seed >= 0, got {runs} and {base_seed}")
@@ -482,21 +493,10 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
     for seed, pairs in configs.items():
         datasets = _ablation_datasets(seed, gen, config)
         jobs += [(net_config, train_config, datasets) for net_config, train_config in pairs]
-    # even one worker is a spawned process: BLAS threads change the summation order, and
-    # one kernel thread per worker keeps the workers from contending for the cores
-    saved = {key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "SNDM_THREADS")}
-    for key in saved:
-        os.environ[key] = "1"
-    try:
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=workers) as pool:
-            means = pool.map(_ablation_job, jobs)  # in job order: seed-major, then variant
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    # spawned, not forked: the parent may hold kernel and BLAS threads, and a fork of a threaded process can deadlock
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(processes=workers, initializer=_one_kernel_thread) as pool:
+        means = pool.map(_ablation_job, jobs)  # in job order: seed-major, then variant
 
     names = [name for name, _, _ in ABLATION_VARIANTS]
     by_run = [means[start : start + len(names)] for start in range(0, len(means), len(names))]

@@ -1,5 +1,6 @@
 import os
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -764,3 +765,71 @@ def test_conv_kernels_are_bit_identical_at_any_thread_count(monkeypatch, dtype, 
         monkeypatch.setenv("SNDM_THREADS", threads)
         runs[threads] = run()
     assert runs["2"] == runs["1"] and runs["3"] == runs["1"]
+
+
+def fake_blas(monkeypatch, count: int) -> dict:
+    """Stands in for numpy's OpenBLAS: its thread count and every count it was set to."""
+    blas = {"count": count, "sets": []}
+
+    def set_count(n):
+        blas["count"] = n
+        blas["sets"].append(n)
+
+    monkeypatch.setattr(ad, "_openblas_threads", lambda: (lambda: blas["count"], set_count))
+    return blas
+
+
+def test_one_blas_thread_restores_the_count_after_an_exit_an_error_and_nested_entries(monkeypatch):
+    blas = fake_blas(monkeypatch, 3)
+    with ad.one_blas_thread():
+        assert blas["count"] == 1
+    assert blas["count"] == 3
+    with pytest.raises(ValueError), ad.one_blas_thread():
+        assert blas["count"] == 1
+        raise ValueError
+    assert blas["count"] == 3
+    with ad.one_blas_thread():
+        with ad.one_blas_thread():
+            assert blas["count"] == 1
+        assert blas["count"] == 1  # the inner exit is not the last
+    assert blas["count"] == 3
+    assert blas["sets"] == [1, 3, 1, 3, 1, 3]  # inner entries neither save nor set
+
+
+def test_one_blas_thread_restores_the_count_once_every_thread_has_left(monkeypatch):
+    blas = fake_blas(monkeypatch, 4)
+    wrong = []
+
+    def enter_often():
+        for _ in range(200):
+            with ad.one_blas_thread():
+                if blas["count"] != 1:
+                    wrong.append(blas["count"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=enter_often) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert wrong == [] and blas["count"] == 4
+
+
+def test_one_blas_thread_sets_numpys_openblas():
+    blas = ad._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+    get, set_count = blas
+    before = get()
+    set_count(2)
+    try:
+        with ad.one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        set_count(before)

@@ -10,6 +10,7 @@ from scipy import ndimage
 
 from sndmseg import synth
 from sndmseg.errors import InvalidConfigError, IoFailureError, MalformedHeaderError, MissingFileError, ShapeMismatchError, SndmError
+from sndmseg.network import NetConfig, init_params
 from sndmseg.synth import GenConfig, _coverage, gen_dataset, gen_pair, load_dataset, make_pairs
 from strategies import mixed_size_dataset
 
@@ -150,6 +151,15 @@ def test_negative_seed_is_invalid_config():
         gen_pair(-1)
     with pytest.raises(InvalidConfigError):
         make_pairs(-2, GenConfig(), 3)
+    # every seeded draw goes through seeded_rng, which takes an integer and no bool
+    for seed in (1.5, 2.0, True, np.float64(3.0), "4"):
+        with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+            gen_pair(seed)
+        with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+            init_params(NetConfig(input_size=16, widths=(4, 6), levels=2), seed=seed)
+    with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+        make_pairs(1.5, GenConfig(), 3)
+    assert np.array_equal(gen_pair(np.int64(3)).img_a, gen_pair(3).img_a)
 
 
 def test_gen_dataset_files_and_idempotence(tmp_path):

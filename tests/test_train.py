@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -46,6 +47,17 @@ def test_adam_first_step_matches_closed_form():
     adam_step(params, {"w": np.array([1.0])}, state, lr=0.1, weight_decay=0.0)
     # after bias correction the first update is -lr * 1 / (1 + eps)
     assert abs(params["w"][0] - (1.0 - 0.1 / (1.0 + 1e-8))) < 1e-12
+
+
+def test_adam_second_step_matches_closed_form():
+    params = {"w": np.array([1.0])}
+    state = AdamState()
+    for g in (1.0, 3.0):
+        adam_step(params, {"w": np.array([g])}, state, lr=0.1, weight_decay=0.0)
+    # beta2 enters at step 2: m = 0.9 * 0.1 + 0.1 * 3, v = 0.999 * 0.001 + 0.001 * 9
+    m_hat = 0.39 / (1.0 - 0.9**2)
+    v_hat = 0.009999 / (1.0 - 0.999**2)
+    assert abs(params["w"][0] - (1.0 - 0.1 / (1.0 + 1e-8) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8))) < 1e-12
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -513,14 +525,14 @@ def test_train_and_evaluate_do_not_depend_on_the_thread_count(monkeypatch):
     assert runs["2"] == runs["1"] and runs["3"] == runs["1"]
 
 
-def test_ablation_workers_run_one_kernel_thread_and_the_cap_is_restored(monkeypatch):
+def test_ablation_workers_run_one_kernel_thread_and_the_parent_environment_is_untouched(monkeypatch):
     seen = []
 
     class InlinePool:
-        """Runs the jobs in this process and records the SNDM_THREADS a spawned worker would inherit."""
+        """Runs the jobs in this process and records the pool's initializer and the environment the jobs see."""
 
-        def __init__(self, processes):
-            pass
+        def __init__(self, processes, initializer):
+            seen.append(initializer)
 
         def __enter__(self):
             return self
@@ -529,7 +541,7 @@ def test_ablation_workers_run_one_kernel_thread_and_the_cap_is_restored(monkeypa
             return False
 
         def map(self, fn, jobs):
-            seen.append(os.environ.get("SNDM_THREADS"))
+            seen.append(dict(os.environ))
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(train_module.multiprocessing, "get_context", lambda method: type("Context", (), {"Pool": InlinePool}))
@@ -539,6 +551,54 @@ def test_ablation_workers_run_one_kernel_thread_and_the_cap_is_restored(monkeypa
             monkeypatch.delenv("SNDM_THREADS")
         else:
             monkeypatch.setenv("SNDM_THREADS", before)
+        environ = dict(os.environ)
+        seen.clear()
         ablation(1, config=cfg)
-        assert os.environ.get("SNDM_THREADS") == before
-    assert seen == ["1", "1"]
+        initializer, during = seen
+        assert during == environ and dict(os.environ) == environ
+    # a spawned worker receives the initializer by import path and runs it first
+    assert pickle.loads(pickle.dumps(initializer)) is initializer
+    initializer()
+    assert os.environ["SNDM_THREADS"] == "1"
+
+
+def test_train_runs_unpinned_without_a_known_blas(monkeypatch):
+    lookups = []
+
+    def no_setter():  # as with a numpy built on MKL, Accelerate or a system BLAS
+        lookups.append(None)
+        return None
+
+    monkeypatch.setattr(train_module.ad, "_openblas_threads", no_setter)
+    result = train(*tiny_sets(n_train=2, n_val=1), TINY_NET, TrainConfig(batch_size=2, max_epochs=1))
+    assert lookups and np.isfinite(result.best_val_loss)
+
+
+BLAS_BITS = """
+import hashlib
+from sndmseg.network import NetConfig
+from sndmseg.synth import GenConfig, make_pairs
+from sndmseg.train import TrainConfig, train
+gen = GenConfig(image_size=64)
+result = train(make_pairs(300, gen, 2), make_pairs(400, gen, 1), NetConfig(), TrainConfig(batch_size=2, max_epochs=1))
+digest = hashlib.sha256()
+for name, arr in sorted({**result.params.values, **result.params.buffers}.items()):
+    digest.update(name.encode())
+    digest.update(arr.tobytes())
+print(digest.hexdigest(), repr(result.best_val_loss))
+"""
+
+
+def test_train_bits_do_not_depend_on_the_blas_thread_count():
+    # at 64 px the default network has GEMMs that OpenBLAS rounds differently on two threads
+    if train_module.ad._openblas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sndmseg.__file__)))
+    outputs = []
+    for count in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), OPENBLAS_NUM_THREADS=count)
+        env.pop("OMP_NUM_THREADS", None)
+        done = subprocess.run([sys.executable, "-c", BLAS_BITS], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

@@ -22,6 +22,16 @@ same test on one grid of 2x2 subsamples per pixel (offsets 0.25 and
 0.75), counted per pixel and divided by 4. The counts are integers, so
 the coverage is exact.
 
+The test runs only over the polygon's pixel box, rows ``floor(min y) ..
+floor(max y)`` and columns ``floor(min x) .. floor(max x)`` clipped to
+the image, and each shape is blended into the image's box alone. This
+is exact, not an approximation: a sample row outside the box crosses no
+edge; a sample right of the box has no crossing to its right; a sample
+left of it has every crossing of its row to its right, and a closed
+polygon crosses a row an even number of times; so every sample outside
+the box is outside the polygon, and there the blend ``img * 1.0 + color
+* 0.0`` leaves the image as it is.
+
 Randomness comes from numpy's Philox counter-based generator keyed by the
 sample seed, so a (seed, config) pair always produces bit-identical
 output; pairs of a dataset use consecutive seeds and are independent.
@@ -41,7 +51,7 @@ from scipy import ndimage
 
 from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError, ShapeMismatchError, require_field_types
 from .raster import _atomic_write, _read_bytes, read_image, read_mask, write_image, write_mask
-from .seeding import seeded_rng
+from .seeding import check_seed, seeded_rng
 
 FG_FRACTION = (0.02, 0.6)
 MAX_ATTEMPTS = 32
@@ -105,52 +115,71 @@ def _transform(points: np.ndarray, scale: float, angle: float, center) -> np.nda
     return points @ (scale * rot.T) + np.asarray(center)
 
 
-def _supersample(inside, size: int):
-    """(mask at pixel centers, 2x2-supersampled coverage in [0, 1]).
+def _box(poly: np.ndarray, size: int) -> tuple:
+    """(row slice, column slice) of the pixels a polygon can touch, clipped to the image.
 
-    ``inside(coords)`` tests every point ``(x=coords[j], y=coords[i])`` of
-    the square grid over ascending ``coords`` and returns its bool map.
-    Row ``2r + k`` of the subsample grid lies at ``r + (0.25, 0.75)[k]``,
-    so four strided views hold each pixel's four subsamples.
+    Rows ``floor(min y) .. floor(max y)`` and columns ``floor(min x) ..
+    floor(max x)``, inclusive; empty when the polygon lies wholly outside.
     """
-    mask = inside(np.arange(size) + 0.5)
-    sub = inside((np.arange(size)[:, None] + (0.25, 0.75)).ravel()).view(np.uint8)
+    (x0, y0), (x1, y1) = np.floor([poly.min(axis=0), poly.max(axis=0)]).tolist()
+    r0, r1, c0, c1 = (min(max(int(v), 0), size) for v in (y0, y1 + 1, x0, x1 + 1))
+    return slice(r0, r1), slice(c0, c1)
+
+
+def _supersample(inside, box: tuple):
+    """(mask at pixel centers, 2x2-supersampled coverage in [0, 1]) over the pixel box ``box``.
+
+    ``inside(ys, xs)`` tests every point ``(x=xs[j], y=ys[i])`` of the
+    grid over ascending ``ys`` and ``xs`` and returns its bool map. Row
+    ``2r + k`` of the subsample grid lies at ``r + (0.25, 0.75)[k]``, so
+    four strided views hold each pixel's four subsamples.
+    """
+    ys, xs = (np.arange(span.start, span.stop) for span in box)
+    mask = inside(ys + 0.5, xs + 0.5)
+    sub = inside(*((pixels[:, None] + (0.25, 0.75)).ravel() for pixels in (ys, xs))).view(np.uint8)
     return mask, (sub[0::2, 0::2] + sub[0::2, 1::2] + sub[1::2, 0::2] + sub[1::2, 1::2]) / 4.0
 
 
-def _even_odd(edges: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test on the grid ``coords`` x ``coords``, one scanline per row.
+def _even_odd(edges: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Even-odd crossing test on the grid ``ys`` x ``xs``, one scanline per row.
 
     ``edges`` holds one column ``(x1, y1, x2, y2)`` per polygon edge. A
     point lies inside when an odd number of edges cross its row strictly
     to its right; an edge counts at a row when exactly one end lies below
     it, so horizontal edges never count.
     """
-    n = len(coords)
-    rows, cols = np.nonzero((edges[1] > coords[:, None]) != (edges[3] > coords[:, None]))
+    n = len(xs)
+    rows, cols = np.nonzero((edges[1] > ys[:, None]) != (edges[3] > ys[:, None]))
     x1, y1, x2, y2 = edges[:, cols]
-    x_at = x1 + (coords[rows] - y1) * (x2 - x1) / (y2 - y1)
+    x_at = x1 + (ys[rows] - y1) * (x2 - x1) / (y2 - y1)
     # a crossing toggles every sample column strictly left of it
-    left = np.searchsorted(coords, x_at, side="left")
-    toggles = np.bincount(rows * (n + 1) + left, minlength=n * (n + 1)).reshape(n, n + 1)
+    left = np.searchsorted(xs, x_at, side="left")
+    toggles = np.bincount(rows * (n + 1) + left, minlength=len(ys) * (n + 1)).reshape(len(ys), n + 1)
     return np.cumsum(toggles[:, :0:-1], axis=1)[:, ::-1] % 2 == 1
 
 
 def _coverage(poly: np.ndarray, size: int):
-    """(mask, coverage) of a polygon; see :func:`_supersample`."""
+    """(box, mask, coverage) of a polygon, the mask and coverage over its :func:`_box` only."""
     edges = np.hstack((poly, np.roll(poly, -1, axis=0))).T
-    return _supersample(lambda coords: _even_odd(edges, coords), size)
+    box = _box(poly, size)
+    return (box, *_supersample(lambda ys, xs: _even_odd(edges, ys, xs), box))
 
 
 def _ellipse_coverage(size: int):
-    """Fallback shape: centered axis-aligned ellipse."""
+    """Fallback shape: centered axis-aligned ellipse, over the whole image."""
     a, b = 0.30 * size, 0.20 * size
     center = size / 2.0
 
-    def inside(coords):
-        return ((coords[None, :] - center) / a) ** 2 + ((coords[:, None] - center) / b) ** 2 <= 1.0
+    def inside(ys, xs):
+        return ((xs[None, :] - center) / a) ** 2 + ((ys[:, None] - center) / b) ** 2 <= 1.0
 
-    return _supersample(inside, size)
+    box = (slice(0, size), slice(0, size))
+    return (box, *_supersample(inside, box))
+
+
+def _composite(img: np.ndarray, box: tuple, cover: np.ndarray, color: np.ndarray) -> None:
+    """Blend ``color`` over ``img[box]`` in place at the box's coverage ``cover``."""
+    img[box] = img[box] * (1.0 - cover[..., None]) + color * cover[..., None]
 
 
 def _mask_ok(mask: np.ndarray) -> bool:
@@ -202,20 +231,22 @@ def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
             center = rng.uniform(margin, size - margin, size=2)
             angle = rng.uniform(*ROTATION)
             shape = _transform(poly, scale, angle, center)
-            mask, cover = _coverage(shape, size)
+            box, inside, cover = _coverage(shape, size)
+            mask = np.zeros((size, size), dtype=bool)
+            mask[box] = inside
             if not _mask_ok(mask):
                 break
-            candidate.append((mask, cover, center, 1.05 * scale))
+            candidate.append((mask, box, cover, center, 1.05 * scale))
         if len(candidate) == 2:
             poses = candidate
             break
     else:  # no pose fit in MAX_ATTEMPTS draws
-        mask, cover = _ellipse_coverage(size)
-        poses = [(mask, cover, np.array([size / 2.0, size / 2.0]), 0.32 * size)] * 2
+        box, mask, cover = _ellipse_coverage(size)
+        poses = [(mask, box, cover, np.array([size / 2.0, size / 2.0]), 0.32 * size)] * 2
 
     images = []
     masks = []
-    for mask, cover, obj_center, obj_radius in poses:
+    for mask, box, cover, obj_center, obj_radius in poses:
         bg_color = _distinct_color(rng, [base_color])
         img = np.empty((size, size, 3), dtype=np.float64)
         img[:] = bg_color
@@ -229,13 +260,12 @@ def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
             if np.linalg.norm(center_d - obj_center) < radius_d + obj_radius + 2.0:
                 continue  # distractors never occlude the common object
             color_d = _distinct_color(rng, [base_color, bg_color], min_dist=0.35)
-            _, cover_d = _coverage(poly_d, size)
-            img = img * (1.0 - cover_d[..., None]) + color_d * cover_d[..., None]
+            box_d, _, cover_d = _coverage(poly_d, size)
+            _composite(img, box_d, cover_d, color_d)
             placed += 1
 
         jitter = rng.uniform(-COLOR_JITTER, COLOR_JITTER, size=3)
-        obj_color = np.clip(base_color + jitter, 0.0, 1.0)
-        img = img * (1.0 - cover[..., None]) + obj_color * cover[..., None]
+        _composite(img, box, cover, np.clip(base_color + jitter, 0.0, 1.0))
         img += rng.normal(0.0, NOISE_SIGMA, size=img.shape)
         images.append(np.clip(img, 0.0, 1.0).astype(np.float32))
         masks.append(mask)
@@ -263,8 +293,7 @@ def gen_dataset(seed: int, config: GenConfig, n_pairs: int, out_dir: str) -> lis
     """
     if n_pairs < 1:
         raise InvalidConfigError(f"need at least one pair, got {n_pairs}")
-    if seed < 0:  # checked before the directory is made
-        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)  # before the directory is made
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -334,4 +363,5 @@ def load_dataset(directory: str) -> list:
 
 def make_pairs(seed: int, config: GenConfig, n_pairs: int) -> list:
     """In-memory dataset with the same seeding scheme as :func:`gen_dataset`."""
+    check_seed(seed)  # before the pair index turns a bool into an int
     return [replace(gen_pair(seed + i, config), pair_id=_pair_id(i)) for i in range(n_pairs)]

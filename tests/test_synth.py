@@ -43,7 +43,11 @@ def oracle_coverage(poly, size):
 
 @st.composite
 def polygons(draw):
-    """(size, polygon) with vertices off and on sample rows, some horizontal edges, some outside the image."""
+    """(size, polygon) with vertices off and on sample rows, some horizontal edges, some outside the image.
+
+    Half the polygons are then moved 1.5 image sides left, right, up or
+    down, so that they lie wholly outside the image on one axis.
+    """
     size = draw(st.integers(16, 130))
     lo, hi = -0.25 * size, 1.25 * size
     on_sample = st.builds(
@@ -58,7 +62,8 @@ def polygons(draw):
     for i in range(1, n):
         if flat[i]:  # horizontal edge from vertex i-1 to vertex i
             pts[i, 1] = pts[i - 1, 1]
-    return size, pts
+    shift = draw(st.sampled_from([(0.0, 0.0)] * 4 + [(-1.5, 0.0), (1.5, 0.0), (0.0, -1.5), (0.0, 1.5)]))
+    return size, pts + np.multiply(shift, size)
 
 
 def test_determinism_bit_identical():
@@ -87,7 +92,11 @@ def test_mask_validity_sweep():
 
 
 def assert_matches_oracle(poly, size):
-    for got, want in zip(_coverage(poly, size), oracle_coverage(poly, size)):
+    """The box result of ``_coverage``, set into an empty full frame, equals the oracle's full frame bytes."""
+    box, *parts = _coverage(poly, size)
+    for part, want in zip(parts, oracle_coverage(poly, size)):
+        got = np.zeros((size, size), dtype=part.dtype)
+        got[box] = part
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -108,9 +117,31 @@ def test_rasterizer_edge_cases_match_oracle():
         np.array([[-10.0, -7.3], [45.2, -3.0], [40.0, 50.0], [-5.0, 38.75]]),
         # self-intersecting bow tie
         np.array([[3.0, 3.0], [28.0, 28.0], [28.0, 3.0], [3.0, 28.0]]),
+        # wholly left of and wholly above the image: empty boxes, though rows or columns span the image
+        np.array([[-9.0, 2.0], [-0.25, 5.0], [-4.0, 12.5]]),
+        np.array([[2.0, -9.0], [12.5, -0.75], [6.0, -4.0]]),
+        # box edges on vertices at k + 0.75 (left, top) and k + 0.25 (right, bottom), on a sample of the edge pixel
+        np.array([[3.75, 8.0], [9.0, 2.75], [12.25, 8.5], [8.0, 14.25]]),
+        # and at k + 0.25 (left, top) and k + 0.75 (right, bottom)
+        np.array([[3.25, 9.0], [7.0, 2.25], [13.75, 6.0], [9.5, 12.75]]),
     ]
     for size in (16, 17, 33):
-        for poly in cases:
+        s = float(size)
+        edge = [
+            # wholly right of and wholly below the image: the box starts at the side, so it is empty
+            np.array([[s, 2.0], [s + 9.0, 5.0], [s + 3.0, 12.0]]),
+            np.array([[2.0, s + 0.25], [12.0, s + 6.0], [5.0, s + 3.0]]),
+            # a box that touches each border: the left and top at 0.0, the right and bottom at the side
+            np.array([[0.0, s / 2], [s / 2, 0.0], [s, s / 2], [s / 2, s]]),
+            # boxes that touch one border each, from a vertex at 0.25 or side - 0.25
+            np.array([[0.25, 3.0], [6.0, 1.5], [5.0, 9.0]]),
+            np.array([[3.0, 0.25], [9.0, 6.0], [1.5, 5.0]]),
+            np.array([[s - 0.25, 3.0], [s - 6.0, 1.5], [s - 5.0, 9.0]]),
+            np.array([[3.0, s - 0.25], [9.0, s - 6.0], [1.5, s - 5.0]]),
+            # reaching past the right and bottom borders only
+            np.array([[5.5, 4.0], [s + 3.0, 7.0], [s - 4.0, s + 2.5]]),
+        ]
+        for poly in cases + edge:
             assert_matches_oracle(poly, size)
 
 
@@ -146,7 +177,7 @@ def test_config_validation():
     assert 1.05 * synth.OBJECT_SCALE[1] * 0.24 * 16 + 1.0 < 16 / 2
 
 
-def test_negative_seed_is_invalid_config():
+def test_negative_seed_is_invalid_config(tmp_path):
     with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
         gen_pair(-1)
     with pytest.raises(InvalidConfigError):
@@ -157,8 +188,17 @@ def test_negative_seed_is_invalid_config():
             gen_pair(seed)
         with pytest.raises(InvalidConfigError, match="seed must be an integer"):
             init_params(NetConfig(input_size=16, widths=(4, 6), levels=2), seed=seed)
-    with pytest.raises(InvalidConfigError, match="seed must be an integer"):
-        make_pairs(1.5, GenConfig(), 3)
+    # functions that add a pair index to the seed, or make a directory, check it first
+    for seed in (1.5, True):
+        out = tmp_path / f"data_{seed}"
+        with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+            make_pairs(seed, GenConfig(image_size=16), 1)
+        with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+            gen_dataset(seed, GenConfig(image_size=16), 2, str(out))
+        assert not out.exists()
+    with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+        gen_dataset(-1, GenConfig(image_size=16), 2, str(tmp_path / "negative"))
+    assert not (tmp_path / "negative").exists()
     assert np.array_equal(gen_pair(np.int64(3)).img_a, gen_pair(3).img_a)
 
 
@@ -182,6 +222,24 @@ def test_gen_dataset_bytes_are_pinned(tmp_path):
         digest.update(name.encode())
         digest.update((tmp_path / name).read_bytes())
     assert digest.hexdigest() == "55c274372359e58b66b6d160c0cfc665534ba876b0486cd86b3503efe4fda955"
+
+
+@pytest.mark.parametrize(
+    "size, want",
+    [
+        (17, "78d47a0bd53e7f04e505fadca0d2ceb8c0622a3ab743bfd944019237d4ed6044"),
+        (100, "e3f5bf8565deedfa9053a260c666b13c27d807353a26d544fcffe4df3b67ac35"),
+        (128, "c3f4999dae00a33d12bc428401d88046d8c3e8a5d0d1d9256b7a4d9553f57ef4"),
+    ],
+)
+def test_make_pairs_bytes_are_pinned(size, want):
+    # in-memory pairs at an odd size and at the larger sizes, where the shapes cover the least of the image
+    digest = hashlib.sha256()
+    for pair in make_pairs(size, GenConfig(image_size=size), 6):
+        digest.update(pair.pair_id.encode())
+        for array in (pair.img_a, pair.mask_a, pair.img_b, pair.mask_b):
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == want
 
 
 def test_load_dataset_rejects_a_pair_of_another_size(tmp_path):

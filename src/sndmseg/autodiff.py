@@ -52,16 +52,20 @@ reductions are per-(item, channel) sums in the input's dtype (float32
 in training) combined in float64; the reference :func:`batch_norm`
 accumulates its reductions in float64 throughout.
 
-The three conv kernels split their batch items over threads
-(:func:`split_items`): up to ``SNDM_THREADS`` contiguous item ranges, by
-default one per usable core, each run as the serial loop over its items
-with a workspace of its own; a call with too little work for two ranges
-runs on the calling thread alone. An item's GEMMs are the same BLAS calls
-whatever range holds it, so its result does not depend on the split. A weight
-gradient is a sum over items: each range writes its items' products into
-one (B, ...) array, and the calling thread sums that array over the
-batch axis in batch order, so outputs are bit-identical at any thread
-count. BLAS itself runs on one thread: OpenBLAS splits a GEMM's sums by
+Work is split over threads by batch item (:func:`split_items`): up to
+``SNDM_THREADS`` contiguous item ranges, by default one per usable core,
+each run as the serial loop over its items; a call with too little work
+for two ranges runs on the calling thread alone. An eval forward of
+several pairs is split once, by pair: ``network.forward_pair`` runs a
+whole forward per range of pairs. Splits do not nest, so inside such a
+range each conv kernel runs its items on the range's thread. Any other
+call of the three conv kernels (a train step, a one-pair forward) splits
+its own items, each range with a workspace of its own. An item's GEMMs
+are the same BLAS calls whatever range holds it, so its result does not
+depend on the split. A weight gradient is a sum over items: each range
+writes its items' products into one (B, ...) array, and the calling
+thread sums that array over the batch axis in batch order, so outputs
+are bit-identical at any thread count. BLAS itself runs on one thread: OpenBLAS splits a GEMM's sums by
 thread, so its thread count would change float32 roundings. Training,
 evaluation and the network gradient check therefore run inside
 :func:`one_blas_thread`, which pins numpy's OpenBLAS to one thread in
@@ -229,6 +233,8 @@ def _workers(count: int) -> ThreadPoolExecutor:
 # forward at 8 pairs was fastest from 1e6 to 1e7, the selftest's 16 px train at 5e6 and up)
 MIN_RANGE_FLOPS = 1e7
 
+_in_range = threading.local()  # .active: this thread runs a range of a split over more than one thread
+
 
 def split_items(fn, items: int, item_flops: float) -> None:
     """Run ``fn(lo, hi)`` over contiguous ranges that cover ``range(items)``, one range per thread.
@@ -243,18 +249,40 @@ def split_items(fn, items: int, item_flops: float) -> None:
     into the op's buffers. At one range ``fn(0, items)`` runs on the
     caller's thread alone. ``fn`` must write only the items of its range
     and compute each item as it would alone, so that outputs do not depend
-    on the thread count. Code run in a worker must call no name that
-    ``bench/tracing.py`` patches, because the tracer's span stack is not
-    thread-safe.
+    on the thread count.
+
+    Splits do not nest: while a split's ranges run on more than one
+    thread, a split made inside any of those ranges, the caller's
+    included, runs ``fn(0, items)`` on its own thread. Otherwise a range
+    run by a worker could wait on a range queued behind it for the same
+    worker. The mark is per thread and is cleared when the range returns
+    or raises, so the next top-level split splits again.
+
+    A worker may call names that ``bench/tracing.py`` patches: a traced
+    run records a span per call on either thread (one
+    ``network.forward_eval`` per range of ``network.forward_pair``), but
+    the tracer keeps one span stack for all threads, so a span opened
+    while two threads run may get the other thread's span as its parent
+    (ROADMAP item 1).
     """
-    parts = max(1, min(thread_cap(), items, int(items * item_flops // MIN_RANGE_FLOPS)))
+    nested = getattr(_in_range, "active", False)
+    parts = 1 if nested else max(1, min(thread_cap(), items, int(items * item_flops // MIN_RANGE_FLOPS)))
+    if parts == 1:
+        fn(0, items)
+        return
+
+    def run(lo, hi):
+        _in_range.active = True
+        try:
+            fn(lo, hi)
+        finally:
+            _in_range.active = False
+
     bounds = [items * k // parts for k in range(parts + 1)]
-    futures = []
-    if parts > 1:
-        pool = _workers(parts - 1)
-        futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
+    pool = _workers(parts - 1)
+    futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
     try:
-        fn(bounds[-2], bounds[-1])
+        run(bounds[-2], bounds[-1])
     finally:
         wait(futures)
     for future in futures:

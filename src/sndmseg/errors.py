@@ -73,17 +73,18 @@ class OracleMismatchError(SndmError):
     code = "OracleMismatch"
 
 
-def _integer(value) -> bool:
+def is_integer(value) -> bool:
+    """The integer rule of every config field and count: an integral number, and no bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # annotation -> (test, what a value must be); every module defers annotations to strings, and a bool is no number
 _FIELD_TYPES = {
-    "int": (_integer, "an integer"),
+    "int": (is_integer, "an integer"),
     "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
     "bool": (lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
     "str": (lambda v: isinstance(v, str), "a str"),
-    "tuple": (lambda v: isinstance(v, tuple) and all(map(_integer, v)), "a tuple of integers"),
+    "tuple": (lambda v: isinstance(v, tuple) and all(map(is_integer, v)), "a tuple of integers"),
 }
 
 

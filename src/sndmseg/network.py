@@ -22,11 +22,14 @@ the relu after it run as one fused graph node
 into the weights and bias of the conv or deconv before it, and the relu
 after it runs in place on the conv's output.
 
-Both branches share every parameter, so swapping the two input images
-swaps the two outputs exactly. They run as one joint batch from the input
-to the prediction: branch A in items [0, B), branch B in items [B, 2B).
-Training takes one loss over that joint prediction, the mean over both
-branches; only the correlation block and :func:`forward_pair` split it.
+Both branches share every parameter, and both image batches must have
+one dtype, so swapping the two input images swaps the two outputs
+exactly. They run as one joint batch from the input to the prediction:
+branch A in items [0, B), branch B in items [B, 2B). Training takes one
+loss over that joint prediction, the mean over both branches; only the
+correlation block splits it. Every eval forward goes through
+:func:`forward_pair`, which runs the joint forward once per contiguous
+range of pairs, the ranges on separate threads.
 
 A checkpoint (:func:`save_net`, :func:`load_net`) is the magic b"CKPT",
 then the format version 1 and the header's byte length as 32-bit
@@ -193,6 +196,15 @@ def _as_batch(images, size: int, name: str) -> np.ndarray:
     return arr
 
 
+def _as_pair_batches(img_a, img_b, size: int):
+    """Both branches' image batches, checked to have one shape and one dtype, so that swapping them swaps the outputs exactly."""
+    a = _as_batch(img_a, size, "img_a")
+    b = _as_batch(img_b, size, "img_b")
+    if a.shape != b.shape or a.dtype != b.dtype:
+        raise ShapeMismatchError(f"image batches differ: {a.dtype} {a.shape} vs {b.dtype} {b.shape}")
+    return a, b
+
+
 def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str = "eval"):
     """Run both branches as one joint batch; return ``(pred, param_tensors)``.
 
@@ -210,11 +222,7 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     if mode not in ("train", "eval"):
         raise InvalidConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     training = mode == "train"
-    a = _as_batch(img_a, config.input_size, "img_a")
-    b = _as_batch(img_b, config.input_size, "img_b")
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"image batches differ: {a.shape} vs {b.shape}")
-    dtype = a.dtype
+    a, b = _as_pair_batches(img_a, img_b, config.input_size)
 
     pt = {name: ad.Tensor(value, requires_grad=training) for name, value in params.values.items()}
 
@@ -238,7 +246,7 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
         return x
 
     # joint batch: branch A occupies items [0, B), branch B items [B, 2B)
-    joint = np.concatenate([a, b], axis=0).transpose(0, 3, 1, 2).astype(dtype, copy=False)
+    joint = np.concatenate([a, b], axis=0).transpose(0, 3, 1, 2)
     x = ad.Tensor(joint)
     skips = []
     for i in range(1, config.levels + 1):
@@ -259,17 +267,51 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
     return ad.tanh(head), pt
 
 
+def _pair_flops(config: NetConfig) -> float:
+    """Flops of one pair's eval forward, both images: two per multiply-add of each conv, deconv and the correlation."""
+
+    def pixels(level):  # of one map at encoder level ``level``; level 0 is the input resolution
+        return (config.input_size >> level) ** 2
+
+    macs, c_prev = 0, 3
+    for level, width in enumerate(config.widths):
+        macs += 9 * (c_prev + width) * width * pixels(level)
+        c_prev = width
+    macs += config.correlation_channels * pixels(config.levels) * config.widths[-1]
+    # decoder module m runs at level L + 1 - m; step s of an adapter from module src outputs at level L + 1 - src - s
+    for m, (_, c_in, c_out, _, sources) in enumerate(_decoder(config), start=1):
+        macs += 9 * c_in * c_out * pixels(config.levels + 1 - m)
+        for src, width, names in sources:
+            for s in range(1, len(names) + 1):
+                macs += (width if s == 1 else ADAPTER_CHANNELS) * ADAPTER_CHANNELS * pixels(config.levels + 1 - src - s)
+    return 4.0 * macs
+
+
 @ad.one_blas_thread()
 def forward_pair(img_a, img_b, params: NetParams, config: NetConfig):
     """Eval-mode predicted maps for both images as (B, H, W) float arrays.
 
-    Splits the joint prediction of :func:`build_forward`: its first B items
-    are branch A, the rest branch B. BLAS runs on one thread
-    (:func:`autodiff.one_blas_thread`).
+    No op of an eval forward couples one pair to another: batch norm is
+    folded into the convs, and the correlation reads only a pair's own two
+    images. So the pairs split into contiguous ranges
+    (:func:`autodiff.split_items`, with :func:`_pair_flops` as the work per
+    pair), and each range runs :func:`build_forward` on its own pairs and
+    writes its maps into one (2, B, H, W) array: the A maps, then the B
+    maps. A net too small for two ranges runs on one thread, and a single
+    pair is one range whose conv kernels split its two images instead.
+    Every map equals, bit for bit, that of its pair run alone, at any
+    thread count. BLAS runs on one thread (:func:`autodiff.one_blas_thread`).
     """
-    pred, _ = build_forward(img_a, img_b, params, config, mode="eval")
-    batch = pred.data.shape[0] // 2
-    return pred.data[:batch, 0], pred.data[batch:, 0]
+    a, b = _as_pair_batches(img_a, img_b, config.input_size)
+    batch, size = a.shape[0], config.input_size
+    maps = np.empty((2, batch, size, size), dtype=np.result_type(a, *params.values.values()))
+
+    def forward_range(lo, hi):
+        pred, _ = build_forward(a[lo:hi], b[lo:hi], params, config, mode="eval")
+        maps[:, lo:hi] = pred.data.reshape(2, hi - lo, size, size)
+
+    ad.split_items(forward_range, batch, _pair_flops(config))
+    return maps[0], maps[1]
 
 
 # ---------------------------------------------------------------------------

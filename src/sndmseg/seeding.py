@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfigError, _integer
+from .errors import InvalidConfigError, is_integer
 
 
 def check_seed(seed: int) -> None:
     """Raise ``InvalidConfig`` unless ``seed`` is a nonnegative integer and no bool."""
-    if not _integer(seed):
+    if not is_integer(seed):
         raise InvalidConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise InvalidConfigError(f"seed must be >= 0, got {seed}")

@@ -198,20 +198,26 @@ def _distinct_color(rng, references, min_dist: float = 0.45) -> np.ndarray:
     return color  # pathological reference set; keep the last draw
 
 
-def _distractor_polygon(rng, size: int):
+def _distractor_draws(rng, size: int):
+    """A distractor's random values in the order they are drawn: (kind, radius, center, angle, quad spreads or None)."""
     kind = int(rng.integers(0, 3))
     radius = rng.uniform(0.08, 0.16) * size
     margin = radius + 2.0
     center = rng.uniform(margin, size - margin, size=2)
     angle = rng.uniform(0.0, 2.0 * np.pi)
+    spreads = rng.uniform(0.7, 1.0, size=(4, 1)) if kind == 1 else None
+    return kind, radius, center, angle, spreads
+
+
+def _distractor_polygon(kind: int, radius: float, center, angle: float, spreads) -> np.ndarray:
     if kind == 0:  # triangle
         base = np.array([[1.0, 0.0], [-0.5, 0.87], [-0.5, -0.87]])
     elif kind == 1:  # quad
-        base = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) * rng.uniform(0.7, 1.0, size=(4, 1))
+        base = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]) * spreads
     else:  # coarse ellipse
         t = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
         base = np.stack([np.cos(t), 0.7 * np.sin(t)], axis=1)
-    return _transform(base, radius, angle, center), center, radius
+    return _transform(base, radius, angle, center)
 
 
 def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
@@ -256,11 +262,12 @@ def gen_pair(seed: int, config: GenConfig = GenConfig()) -> PairSample:
         attempts = 0
         while placed < n_distract and attempts < 8 * max(1, n_distract):
             attempts += 1
-            poly_d, center_d, radius_d = _distractor_polygon(rng, size)
+            draws = _distractor_draws(rng, size)
+            _, radius_d, center_d, _, _ = draws
             if np.linalg.norm(center_d - obj_center) < radius_d + obj_radius + 2.0:
-                continue  # distractors never occlude the common object
+                continue  # distractors never occlude the common object; a rejected one builds no polygon
             color_d = _distinct_color(rng, [base_color, bg_color], min_dist=0.35)
-            box_d, _, cover_d = _coverage(poly_d, size)
+            box_d, _, cover_d = _coverage(_distractor_polygon(*draws), size)
             _composite(img, box_d, cover_d, color_d)
             placed += 1
 

@@ -2,7 +2,8 @@
 
 Each step runs the two branches of a batch of B pairs as one joint
 forward and takes one loss over the joint prediction: the mean over the
-2B maps of both branches. The validation loss is the same mean.
+2B maps of both branches. The validation loss is the same mean over the
+maps of ``forward_pair``, the eval path :func:`evaluate` also takes.
 Optimization is Adam with decoupled weight decay. The learning rate
 halves whenever the validation loss has not improved (lower by at least
 ``MIN_IMPROVEMENT``) for ``plateau_patience`` consecutive epochs; the stale
@@ -14,12 +15,13 @@ training-step loss, gradient norm or validation loss stops the run with
 Everything downstream of a (configuration, seed) pair is deterministic:
 shuffling uses a counter-based generator, reductions keep a fixed order,
 and history/metric files are written with repr-exact floats, so reruns
-produce byte-identical outputs. The kernel threads of ``SNDM_THREADS``
-do not change them: each thread runs whole batch items, and every sum
-over items runs in batch order on the calling thread. :func:`train`,
-:func:`evaluate` (through ``forward_pair``) and :func:`grad_check_net`
-run numpy's OpenBLAS on one thread (:func:`autodiff.one_blas_thread`),
-so the outputs hold for one numpy/scipy build whatever the environment.
+produce byte-identical outputs. The threads of ``SNDM_THREADS`` do not
+change them: each thread runs whole batch items (a train step's kernels)
+or whole pairs (an eval forward), and every sum over items runs in batch
+order on the calling thread. :func:`train`, :func:`evaluate` (through
+``forward_pair``) and :func:`grad_check_net` run numpy's OpenBLAS on one
+thread (:func:`autodiff.one_blas_thread`), so the outputs hold for one
+numpy/scipy build whatever the environment.
 A numpy built on another BLAS runs unpinned: its thread count then
 splits the BLAS sums and changes float32 roundings, and no artifact
 records it.
@@ -41,6 +43,7 @@ from .errors import (
     InvalidConfigError,
     NonFiniteError,
     ShapeMismatchError,
+    is_integer,
     require_field_types,
 )
 from .losses import LOSSES, LossConfig
@@ -217,8 +220,8 @@ def _dataset_loss(records, targets, params, net_config, loss_fn, loss_cfg, batch
     for start in range(0, len(records), batch_size):
         indices = range(start, min(start + batch_size, len(records)))
         img_a, img_b, gt = _stack_batch(records, targets, indices)
-        pred, _ = build_forward(img_a, img_b, params, net_config, mode="eval")
-        total += float(ad.map_loss(pred, gt, loss_fn, loss_cfg).data) * len(indices)
+        pred = np.concatenate(forward_pair(img_a, img_b, params, net_config))[:, None]  # the joint layout of gt
+        total += float(ad.map_loss(ad.Tensor(pred), gt, loss_fn, loss_cfg).data) * len(indices)
     return total / len(records)
 
 
@@ -314,8 +317,8 @@ def evaluate(
     ``forward_fn`` defaults to the network itself; tests may inject an
     oracle that returns known maps.
     """
-    if batch_size < 1:
-        raise InvalidConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if not is_integer(batch_size) or batch_size < 1:
+        raise InvalidConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     if not records:
         raise DatasetEmptyError("evaluation set is empty")
     _check_pair_sizes(net_config.input_size, records)

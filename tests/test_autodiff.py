@@ -12,7 +12,7 @@ import pytest
 import sndmseg.autodiff as ad
 from sndmseg.errors import NoForwardPassError, ShapeMismatchError
 from sndmseg.losses import LossReport
-from strategies import bn_relu_composite, correlation_composite, reshape, transpose, weighted_sum, weighted_total
+from strategies import bn_relu_composite, correlation_composite, reshape, stub_worker_pool, transpose, weighted_sum, weighted_total
 
 def seeded(seed: int) -> np.random.Generator:
     """A test's own generator, so what it draws does not depend on which tests ran before it."""
@@ -730,6 +730,70 @@ def test_split_items_works_in_a_forked_child(monkeypatch):
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0, "the child's split did not finish"
+
+
+def finish_within(fn, seconds=20.0):
+    """Run ``fn()`` on a thread of its own and return its result; fail, instead of hanging, if it has not returned in time."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:  # re-raised on the test's thread
+            result["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"did not finish within {seconds} s"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
+def test_a_split_inside_a_split_runs_its_items_on_the_range_thread(monkeypatch):
+    monkeypatch.setenv("SNDM_THREADS", "2")
+    enough = ad.MIN_RANGE_FLOPS
+
+    def inner_calls(outer_items):
+        calls = []  # (outer lo, inner lo, inner hi, on the outer range's thread)
+
+        def outer(lo, hi):
+            me = threading.get_ident()
+            ad.split_items(lambda a, b: calls.append((lo, a, b, threading.get_ident() == me)), 3, enough)
+
+        ad.split_items(outer, outer_items, enough)
+        return sorted(calls)
+
+    def raises_in(failing):
+        def outer(lo, hi):
+            ad.split_items(lambda a, b: None, 2, enough)
+            if lo in failing:
+                raise ValueError(lo)
+
+        with pytest.raises(ValueError):
+            ad.split_items(outer, 2, enough)
+
+    def top_level_ranges():
+        ranges = []
+        ad.split_items(lambda lo, hi: ranges.append((lo, hi)), 2, enough)
+        return sorted(ranges)
+
+    def scenario():
+        nested = inner_calls(2)
+        raises_in({1})  # the caller's range
+        raises_in({0, 1})
+        return nested, top_level_ranges(), inner_calls(1)
+
+    with stub_worker_pool(monkeypatch) as asked:
+        nested, split_again, alone = finish_within(scenario)
+    # each outer range calls the inner function once, over all its items, on its own thread
+    assert nested == [(0, 0, 3, True), (1, 0, 3, True)]
+    # a raised range leaves no mark behind: the next top-level split on the same thread splits again
+    assert split_again == [(0, 1), (1, 2)]
+    # a split of one range marks nothing, so the split inside it still splits
+    assert alone == [(0, 0, 1, False), (0, 1, 3, True)]  # the caller runs the last range
+    assert asked == [1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from sndmseg.network import (
 from sndmseg.raster import parse_key_values
 from sndmseg.synth import GenConfig, gen_pair
 from sndmseg.train import grad_check_net
-from strategies import bn_relu_composite, noisy_forward, save_with_lying_header, weighted_sum, weighted_total, with_examples
+from strategies import bn_relu_composite, noisy_forward, save_with_lying_header, stub_worker_pool, weighted_sum, weighted_total, with_examples
 
 SMALL = NetConfig(input_size=16, widths=(4, 6), levels=2)
 ONE_LEVEL = NetConfig(input_size=8, widths=(3,), levels=1)
@@ -150,6 +151,63 @@ def test_swap_equivariance_eval_bit_exact():
     assert np.array_equal(pred_b, swapped_b)
 
 
+@pytest.mark.parametrize("pairs, dtype", [(2, np.float32), (3, np.float64), (8, np.float32)])
+def test_forward_pair_equals_each_pair_run_alone_at_any_thread_count(monkeypatch, pairs, dtype):
+    cfg = NetConfig()
+    params = init_params(cfg, seed=4)
+    img_a, img_b = (img.astype(dtype) for img in batch_of_pairs(64, pairs, seed=30))
+    alone = [forward_pair(img_a[i : i + 1], img_b[i : i + 1], params, cfg) for i in range(pairs)]
+    want = [np.concatenate([maps[k] for maps in alone]) for k in (0, 1)]
+    assert want[0].dtype == dtype
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the ranges write one shared output array; switch threads often
+    try:
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("SNDM_THREADS", threads)
+            got = forward_pair(img_a, img_b, params, cfg)
+            assert [m.dtype for m in got] == [dtype, dtype], threads
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want], threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_forward_pair_splits_three_pairs_into_ranges_of_one_and_two(monkeypatch):
+    monkeypatch.setenv("SNDM_THREADS", "2")
+    sizes = []
+
+    def spy(img_a, img_b, *args, **kwargs):
+        sizes.append(len(img_a))
+        return build_forward(img_a, img_b, *args, **kwargs)
+
+    monkeypatch.setattr(network, "build_forward", spy)
+    forward_pair(*batch_of_pairs(64, 3), init_params(NetConfig(), seed=0), NetConfig())
+    assert sorted(sizes) == [1, 2]
+
+
+def test_forward_pair_splits_pairs_only_with_the_work_of_two_ranges(monkeypatch):
+    monkeypatch.setenv("SNDM_THREADS", "2")
+    # at 2 pairs the 16 px net's forward is one range; the default net's is two, whose kernels do not split again
+    for cfg, want in ((SMALL, []), (NetConfig(), [1])):
+        with stub_worker_pool(monkeypatch) as asked:
+            forward_pair(*batch_of_pairs(cfg.input_size, 2), init_params(cfg, seed=0), cfg)
+        assert asked == want, cfg
+
+
+@pytest.mark.parametrize("cfg", [SMALL, NetConfig(), NetConfig(dense_connections=False), FOUR_LEVELS])
+def test_pair_flops_is_the_work_the_kernels_of_one_pair_split(monkeypatch, cfg):
+    work = []
+
+    def record(fn, items, item_flops):
+        work.append(items * item_flops)
+        fn(0, items)
+
+    monkeypatch.setattr(ad, "split_items", record)
+    forward_pair(*batch_of_pairs(cfg.input_size, 1), init_params(cfg, seed=0), cfg)
+    # the first split is the pair's own; the correlation, a matmul of both images, splits nothing
+    correlation = 2 * 2.0 * cfg.correlation_channels**2 * cfg.widths[-1]
+    assert work[0] == network._pair_flops(cfg) == sum(work[1:]) + correlation
+
+
 def test_batch_too_small_in_train_mode():
     params = init_params(SMALL, seed=0)
     img_a, img_b = batch_of_pairs(16, 1)
@@ -194,6 +252,12 @@ def test_shape_mismatch_errors():
         forward_pair(img_a[0], img_b[0], params, SMALL)
     with pytest.raises(ShapeMismatchError, match="uint8"):  # 0-255 values, not 0-1
         forward_pair((img_a * 255).astype(np.uint8), (img_b * 255).astype(np.uint8), params, SMALL)
+    # one dtype for both branches, so that swapping the images swaps the outputs exactly
+    for a, b in ((img_a, img_b.astype(np.float64)), (img_a.astype(np.float64), img_b)):
+        with pytest.raises(ShapeMismatchError, match="float32 .* vs float64|float64 .* vs float32"):
+            build_forward(a, b, params, SMALL, mode="eval")
+        with pytest.raises(ShapeMismatchError, match="differ"):
+            forward_pair(a, b, params, SMALL)
 
 
 def _train_batch(cfg, seed=50):

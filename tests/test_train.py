@@ -380,11 +380,31 @@ def test_evaluate_empty_dataset():
         evaluate(init_params(TINY_NET, seed=0), TINY_NET, [])
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("batch_size", [0, -1, True, 2.5, "2"])
 def test_evaluate_rejects_a_batch_size_below_one(batch_size):
+    # the integer rule of the configs: a bool, a float or a str is no batch size either
     records = make_pairs(302, TINY_GEN, 2)
     with pytest.raises(InvalidConfigError):
         evaluate(init_params(TINY_NET, seed=0), TINY_NET, records, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("batch_size", [2, 3])
+def test_validation_loss_equals_the_joint_forward_loss_bitwise(monkeypatch, batch_size):
+    # the validation pass scores forward_pair's maps; a joint eval build_forward per batch is the reference
+    monkeypatch.setenv("SNDM_THREADS", "2")
+    net = NetConfig()
+    records = make_pairs(310, GenConfig(image_size=net.input_size), 3)
+    targets = train_module._targets_for(records)
+    params = init_params(net, seed=5)
+    loss_fn, loss_cfg = LOSSES["iou3d-edge"], LossConfig()
+    want = 0.0
+    for start in range(0, len(records), batch_size):
+        indices = range(start, min(start + batch_size, len(records)))
+        img_a, img_b, gt = train_module._stack_batch(records, targets, indices)
+        pred, _ = sndmseg.network.build_forward(img_a, img_b, params, net, mode="eval")
+        want += float(sndmseg.autodiff.map_loss(pred, gt, loss_fn, loss_cfg).data) * len(indices)
+    want /= len(records)
+    assert train_module._dataset_loss(records, targets, params, net, loss_fn, loss_cfg, batch_size) == want
 
 
 def test_lr_column_non_increasing():

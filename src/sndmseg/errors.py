@@ -2,7 +2,8 @@
 
 Every exception carries a stable short ``code`` so the command line tool
 can print one-line machine-parseable messages (``error: <code>: <detail>``).
-The type check every config runs when it is built lives here too.
+The type check every config runs when it is built lives here too, and
+so does the rule for counts (:func:`check_count`).
 """
 
 import dataclasses
@@ -76,6 +77,14 @@ class OracleMismatchError(SndmError):
 def is_integer(value) -> bool:
     """The integer rule of every config field and count: an integral number, and no bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(name: str, value) -> None:
+    """Raise ``InvalidConfig`` unless the count ``value`` passes :func:`is_integer` and is at least 1."""
+    if not is_integer(value):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidConfigError(f"{name} must be >= 1, got {value}")
 
 
 # annotation -> (test, what a value must be); every module defers annotations to strings, and a bool is no number

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, ShapeMismatchError, require_field_types
+from .errors import InvalidConfigError, ShapeMismatchError, check_count, require_field_types
 from .seeding import seeded_rng
 from .sndm import sndm_encode
 
@@ -170,8 +170,7 @@ def grad_check_loss(
     """
     if loss_id not in LOSSES:
         raise InvalidConfigError(f"unknown loss {loss_id!r}; choose from {sorted(LOSSES)}")
-    if trials < 1:
-        raise InvalidConfigError(f"trials must be >= 1, got {trials}")
+    check_count("trials", trials)
     fn = LOSSES[loss_id]
     rng = seeded_rng(seed)
     pixels_per_trial, step = 6, 1e-4

@@ -15,9 +15,10 @@ skip, one adapter output per source module and the raw input image as
 its input's channel pieces, with no concatenated copy, and tanh maps its
 output to the signed normalized distance map every loss trains on; the
 mask is the sign of that map (:func:`sndm.sndm_decode`). One function,
-:func:`_decoder`, states this wiring; :func:`_declare` and
-:func:`build_forward` both read it. In train mode each batch norm and
-the relu after it run as one fused graph node
+:func:`_decoder`, states this wiring, which :func:`build_forward` reads;
+one, :func:`_layers`, states each conv's and deconv's channels and
+resolution, which :func:`_declare` and :func:`_pair_flops` read. In train
+mode each batch norm and the relu after it run as one fused graph node
 (:func:`autodiff.batch_norm_relu`). In eval mode each batch norm is folded
 into the weights and bias of the conv or deconv before it, and the relu
 after it runs in place on the conv's output.
@@ -128,51 +129,50 @@ def _decoder(cfg: NetConfig) -> list:
     return modules
 
 
+def _layers(cfg: NetConfig) -> list:
+    """Every conv and deconv in draw order, each as ``(name, bn, c_in, c_out, k, level)``.
+
+    ``bn`` names the batch norm after the layer, None for the head. ``k`` is
+    3 for a conv and 2 for a stride-2 deconv. ``level`` is the encoder level
+    of the layer's input, which is ``input_size >> level`` pixels on a side.
+    The encoder's two convs per level come first, then the convs of the
+    decoder modules, then every adapter step of :func:`_decoder`'s sources,
+    then the head; decoder module m runs at level L + 1 - m.
+    """
+    last = cfg.levels + 1
+    layers = []
+    for level, (c_in, width) in enumerate(zip((3, *cfg.widths), cfg.widths)):
+        enc = f"enc{level + 1}"
+        layers += [(f"{enc}.conv1", f"{enc}.bn1", c_in, width, 3, level), (f"{enc}.conv2", f"{enc}.bn2", width, width, 3, level)]
+    decoder = _decoder(cfg)
+    layers += [(f"{name}.conv", f"{name}.bn", c_in, c_out, 3, last - m) for m, (name, c_in, c_out, _, _) in enumerate(decoder[:-1], start=1)]
+    for *_, sources in decoder:
+        for src, c_in, names in sources:
+            for s, name in enumerate(names):  # step s doubles the resolution of level L + 1 - src - s
+                layers.append((f"{name}.deconv", f"{name}.bn", c_in, ADAPTER_CHANNELS, 2, last - src - s))
+                c_in = ADAPTER_CHANNELS
+    name, c_in, c_out, *_ = decoder[-1]
+    layers.append((f"{name}.conv", None, c_in, c_out, 3, 0))
+    return layers
+
+
 def _declare(cfg: NetConfig) -> list:
-    """Every parameter and buffer as ``(store, name, shape, init)``, in draw order.
+    """Every parameter and buffer as ``(store, name, shape, init)``, in draw order, read from :func:`_layers`.
 
     ``store`` is "values" or "buffers"; ``init`` is ``np.zeros``, ``np.ones``
-    or the std of a normal draw. Shapes are tuples, so declaring a network
-    of any size allocates no array.
+    or the std of a normal draw, sqrt(gain / fan-in) with gain 2 before a
+    relu and 1 for the head. A conv weight is (c_out, c_in, k, k) and a
+    deconv weight (c_in, c_out, k, k). Shapes are tuples, so declaring a
+    network of any size allocates no array.
     """
     specs = []
-
-    def conv(name, c_out, c_in, k=3, gain=2.0):
-        specs.append(("values", f"{name}.weight", (c_out, c_in, k, k), np.sqrt(gain / (c_in * k * k))))
+    for name, bn, c_in, c_out, k, _ in _layers(cfg):
+        shape = (c_out, c_in, k, k) if k == 3 else (c_in, c_out, k, k)
+        specs.append(("values", f"{name}.weight", shape, np.sqrt((2.0 if bn else 1.0) / (c_in * k * k))))
         specs.append(("values", f"{name}.bias", (c_out,), np.zeros))
-
-    def deconv(name, c_in, c_out):
-        specs.append(("values", f"{name}.weight", (c_in, c_out, 2, 2), np.sqrt(2.0 / (c_in * 4))))
-        specs.append(("values", f"{name}.bias", (c_out,), np.zeros))
-
-    def bn(name, channels):
-        specs.append(("values", f"{name}.gamma", (channels,), np.ones))
-        specs.append(("values", f"{name}.beta", (channels,), np.zeros))
-        specs.append(("buffers", f"{name}.running_mean", (channels,), np.zeros))
-        specs.append(("buffers", f"{name}.running_var", (channels,), np.ones))
-
-    c_prev = 3
-    for i, width in enumerate(cfg.widths, start=1):
-        conv(f"enc{i}.conv1", width, c_prev)
-        bn(f"enc{i}.bn1", width)
-        conv(f"enc{i}.conv2", width, width)
-        bn(f"enc{i}.bn2", width)
-        c_prev = width
-
-    decoder = _decoder(cfg)
-    for name, c_in, c_out, _, _ in decoder[:-1]:
-        conv(f"{name}.conv", c_out, c_in)
-        bn(f"{name}.bn", c_out)
-
-    for *_, sources in decoder:
-        for _, c_in, names in sources:
-            for name in names:
-                deconv(f"{name}.deconv", c_in, ADAPTER_CHANNELS)
-                bn(f"{name}.bn", ADAPTER_CHANNELS)
-                c_in = ADAPTER_CHANNELS
-
-    name, c_in, c_out, *_ = decoder[-1]
-    conv(f"{name}.conv", c_out, c_in, gain=1.0)
+        if bn:
+            specs += [("values", f"{bn}.gamma", (c_out,), np.ones), ("values", f"{bn}.beta", (c_out,), np.zeros)]
+            specs += [("buffers", f"{bn}.running_mean", (c_out,), np.zeros), ("buffers", f"{bn}.running_var", (c_out,), np.ones)]
     return specs
 
 
@@ -268,22 +268,9 @@ def build_forward(img_a, img_b, params: NetParams, config: NetConfig, mode: str 
 
 
 def _pair_flops(config: NetConfig) -> float:
-    """Flops of one pair's eval forward, both images: two per multiply-add of each conv, deconv and the correlation."""
-
-    def pixels(level):  # of one map at encoder level ``level``; level 0 is the input resolution
-        return (config.input_size >> level) ** 2
-
-    macs, c_prev = 0, 3
-    for level, width in enumerate(config.widths):
-        macs += 9 * (c_prev + width) * width * pixels(level)
-        c_prev = width
-    macs += config.correlation_channels * pixels(config.levels) * config.widths[-1]
-    # decoder module m runs at level L + 1 - m; step s of an adapter from module src outputs at level L + 1 - src - s
-    for m, (_, c_in, c_out, _, sources) in enumerate(_decoder(config), start=1):
-        macs += 9 * c_in * c_out * pixels(config.levels + 1 - m)
-        for src, width, names in sources:
-            for s in range(1, len(names) + 1):
-                macs += (width if s == 1 else ADAPTER_CHANNELS) * ADAPTER_CHANNELS * pixels(config.levels + 1 - src - s)
+    """Flops of one pair's eval forward, both images: two per multiply-add of the correlation and of each layer of :func:`_layers`."""
+    macs = config.correlation_channels**2 * config.widths[-1]
+    macs += sum(c_in * c_out * k * k * (config.input_size >> level) ** 2 for _, _, c_in, c_out, k, level in _layers(config))
     return 4.0 * macs
 
 

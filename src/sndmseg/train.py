@@ -43,14 +43,14 @@ from .errors import (
     InvalidConfigError,
     NonFiniteError,
     ShapeMismatchError,
-    is_integer,
+    check_count,
     require_field_types,
 )
 from .losses import LOSSES, LossConfig
 from .metrics import ItemMetrics, MetricsReport
 from .network import NetConfig, NetParams, build_forward, forward_pair, init_params
 from .raster import _atomic_write
-from .seeding import seeded_rng
+from .seeding import check_seed, seeded_rng
 from .sndm import sndm_encode
 from .synth import GenConfig, gen_pair, make_pairs
 
@@ -317,8 +317,7 @@ def evaluate(
     ``forward_fn`` defaults to the network itself; tests may inject an
     oracle that returns known maps.
     """
-    if not is_integer(batch_size) or batch_size < 1:
-        raise InvalidConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    check_count("batch_size", batch_size)
     if not records:
         raise DatasetEmptyError("evaluation set is empty")
     _check_pair_sizes(net_config.input_size, records)
@@ -358,8 +357,7 @@ def grad_check_net(trials: int = 20, seed: int = 0) -> float:
     them edge weight sqrt(|0|) = 0. The mask is frozen data, keeping the
     function identical across the +/-h evaluations.
     """
-    if trials < 1:
-        raise InvalidConfigError(f"trials must be >= 1, got {trials}")
+    check_count("trials", trials)
     cfg = NetConfig(input_size=16, widths=(4, 6), levels=2)
     step = 1e-6
     rng = seeded_rng(seed)
@@ -476,9 +474,10 @@ def worker_count(total_jobs: int) -> int:
 def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationConfig()) -> dict:
     """Train every variant for ``runs`` seeds and tabulate the ``ABLATION_METRICS`` means.
 
-    ``AblationConfig`` checks its set sizes when it is built; its other
-    values are checked when the parent builds every job's (NetConfig,
-    TrainConfig), before it generates a dataset or starts a process.
+    ``runs`` and ``base_seed`` are checked first. ``AblationConfig`` checks
+    its set sizes when it is built; its other values are checked when the
+    parent builds every job's (NetConfig, TrainConfig), before it
+    generates a dataset or starts a process.
     Each seed's datasets are generated once and shared by its variants.
     Workers only train and evaluate, each in a spawned process whose
     initializer sets ``SNDM_THREADS=1``, so the workers do not contend for
@@ -486,8 +485,8 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
     table does not depend on the worker count. The parent's environment
     is left as it was.
     """
-    if runs < 1 or base_seed < 0:
-        raise InvalidConfigError(f"runs must be >= 1 and base_seed >= 0, got {runs} and {base_seed}")
+    check_count("runs", runs)
+    check_seed(base_seed)
     gen = GenConfig(image_size=config.image_size)
     workers = worker_count(runs * len(ABLATION_VARIANTS))
     seeds = range(base_seed, base_seed + runs)

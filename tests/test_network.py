@@ -42,6 +42,11 @@ def batch_of_pairs(size, n, seed=0):
     return np.stack([s.img_a for s in samples]), np.stack([s.img_b for s in samples])
 
 
+def random_batches(size, n, seed=8):
+    """Two (n, size, size, 3) image batches of noise, for nets below the synthetic pairs' 16 px minimum."""
+    return np.random.default_rng(seed).random((2, n, size, size, 3), dtype=np.float32)
+
+
 def expected_parameter_count(cfg):
     """Independent shape walk over the architecture definition."""
 
@@ -193,7 +198,9 @@ def test_forward_pair_splits_pairs_only_with_the_work_of_two_ranges(monkeypatch)
         assert asked == want, cfg
 
 
-@pytest.mark.parametrize("cfg", [SMALL, NetConfig(), NetConfig(dense_connections=False), FOUR_LEVELS])
+@pytest.mark.parametrize(
+    "cfg", [SMALL, NetConfig(), NetConfig(dense_connections=False), FOUR_LEVELS, ONE_LEVEL, replace(FOUR_LEVELS, dense_connections=False)]
+)
 def test_pair_flops_is_the_work_the_kernels_of_one_pair_split(monkeypatch, cfg):
     work = []
 
@@ -202,10 +209,41 @@ def test_pair_flops_is_the_work_the_kernels_of_one_pair_split(monkeypatch, cfg):
         fn(0, items)
 
     monkeypatch.setattr(ad, "split_items", record)
-    forward_pair(*batch_of_pairs(cfg.input_size, 1), init_params(cfg, seed=0), cfg)
+    forward_pair(*random_batches(cfg.input_size, 1), init_params(cfg, seed=0), cfg)
     # the first split is the pair's own; the correlation, a matmul of both images, splits nothing
     correlation = 2 * 2.0 * cfg.correlation_channels**2 * cfg.widths[-1]
     assert work[0] == network._pair_flops(cfg) == sum(work[1:]) + correlation
+
+
+@pytest.mark.parametrize("cfg", [SMALL, ONE_LEVEL, FOUR_LEVELS])
+@pytest.mark.parametrize("dense", [True, False])
+def test_layer_table_is_the_channels_and_resolution_each_kernel_runs_at(monkeypatch, cfg, dense):
+    cfg = replace(cfg, dense_connections=dense)
+    calls = []  # (op name, weight tensor, input side, weight shape) of each kernel call
+
+    def recording(op_name):
+        op = getattr(ad, op_name)
+
+        def record(x, weight, bias):
+            calls.append((op_name, weight, (x[0] if op_name == "head_conv" else x).data.shape[-1], weight.data.shape))
+            return op(x, weight, bias)
+
+        monkeypatch.setattr(ad, op_name, record)
+
+    for op_name in ("conv2d", "conv_transpose2d", "head_conv"):
+        recording(op_name)
+    _, pt = build_forward(*random_batches(cfg.input_size, 1), init_params(cfg, seed=0), cfg, mode="train")
+    names = {id(tensor): name.removesuffix(".weight") for name, tensor in pt.items()}
+    seen = {names[id(weight)]: (op_name, side, shape) for op_name, weight, side, shape in calls}
+    want = {
+        name: (
+            "head_conv" if bn is None else "conv2d" if k == 3 else "conv_transpose2d",
+            cfg.input_size >> level,
+            (c_out, c_in, k, k) if k == 3 else (c_in, c_out, k, k),
+        )
+        for name, bn, c_in, c_out, k, level in network._layers(cfg)
+    }
+    assert len(calls) == len(seen) and seen == want
 
 
 def test_batch_too_small_in_train_mode():

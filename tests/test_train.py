@@ -388,6 +388,34 @@ def test_evaluate_rejects_a_batch_size_below_one(batch_size):
         evaluate(init_params(TINY_NET, seed=0), TINY_NET, records, batch_size=batch_size)
 
 
+BAD_COUNTS = {
+    "make_pairs 2.5 pairs": lambda out: make_pairs(0, GenConfig(image_size=16), 2.5),
+    "make_pairs 0 pairs": lambda out: make_pairs(0, GenConfig(image_size=16), 0),
+    "make_pairs -1 pairs": lambda out: make_pairs(0, GenConfig(image_size=16), -1),
+    "gen_dataset 2.5 pairs": lambda out: synth.gen_dataset(0, GenConfig(image_size=16), 2.5, out),
+    "grad_check_loss 2.5 trials": lambda out: sndmseg.grad_check_loss("dice", trials=2.5),
+    "grad_check_net 1.5 trials": lambda out: sndmseg.grad_check_net(trials=1.5),
+    "grad_check_net True trials": lambda out: sndmseg.grad_check_net(trials=True),
+    "ablation 1.5 runs": lambda out: ablation(1.5),
+    "ablation base_seed 1.5": lambda out: ablation(1, base_seed=1.5),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_a_count_that_is_no_integer_of_at_least_one_is_invalid_config_before_any_work(monkeypatch, tmp_path, call):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the counts were checked")
+
+    # no pair is drawn, no loss map encoded and no process started
+    for module, name in ((synth, "gen_pair"), (train_module, "gen_pair"), (sndmseg.losses, "sndm_encode")):
+        monkeypatch.setattr(module, name, no_work)
+    monkeypatch.setattr(train_module.multiprocessing, "get_context", no_work)
+    out = tmp_path / "out"
+    with pytest.raises(InvalidConfigError):
+        call(str(out))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("batch_size", [2, 3])
 def test_validation_loss_equals_the_joint_forward_loss_bitwise(monkeypatch, batch_size):
     # the validation pass scores forward_pair's maps; a joint eval build_forward per batch is the reference

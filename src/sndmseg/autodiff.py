@@ -293,7 +293,8 @@ def split_items(fn, items: int, item_flops: float) -> None:
 def _openblas_threads():
     """The thread-count (get, set) functions of numpy's bundled OpenBLAS, or None if numpy bundles none."""
     root = os.path.dirname(np.__file__)
-    paths = glob.glob(os.path.join(root + ".libs", "libscipy_openblas*")) + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas*"))
+    # numpy 2 bundles libscipy_openblas64_ (scipy_openblas_*64_ names), numpy 1.x libopenblas64_p (openblas_*64_ names)
+    paths = glob.glob(os.path.join(root + ".libs", "*openblas*")) + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
     for path in sorted(paths):
         lib = ctypes.CDLL(path)  # the library numpy already loaded
         for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):

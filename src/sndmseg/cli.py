@@ -14,8 +14,8 @@ keeps the default of the class or function that owns it. Every loss
 trains the same network, whose tanh head regresses the SNDM; ``gradcheck
 --target net`` takes neither ``--loss`` nor ``--lam``. Every config
 checks its values when it is built from the flags and the file, so a bad
-value fails before any work starts; ``ablation`` builds every job's
-configs before it generates a dataset or starts a worker. Each output
+value fails before any work starts; an ``AblationConfig`` checks the
+settings of every ablation job as well. Each output
 that a long command writes last (``train --out``/``--history``, ``eval
 --report``, ``ablation --out``) must name a file path in an existing
 directory, and name neither another output nor an input (the ``--ckpt``

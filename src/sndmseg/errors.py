@@ -2,8 +2,9 @@
 
 Every exception carries a stable short ``code`` so the command line tool
 can print one-line machine-parseable messages (``error: <code>: <detail>``).
-The type check every config runs when it is built lives here too, and
-so does the rule for counts (:func:`check_count`).
+The type check every config runs when it is built lives here too, and so
+does the count rule, :func:`check_count`. It and ``seeding.check_seed``
+are the only count and seed rules of the package.
 """
 
 import dataclasses

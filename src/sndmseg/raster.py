@@ -48,15 +48,17 @@ def as_mask(mask) -> np.ndarray:
 
 
 def as_float_map(values) -> np.ndarray:
-    """Coerce to a valid (H, W) float map; values must be finite."""
+    """Coerce to a valid (H, W) float32 map; values are checked finite and within float32 range before the cast, as in :func:`as_image`."""
     v = np.asarray(values)
-    if v.dtype not in (np.float32, np.float64):
+    if v.dtype.kind != "f":
         v = v.astype(np.float32)
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
         raise ShapeMismatchError(f"float map must be 2-d and nonempty, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise NonFiniteError("float map contains non-finite values")
-    return v
+    if max(-v.min(), v.max()) > np.finfo(np.float32).max:
+        raise OutOfRangeError(f"float map values must lie within the float32 range, got [{v.min()}, {v.max()}]")
+    return v.astype(np.float32, copy=False)
 
 
 def as_image(values) -> np.ndarray:
@@ -224,7 +226,7 @@ def write_float_map(values, path: str) -> None:
     Read-back with :func:`read_float_map` is bit-identical (values are
     stored as little-endian float32).
     """
-    v = as_float_map(values).astype("<f4")
+    v = as_float_map(values).astype("<f4", copy=False)
     height, width = v.shape
     header = FLOAT_MAP_MAGIC + struct.pack("<II", width, height)
     _atomic_write(path, header + v.tobytes())

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError, ShapeMismatchError, is_integer, require_field_types
+from .errors import InvalidConfigError, IoFailureError, MalformedHeaderError, ShapeMismatchError, check_count, require_field_types
 from .raster import _atomic_write, _read_bytes, read_image, read_mask, write_image, write_mask
 from .seeding import check_seed, seeded_rng
 
@@ -292,22 +292,14 @@ def _pair_id(index: int) -> str:
     return f"pair_{index:04d}"
 
 
-def _check_counts(seed: int, n_pairs: int) -> None:
-    """Raise ``InvalidConfig`` unless ``seed`` passes :func:`check_seed` and ``n_pairs`` is an integer >= 1."""
-    check_seed(seed)
-    if not is_integer(n_pairs):
-        raise InvalidConfigError(f"the pair count must be an integer, got {n_pairs!r}")
-    if n_pairs < 1:
-        raise InvalidConfigError(f"need at least one pair, got {n_pairs}")
-
-
 def gen_dataset(seed: int, config: GenConfig, n_pairs: int, out_dir: str) -> list:
     """Write ``n_pairs`` samples (PPM images, PGM masks) plus a manifest.
 
     Pair i uses seed ``seed + i``. Re-running with the same arguments
     rewrites byte-identical files. Returns the manifest rows.
     """
-    _check_counts(seed, n_pairs)  # before the directory is made
+    check_seed(seed)  # both before the directory is made
+    check_count("n_pairs", n_pairs)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -377,5 +369,6 @@ def load_dataset(directory: str) -> list:
 
 def make_pairs(seed: int, config: GenConfig, n_pairs: int) -> list:
     """In-memory dataset with the same seeding scheme as :func:`gen_dataset`."""
-    _check_counts(seed, n_pairs)  # before the pair index turns a bool seed into an int
+    check_seed(seed)  # before the pair index turns a bool seed into an int
+    check_count("n_pairs", n_pairs)
     return [replace(gen_pair(seed + i, config), pair_id=_pair_id(i)) for i in range(n_pairs)]

@@ -72,15 +72,14 @@ class TrainConfig:
 
     def __post_init__(self):
         require_field_types(self)
-        if self.batch_size < 1:
-            raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "max_epochs", "plateau_patience"):
+            check_count(name, getattr(self, name))
+        check_seed(self.seed)
         # every range test below is False for NaN
         if not 0.0 < self.lr < np.inf:
             raise InvalidConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.weight_decay < np.inf:
             raise InvalidConfigError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
-        if self.max_epochs < 1 or self.plateau_patience < 1 or self.seed < 0:
-            raise InvalidConfigError("max_epochs and plateau_patience must be positive, seed nonnegative")
         if not 0.0 < self.lr_factor < 1.0:
             raise InvalidConfigError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if self.loss_id not in LOSSES:
@@ -423,6 +422,8 @@ ABLATION_METRICS = ("precision", "jaccard")  # the table's columns, in order: na
 
 @dataclass(frozen=True)
 class AblationConfig:
+    """Set sizes and job settings of an ablation; building one checks them all, the job settings through one seed's job configs."""
+
     n_train: int = 96
     n_val: int = 24
     n_test: int = 32
@@ -434,6 +435,8 @@ class AblationConfig:
     def __post_init__(self):
         require_field_types(self)
         _check_set_sizes(self.n_train, self.n_val, self.n_test)
+        GenConfig(image_size=self.image_size)
+        _ablation_configs(0, self)
 
 
 def _ablation_configs(seed: int, cfg: AblationConfig) -> list:
@@ -474,11 +477,9 @@ def worker_count(total_jobs: int) -> int:
 def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationConfig()) -> dict:
     """Train every variant for ``runs`` seeds and tabulate the ``ABLATION_METRICS`` means.
 
-    ``runs`` and ``base_seed`` are checked first. ``AblationConfig`` checks
-    its set sizes when it is built; its other values are checked when the
-    parent builds every job's (NetConfig, TrainConfig), before it
-    generates a dataset or starts a process.
-    Each seed's datasets are generated once and shared by its variants.
+    ``runs`` and ``base_seed`` are checked first, and ``config`` was checked
+    when it was built, so no job's configs fail once a dataset or a process
+    exists. Each seed's datasets are generated once, with its jobs.
     Workers only train and evaluate, each in a spawned process whose
     initializer sets ``SNDM_THREADS=1``, so the workers do not contend for
     the cores; ``train`` pins BLAS to one thread in every worker, so the
@@ -490,11 +491,10 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
     gen = GenConfig(image_size=config.image_size)
     workers = worker_count(runs * len(ABLATION_VARIANTS))
     seeds = range(base_seed, base_seed + runs)
-    configs = {seed: _ablation_configs(seed, config) for seed in seeds}
     jobs = []
-    for seed, pairs in configs.items():
+    for seed in seeds:
         datasets = _ablation_datasets(seed, gen, config)
-        jobs += [(net_config, train_config, datasets) for net_config, train_config in pairs]
+        jobs += [(net_config, train_config, datasets) for net_config, train_config in _ablation_configs(seed, config)]
     # spawned, not forked: the parent may hold kernel and BLAS threads, and a fork of a threaded process can deadlock
     context = multiprocessing.get_context("spawn")
     with context.Pool(processes=workers, initializer=_one_kernel_thread) as pool:

@@ -1,9 +1,11 @@
+import fnmatch
 import os
 import signal
 import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -494,6 +496,16 @@ def test_batch_norm_float32_matches_float64_far_from_zero_mean(form):
         assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
 
 
+def test_channel_sums_add_the_per_item_sums_in_float64():
+    # float32 per-item sums 2^24, 1 and 1: added in float32 each 1 rounds away and the total reads 2^24
+    rows = np.array([[[2.0**23, 2.0**23]], [[1.0, 0.0]], [[0.5, 0.5]]], dtype=np.float32)
+    assert ad._channel_sums(rows)[0] == 16777218.0
+    assert ad._channel_sums(rows, np.ones_like(rows))[0] == 16777218.0
+    running_mean, running_var = np.zeros(1), np.ones(1)
+    ad.batch_norm_relu(ad.Tensor(rows.reshape(3, 1, 1, 2)), ad.Tensor(np.ones(1, np.float32)), ad.Tensor(np.zeros(1, np.float32)), running_mean, running_var)
+    assert running_mean[0] == (1.0 - ad.BN_MOMENTUM) * np.float32(16777218.0 / 6)
+
+
 def test_batch_norm_relu_matches_the_composite_in_float64():
     rng = seeded(23)
     x = rng.normal(0.3, 1.5, size=(3, 4, 6, 6))
@@ -897,3 +909,32 @@ def test_one_blas_thread_sets_numpys_openblas():
         assert get() == 2
     finally:
         set_count(before)
+
+
+def test_openblas_threads_finds_the_numpy_1_library_and_its_names(monkeypatch):
+    """numpy 1.x wheels bundle libopenblas64_p, which exports openblas_*64_ and no scipy_openblas names."""
+    root = os.path.dirname(np.__file__)
+    library = os.path.join(root + ".libs", "libopenblas64_p-r0-0cf96a72.3.23.dev.so")
+    files = [os.path.join(root + ".libs", "libgfortran-040039e1.so.5.0.0"), library]
+    blas = {"count": 4, "sets": []}
+
+    def set_count(n):
+        blas["count"] = n
+        blas["sets"].append(n)
+
+    loaded = []
+
+    def load(path):
+        loaded.append(path)
+        return types.SimpleNamespace(openblas_get_num_threads64_=lambda: blas["count"], openblas_set_num_threads64_=set_count)
+
+    monkeypatch.setattr(ad.glob, "glob", lambda pattern: [path for path in files if fnmatch.fnmatch(path, pattern)])
+    monkeypatch.setattr(ad.ctypes, "CDLL", load)
+    ad._openblas_threads.cache_clear()
+    try:
+        with ad.one_blas_thread():
+            assert blas["count"] == 1
+    finally:
+        ad._openblas_threads.cache_clear()  # the next call finds numpy's real library again
+    assert loaded == [library]
+    assert blas == {"count": 4, "sets": [1, 4]}

@@ -111,7 +111,7 @@ def test_gen_data_requires_pairs(tmp_path, capsys):
 def test_gen_data_rejects_fewer_than_one_pair(tmp_path, capsys):
     for pairs in ("0", "-1"):
         assert main(["gen-data", "--pairs", pairs, "--out", str(tmp_path / "d")]) == 1
-        assert capsys.readouterr().err.startswith(f"error: InvalidConfig: need at least one pair, got {pairs}")
+        assert capsys.readouterr().err.startswith(f"error: InvalidConfig: n_pairs must be >= 1, got {pairs}")
         assert not (tmp_path / "d").exists()
 
 
@@ -537,6 +537,13 @@ def test_ablation_without_test_pairs_fails_before_any_data(monkeypatch, capsys):
     assert main(["ablation", "--runs", "2", "--test-pairs", "0"]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: DatasetEmpty: [^\n]*\n", err), err
+
+
+def test_ablation_names_a_bad_epoch_count_before_any_data_or_process(monkeypatch, capsys):
+    monkeypatch.setattr(synth, "gen_pair", lambda seed, config: pytest.fail("a pair was generated"))
+    monkeypatch.setattr("sndmseg.train.multiprocessing.get_context", lambda method: pytest.fail("a pool was started"))
+    assert main(["ablation", "--runs", "1", "--epochs", "0"]) == 1
+    assert capsys.readouterr().err == "error: InvalidConfig: max_epochs must be >= 1, got 0\n"
 
 
 def test_ablation_prints_the_rows_it_writes(tmp_path, monkeypatch, capsys):

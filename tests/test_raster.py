@@ -185,6 +185,20 @@ def test_float_map_reader_refuses_what_the_writer_refuses(tmp_path, bad):
         read_float_map(str(path))
 
 
+@pytest.mark.parametrize("bad", [1e39, -1e39, np.longdouble(1e39)])
+def test_float_map_writer_refuses_values_beyond_float32(tmp_path, bad):
+    """A finite value that float32 cannot hold would be written as an infinity the reader refuses."""
+    values = np.full((2, 2), bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from a cast
+        with pytest.raises(OutOfRangeError, match="float32 range"):
+            write_float_map(values, str(tmp_path / "m.sndmf"))
+    assert list(tmp_path.iterdir()) == []
+    limit = np.finfo(np.float32).max
+    write_float_map(np.array([[limit, -limit]]), str(tmp_path / "m.sndmf"))
+    assert np.array_equal(read_float_map(str(tmp_path / "m.sndmf")), np.array([[limit, -limit]], dtype=np.float32))
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
 def test_written_files_follow_the_umask(tmp_path, umask):
     previous = os.umask(umask)

@@ -162,6 +162,28 @@ def test_bad_value_fails_when_the_config_is_built(config_class, name, value, err
 
 
 @pytest.mark.parametrize(
+    "config_class, name, value, message",
+    [
+        (TrainConfig, "batch_size", 0, "batch_size must be >= 1, got 0"),
+        (TrainConfig, "max_epochs", 0, "max_epochs must be >= 1, got 0"),
+        (TrainConfig, "plateau_patience", 0, "plateau_patience must be >= 1, got 0"),
+        (TrainConfig, "seed", -1, "seed must be >= 0, got -1"),
+        # an ablation config checks every job's settings when it is built, so ablation() never sees a bad one
+        (AblationConfig, "epochs", 0, "max_epochs must be >= 1, got 0"),
+        (AblationConfig, "batch_size", 0, "batch_size must be >= 1, got 0"),
+        (AblationConfig, "lr", 0.0, "lr must be finite and positive, got 0.0"),
+        (AblationConfig, "image_size", 20, "input_size 20 must be a positive multiple of 2^levels = 8"),
+        (AblationConfig, "image_size", 8, "image_size must be >= 16, got 8"),
+    ],
+)
+def test_each_setting_fails_by_its_own_rule_when_the_config_is_built(config_class, name, value, message):
+    for build in (lambda: config_class(**{name: value}), lambda: replace(config_class(), **{name: value})):
+        with pytest.raises(InvalidConfigError) as info:
+            build()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "config_class, name, bad, good, kind",
     [
         (NetConfig, "input_size", 64.0, np.int64(64), "an integer"),
@@ -501,8 +523,7 @@ def test_bad_ablation_config_fails_before_any_work(monkeypatch, name, value, err
     calls = _count_gen_pair_calls(monkeypatch)
     monkeypatch.setattr(train_module.multiprocessing, "get_context", lambda method: pytest.fail("a pool was started"))
     cfg = AblationConfig(n_train=2, n_val=1, n_test=1, epochs=1, batch_size=2, image_size=16)
-    # the set sizes fail in replace(), when the AblationConfig is built; the
-    # other values fail when ablation() builds its jobs' configs
+    # every value fails in replace(), when the AblationConfig is built
     with pytest.raises(error):
         ablation(2, config=replace(cfg, **{name: value}))
     assert calls == []

@@ -52,25 +52,21 @@ reductions are per-(item, channel) sums in the input's dtype (float32
 in training) combined in float64; the reference :func:`batch_norm`
 accumulates its reductions in float64 throughout.
 
-Work is split over threads by batch item (:func:`split_items`): up to
-``SNDM_THREADS`` contiguous item ranges, by default one per usable core,
-each run as the serial loop over its items; a call with too little work
-for two ranges runs on the calling thread alone. An eval forward of
-several pairs is split once, by pair: ``network.forward_pair`` runs a
-whole forward per range of pairs. Splits do not nest, so inside such a
-range each conv kernel runs its items on the range's thread. Any other
-call of the three conv kernels (a train step, a one-pair forward) splits
-its own items, each range with a workspace of its own. An item's GEMMs
-are the same BLAS calls whatever range holds it, so its result does not
-depend on the split. A weight gradient is a sum over items: each range
-writes its items' products into one (B, ...) array, and the calling
-thread sums that array over the batch axis in batch order, so outputs
-are bit-identical at any thread count. BLAS itself runs on one thread: OpenBLAS splits a GEMM's sums by
-thread, so its thread count would change float32 roundings. Training,
-evaluation and the network gradient check therefore run inside
-:func:`one_blas_thread`, which pins numpy's OpenBLAS to one thread in
-process, and ``SNDM_THREADS`` is the only setting that changes how many
-threads run; no setting changes the bits.
+Every op runs on its caller's thread, so a train step runs on one
+thread. The one split over threads is by pair, in
+``network.forward_pair``: :func:`split_items` hands up to
+``SNDM_THREADS`` contiguous pair ranges, by default one per usable core,
+to a worker pool, and each range runs a whole eval forward; a call with
+too little work for two ranges runs on the calling thread alone. The
+conv kernels run each item's GEMMs on their own, whatever the batch, so
+a pair's maps do not depend on the range that holds it, and outputs are
+bit-identical at any thread count. A weight gradient is formed per item
+and summed over the batch in batch order. BLAS itself runs on one thread:
+OpenBLAS splits a GEMM's sums by thread, so its thread count would change
+float32 roundings. Training, evaluation and the network gradient check
+therefore run inside :func:`one_blas_thread`, which pins numpy's OpenBLAS
+to one thread in process, and ``SNDM_THREADS`` is the only setting that
+changes how many threads run; no setting changes the bits.
 
 A forward-only pass does no training-only work: max pooling keeps no
 argmax index (its backward finds the maxima again), and an eval forward
@@ -190,7 +186,7 @@ def _node(data, parents, backward_fn) -> Tensor:
 
 
 def thread_cap() -> int:
-    """The ``SNDM_THREADS`` cap on kernel threads and worker processes; by default the cores this process may run on."""
+    """The ``SNDM_THREADS`` cap on the ranges of a pair split and on worker processes; by default the cores this process may run on."""
     env = os.environ.get("SNDM_THREADS", "").strip()
     if not env:
         if hasattr(os, "sched_getaffinity"):
@@ -230,10 +226,8 @@ def _workers(count: int) -> ThreadPoolExecutor:
 
 # A range hands over to the worker only with at least this many flops: handing a range over
 # costs about 0.1 ms, and small ranges slow both threads down (the default network's eval
-# forward at 8 pairs was fastest from 1e6 to 1e7, the selftest's 16 px train at 5e6 and up)
+# forward at 8 pairs was fastest from 1e6 to 1e7)
 MIN_RANGE_FLOPS = 1e7
-
-_in_range = threading.local()  # .active: this thread runs a range of a split over more than one thread
 
 
 def split_items(fn, items: int, item_flops: float) -> None:
@@ -246,17 +240,12 @@ def split_items(fn, items: int, item_flops: float) -> None:
     every range but the last, the caller runs the last, and the call
     returns only once every range has finished: it waits in a ``finally``,
     so an error from either side is raised only when no worker still writes
-    into the op's buffers. At one range ``fn(0, items)`` runs on the
+    into the caller's buffers. At one range ``fn(0, items)`` runs on the
     caller's thread alone. ``fn`` must write only the items of its range
     and compute each item as it would alone, so that outputs do not depend
-    on the thread count.
-
-    Splits do not nest: while a split's ranges run on more than one
-    thread, a split made inside any of those ranges, the caller's
-    included, runs ``fn(0, items)`` on its own thread. Otherwise a range
-    run by a worker could wait on a range queued behind it for the same
-    worker. The mark is per thread and is cleared when the range returns
-    or raises, so the next top-level split splits again.
+    on the thread count. ``fn`` must not call ``split_items``: a range run
+    by a worker could then wait on a range queued behind it for the same
+    worker.
 
     A worker may call names that ``bench/tracing.py`` patches: a traced
     run records a span per call on either thread (one
@@ -265,24 +254,15 @@ def split_items(fn, items: int, item_flops: float) -> None:
     while two threads run may get the other thread's span as its parent
     (ROADMAP item 1).
     """
-    nested = getattr(_in_range, "active", False)
-    parts = 1 if nested else max(1, min(thread_cap(), items, int(items * item_flops // MIN_RANGE_FLOPS)))
+    parts = max(1, min(thread_cap(), items, int(items * item_flops // MIN_RANGE_FLOPS)))
     if parts == 1:
         fn(0, items)
         return
-
-    def run(lo, hi):
-        _in_range.active = True
-        try:
-            fn(lo, hi)
-        finally:
-            _in_range.active = False
-
     bounds = [items * k // parts for k in range(parts + 1)]
     pool = _workers(parts - 1)
-    futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
+    futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
     try:
-        run(bounds[-2], bounds[-1])
+        fn(bounds[-2], bounds[-1])
     finally:
         wait(futures)
     for future in futures:
@@ -502,20 +482,16 @@ def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
     wmat = weight.data.reshape(channels, 9)
     flats = [p.data.reshape(batch, size, n) for p, size in zip(pieces, sizes)]
     taps = _taps(height, width)
-    acc = np.zeros((batch, height, width), dtype=np.result_type(wmat, flats[0]))
-
-    def forward_items(b0, b1):
-        # taps_in[b, k, q] = the weights of tap k times input column q, summed over every piece's channels
-        taps_in = np.matmul(wmat[offsets[0] : offsets[1]].T, flats[0][b0:b1])
-        prod = np.empty_like(taps_in) if len(pieces) > 1 else None
-        for lo, hi, xf in zip(offsets[1:-1], offsets[2:], flats[1:]):
-            taps_in += np.matmul(wmat[lo:hi].T, xf[b0:b1], out=prod)
-        planes = taps_in.reshape(b1 - b0, 9, height, width)
-        for k, (dst_rows, src_rows), (dst_cols, src_cols) in taps:
-            acc[b0:b1, dst_rows, dst_cols] += planes[:, k, src_rows, src_cols]
-        acc[b0:b1] += bias.data
-
-    split_items(forward_items, batch, 2.0 * wmat.size * n)
+    # taps_in[b, k, q] = the weights of tap k times input column q, summed over every piece's channels
+    taps_in = np.matmul(wmat[offsets[0] : offsets[1]].T, flats[0])
+    prod = np.empty_like(taps_in) if len(pieces) > 1 else None
+    for lo, hi, xf in zip(offsets[1:-1], offsets[2:], flats[1:]):
+        taps_in += np.matmul(wmat[lo:hi].T, xf, out=prod)
+    planes = taps_in.reshape(batch, 9, height, width)
+    acc = np.zeros((batch, height, width), dtype=taps_in.dtype)
+    for k, (dst_rows, src_rows), (dst_cols, src_cols) in taps:
+        acc[:, dst_rows, dst_cols] += planes[:, k, src_rows, src_cols]
+    acc += bias.data
     data = acc.reshape(batch, 1, height, width)
 
     def backward(g):
@@ -525,15 +501,11 @@ def head_conv(pieces, weight: Tensor, bias: Tensor) -> Tensor:
         planes = laid.reshape(batch, 9, height, width)
         dw_items = np.empty((batch, channels, 9), dtype=np.result_type(*flats, g))
         dxs = [np.empty(p.data.shape, dtype=np.result_type(wmat, g)) for p in pieces]
-
-        def backward_items(b0, b1):
-            for k, (dst_rows, src_rows), (dst_cols, src_cols) in taps:
-                planes[b0:b1, k, src_rows, src_cols] = g[b0:b1, 0, dst_rows, dst_cols]
-            for xf, dx, lo, hi in zip(flats, dxs, offsets[:-1], offsets[1:]):
-                np.matmul(xf[b0:b1], laid[b0:b1].transpose(0, 2, 1), out=dw_items[b0:b1, lo:hi])
-                np.matmul(wmat[lo:hi], laid[b0:b1], out=dx.reshape(batch, hi - lo, n)[b0:b1])
-
-        split_items(backward_items, batch, 4.0 * wmat.size * n)
+        for k, (dst_rows, src_rows), (dst_cols, src_cols) in taps:
+            planes[:, k, src_rows, src_cols] = g[:, 0, dst_rows, dst_cols]
+        for xf, dx, lo, hi in zip(flats, dxs, offsets[:-1], offsets[1:]):
+            np.matmul(xf, laid.transpose(0, 2, 1), out=dw_items[:, lo:hi])
+            np.matmul(wmat[lo:hi], laid, out=dx.reshape(batch, hi - lo, n))
         weight.accumulate(dw_items.sum(axis=0).reshape(weight.data.shape))
         for p, dx in zip(pieces, dxs):
             p.accumulate(dx)
@@ -557,9 +529,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     (C_out*9, H*W) @ (H*W, C_in), written per item into a
     (B, C_out*9, C_in) array and summed over items in batch order: gradient
     tap k reads the output at the offset that input tap 8 - k writes, so
-    flipping the taps back gives (C_out, C_in, 3, 3). Forward and backward
-    split the items over threads (:func:`split_items`), each range with a
-    patch workspace of its own.
+    flipping the taps back gives (C_out, C_in, 3, 3).
     """
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"conv2d input must be (B, C, H, W), got {x.data.shape}")
@@ -570,13 +540,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     wmat = weight.data.reshape(c_out, channels * 9)
     out = np.empty((batch, c_out, height * width), dtype=np.result_type(x.data, wmat))
     bias_col = bias.data.reshape(-1, 1)
-
-    def forward_items(lo, hi):
-        for i, cols in enumerate(_item_patches(x.data[lo:hi]), lo):
-            np.matmul(wmat, cols, out=out[i])
-            out[i] += bias_col
-
-    split_items(forward_items, batch, 2.0 * wmat.size * height * width)
+    for i, cols in enumerate(_item_patches(x.data)):
+        np.matmul(wmat, cols, out=out[i])
+        out[i] += bias_col
     data = out.reshape(batch, c_out, height, width)
 
     def backward(g):
@@ -587,13 +553,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         dx = np.empty(x.data.shape, dtype=np.result_type(g, wflip))
         # dw_items[i]: (C_out*9, C_in), row (o, k) holds item i's dW[o, :, 2 - di, 2 - dj] for tap k = (di, dj)
         dw_items = np.empty((batch, c_out * 9, channels), dtype=np.result_type(g, xm))
-
-        def backward_items(lo, hi):
-            for i, cols in enumerate(_item_patches(g[lo:hi]), lo):
-                np.matmul(wflip, cols, out=dx[i].reshape(channels, -1))
-                np.matmul(cols, xm[i].T, out=dw_items[i])
-
-        split_items(backward_items, batch, 4.0 * wflip.size * height * width)
+        for i, cols in enumerate(_item_patches(g)):
+            np.matmul(wflip, cols, out=dx[i].reshape(channels, -1))
+            np.matmul(cols, xm[i].T, out=dw_items[i])
         x.accumulate(dx)
         dw = dw_items.sum(axis=0).reshape(c_out, 3, 3, channels)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         weight.accumulate(np.ascontiguousarray(dw))
@@ -623,28 +585,20 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     data = np.empty((batch, c_out, 2 * height, 2 * width), dtype=dtype)
     block = np.empty((batch, c_out, height * width), dtype=dtype)
     bias_col = bias.data.reshape(-1, 1)
-
-    def forward_items(lo, hi):
-        for i, j in _BLOCK_OFFSETS:
-            np.matmul(phases[i, j].T, xm[lo:hi], out=block[lo:hi])
-            block[lo:hi] += bias_col
-            data[lo:hi, :, i::2, j::2] = block[lo:hi].reshape(hi - lo, c_out, height, width)
-
-    split_items(forward_items, batch, 2.0 * wmat.size * height * width)
+    for i, j in _BLOCK_OFFSETS:
+        np.matmul(phases[i, j].T, xm, out=block)
+        block += bias_col
+        data[:, :, i::2, j::2] = block.reshape(batch, c_out, height, width)
 
     def backward(g):
         gm = np.empty((batch, c_out, 2, 2, height, width), dtype=g.dtype)
         gm_rows = gm.reshape(batch, c_out * 4, height * width)
         dw_items = np.empty((batch, channels, c_out * 4), dtype=np.result_type(xm, g))
         dx = np.empty(xm.shape, dtype=np.result_type(wmat, g))
-
-        def backward_items(lo, hi):
-            for i, j in _BLOCK_OFFSETS:
-                gm[lo:hi, :, i, j] = g[lo:hi, :, i::2, j::2]
-            np.matmul(xm[lo:hi], gm_rows[lo:hi].transpose(0, 2, 1), out=dw_items[lo:hi])
-            np.matmul(wmat, gm_rows[lo:hi], out=dx[lo:hi])
-
-        split_items(backward_items, batch, 4.0 * wmat.size * height * width)
+        for i, j in _BLOCK_OFFSETS:
+            gm[:, :, i, j] = g[:, :, i::2, j::2]
+        np.matmul(xm, gm_rows.transpose(0, 2, 1), out=dw_items)
+        np.matmul(wmat, gm_rows, out=dx)
         weight.accumulate(dw_items.sum(axis=0).reshape(weight.data.shape))
         bias.accumulate(g.sum(axis=(0, 2, 3)))
         x.accumulate(dx.reshape(x.data.shape))

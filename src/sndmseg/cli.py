@@ -26,12 +26,14 @@ machine-parseable line ``error: <code>: <detail>``; usage problems exit 2.
 
 The environment variable SNDM_THREADS caps the cores a command uses
 (default: the cores this process may run on): the threads over which
-``train``, ``eval`` and ``gradcheck`` split each batch's items, and the
-worker processes of ``ablation``, which run one thread each. These
-commands check it before any work; the thread count does not change any
-output. It is the only thread setting: every command runs numpy's
-OpenBLAS on one thread in process, whatever ``OPENBLAS_NUM_THREADS`` or
-``OMP_NUM_THREADS`` say, unless numpy was built on another BLAS.
+``eval`` and the validation pass of ``train`` split their pairs, and the
+worker processes of ``ablation``, which run one thread each; a train
+step and ``gradcheck`` run on one thread. ``train``, ``eval``,
+``gradcheck`` and ``ablation`` check it before any work; the thread
+count does not change any output. It is the only thread setting: every
+command runs numpy's OpenBLAS on one thread in process, whatever
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` say, unless numpy was
+built on another BLAS.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sndmseg",
         description="Signed-map co-segmentation toolkit.",
-        epilog="SNDM_THREADS caps the cores used: kernel threads, or ablation worker processes (default: usable cores).",
+        epilog="SNDM_THREADS caps the cores used: eval threads over pairs, or ablation worker processes (default: usable cores).",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 

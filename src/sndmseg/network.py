@@ -30,7 +30,8 @@ branch A in items [0, B), branch B in items [B, 2B). Training takes one
 loss over that joint prediction, the mean over both branches; only the
 correlation block splits it. Every eval forward goes through
 :func:`forward_pair`, which runs the joint forward once per contiguous
-range of pairs, the ranges on separate threads.
+range of pairs, the ranges on separate threads. That is the package's
+one split over threads: a train-mode forward runs on its caller's thread.
 
 A checkpoint (:func:`save_net`, :func:`load_net`) is the magic b"CKPT",
 then the format version 1 and the header's byte length as 32-bit
@@ -284,10 +285,10 @@ def forward_pair(img_a, img_b, params: NetParams, config: NetConfig):
     (:func:`autodiff.split_items`, with :func:`_pair_flops` as the work per
     pair), and each range runs :func:`build_forward` on its own pairs and
     writes its maps into one (2, B, H, W) array: the A maps, then the B
-    maps. A net too small for two ranges runs on one thread, and a single
-    pair is one range whose conv kernels split its two images instead.
-    Every map equals, bit for bit, that of its pair run alone, at any
-    thread count. BLAS runs on one thread (:func:`autodiff.one_blas_thread`).
+    maps. A net too small for two ranges, or a single pair, runs on the
+    calling thread alone; nothing inside a range splits again. Every map
+    equals, bit for bit, that of its pair run alone, at any thread count.
+    BLAS runs on one thread (:func:`autodiff.one_blas_thread`).
     """
     a, b = _as_pair_batches(img_a, img_b, config.input_size)
     batch, size = a.shape[0], config.input_size

@@ -16,9 +16,9 @@ Everything downstream of a (configuration, seed) pair is deterministic:
 shuffling uses a counter-based generator, reductions keep a fixed order,
 and history/metric files are written with repr-exact floats, so reruns
 produce byte-identical outputs. The threads of ``SNDM_THREADS`` do not
-change them: each thread runs whole batch items (a train step's kernels)
-or whole pairs (an eval forward), and every sum over items runs in batch
-order on the calling thread. :func:`train`, :func:`evaluate` (through
+change them: a train step runs on one thread, and an eval forward
+(``forward_pair``) hands whole pairs to each thread, each computed as it
+would be alone. :func:`train`, :func:`evaluate` (through
 ``forward_pair``) and :func:`grad_check_net` run numpy's OpenBLAS on one
 thread (:func:`autodiff.one_blas_thread`), so the outputs hold for one
 numpy/scipy build whatever the environment.
@@ -422,7 +422,7 @@ ABLATION_METRICS = ("precision", "jaccard")  # the table's columns, in order: na
 
 @dataclass(frozen=True)
 class AblationConfig:
-    """Set sizes and job settings of an ablation; building one checks them all, the job settings through one seed's job configs."""
+    """Set sizes and job settings of an ablation; building one checks them all, the job settings through one seed's job configs, under this config's field names."""
 
     n_train: int = 96
     n_val: int = 24
@@ -436,7 +436,12 @@ class AblationConfig:
         require_field_types(self)
         _check_set_sizes(self.n_train, self.n_val, self.n_test)
         GenConfig(image_size=self.image_size)
-        _ablation_configs(0, self)
+        try:
+            _ablation_configs(0, self)
+        except InvalidConfigError as exc:  # name the job config's field as this config names it
+            name, _, rest = str(exc).partition(" ")
+            name = {"input_size": "image_size", "max_epochs": "epochs"}.get(name, name)
+            raise InvalidConfigError(f"{name} {rest}") from exc
 
 
 def _ablation_configs(seed: int, cfg: AblationConfig) -> list:
@@ -464,8 +469,8 @@ def _ablation_job(job) -> dict:
     return evaluate(result.params, net_config, test_set).mean()
 
 
-def _one_kernel_thread() -> None:
-    """Pool initializer: a worker splits no kernel, so the workers do not contend for the cores."""
+def _one_thread_per_worker() -> None:
+    """Pool initializer: a worker splits no eval forward over threads, so the workers do not contend for the cores."""
     os.environ["SNDM_THREADS"] = "1"
 
 
@@ -495,9 +500,9 @@ def ablation(runs: int, base_seed: int = 0, config: AblationConfig = AblationCon
     for seed in seeds:
         datasets = _ablation_datasets(seed, gen, config)
         jobs += [(net_config, train_config, datasets) for net_config, train_config in _ablation_configs(seed, config)]
-    # spawned, not forked: the parent may hold kernel and BLAS threads, and a fork of a threaded process can deadlock
+    # spawned, not forked: the parent may hold worker-pool and BLAS threads, and a fork of a threaded process can deadlock
     context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=workers, initializer=_one_kernel_thread) as pool:
+    with context.Pool(processes=workers, initializer=_one_thread_per_worker) as pool:
         means = pool.map(_ablation_job, jobs)  # in job order: seed-major, then variant
 
     names = [name for name, _, _ in ABLATION_VARIANTS]

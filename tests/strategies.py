@@ -1,8 +1,5 @@
 """Hypothesis strategies and helpers shared by the test modules."""
 
-import contextlib
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 from hypothesis import example
 from hypothesis import strategies as st
@@ -121,45 +118,3 @@ def noisy_forward(monkeypatch, scale=1e-7):
         return pred, tensors
 
     monkeypatch.setattr(train_module, "build_forward", build_forward_with_noise)
-
-
-class _RecordingPool(ThreadPoolExecutor):
-    """A worker pool that keeps every future it hands out, so that a split stuck on one can be woken."""
-
-    def __init__(self, count):
-        super().__init__(count, thread_name_prefix="test-items")
-        self.futures = []
-
-    def submit(self, fn, /, *args, **kwargs):
-        self.futures.append(super().submit(fn, *args, **kwargs))
-        return self.futures[-1]
-
-    def cancel_queued(self):
-        """Cancel the ranges still queued and wake every split waiting on one, which then raises ``CancelledError``."""
-        self.shutdown(wait=False, cancel_futures=True)
-        for future in self.futures:
-            if future.cancelled():
-                future.set_running_or_notify_cancel()
-
-
-@contextlib.contextmanager
-def stub_worker_pool(monkeypatch):
-    """Stand in for ``autodiff._workers``: one pool of the first size asked for, and the list of every size asked for.
-
-    On exit the pool cancels the ranges still queued, so a split that waits
-    on a range queued behind its own worker unwinds instead of hanging.
-    """
-    asked, pools = [], []
-
-    def workers(count):
-        asked.append(count)
-        if not pools:
-            pools.append(_RecordingPool(count))
-        return pools[0]
-
-    monkeypatch.setattr(ad, "_workers", workers)
-    try:
-        yield asked
-    finally:
-        for pool in pools:
-            pool.cancel_queued()

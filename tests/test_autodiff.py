@@ -14,7 +14,7 @@ import pytest
 import sndmseg.autodiff as ad
 from sndmseg.errors import NoForwardPassError, ShapeMismatchError
 from sndmseg.losses import LossReport
-from strategies import bn_relu_composite, correlation_composite, reshape, stub_worker_pool, transpose, weighted_sum, weighted_total
+from strategies import bn_relu_composite, correlation_composite, reshape, transpose, weighted_sum, weighted_total
 
 def seeded(seed: int) -> np.random.Generator:
     """A test's own generator, so what it draws does not depend on which tests ran before it."""
@@ -742,105 +742,6 @@ def test_split_items_works_in_a_forked_child(monkeypatch):
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0, "the child's split did not finish"
-
-
-def finish_within(fn, seconds=20.0):
-    """Run ``fn()`` on a thread of its own and return its result; fail, instead of hanging, if it has not returned in time."""
-    result = {}
-
-    def target():
-        try:
-            result["value"] = fn()
-        except BaseException as exc:  # re-raised on the test's thread
-            result["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"did not finish within {seconds} s"
-    if "error" in result:
-        raise result["error"]
-    return result["value"]
-
-
-def test_a_split_inside_a_split_runs_its_items_on_the_range_thread(monkeypatch):
-    monkeypatch.setenv("SNDM_THREADS", "2")
-    enough = ad.MIN_RANGE_FLOPS
-
-    def inner_calls(outer_items):
-        calls = []  # (outer lo, inner lo, inner hi, on the outer range's thread)
-
-        def outer(lo, hi):
-            me = threading.get_ident()
-            ad.split_items(lambda a, b: calls.append((lo, a, b, threading.get_ident() == me)), 3, enough)
-
-        ad.split_items(outer, outer_items, enough)
-        return sorted(calls)
-
-    def raises_in(failing):
-        def outer(lo, hi):
-            ad.split_items(lambda a, b: None, 2, enough)
-            if lo in failing:
-                raise ValueError(lo)
-
-        with pytest.raises(ValueError):
-            ad.split_items(outer, 2, enough)
-
-    def top_level_ranges():
-        ranges = []
-        ad.split_items(lambda lo, hi: ranges.append((lo, hi)), 2, enough)
-        return sorted(ranges)
-
-    def scenario():
-        nested = inner_calls(2)
-        raises_in({1})  # the caller's range
-        raises_in({0, 1})
-        return nested, top_level_ranges(), inner_calls(1)
-
-    with stub_worker_pool(monkeypatch) as asked:
-        nested, split_again, alone = finish_within(scenario)
-    # each outer range calls the inner function once, over all its items, on its own thread
-    assert nested == [(0, 0, 3, True), (1, 0, 3, True)]
-    # a raised range leaves no mark behind: the next top-level split on the same thread splits again
-    assert split_again == [(0, 1), (1, 2)]
-    # a split of one range marks nothing, so the split inside it still splits
-    assert alone == [(0, 0, 1, False), (0, 1, 3, True)]  # the caller runs the last range
-    assert asked == [1, 1, 1, 1, 1]
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("batch", [1, 3])
-def test_conv_kernels_are_bit_identical_at_any_thread_count(monkeypatch, dtype, batch):
-    monkeypatch.setattr(ad, "MIN_RANGE_FLOPS", 1.0)  # split even these small convs
-    rng = seeded(119)
-    x = rng.normal(size=(batch, 5, 6, 7)).astype(dtype)
-    other = rng.normal(size=(batch, 2, 6, 7)).astype(dtype)
-    shapes = {"conv": (4, 5, 3, 3), "deconv": (5, 3, 2, 2), "head": (1, 7, 3, 3)}
-    weights = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
-    biases = {name: rng.normal(size=shape[1 if name == "deconv" else 0]).astype(dtype) for name, shape in shapes.items()}
-    grads = {"conv": (batch, 4, 6, 7), "deconv": (batch, 3, 12, 14), "head": (batch, 1, 6, 7)}
-    grads = {name: rng.normal(size=shape).astype(dtype) for name, shape in grads.items()}
-    ops = {
-        "conv": lambda ins, w, b: ad.conv2d(ins[0], w, b),
-        "deconv": lambda ins, w, b: ad.conv_transpose2d(ins[0], w, b),
-        "head": lambda ins, w, b: ad.head_conv(ins, w, b),
-    }
-
-    def run():
-        out = []
-        for name, op in ops.items():
-            ins = [ad.Tensor(x, requires_grad=True)] + ([ad.Tensor(other, requires_grad=True)] if name == "head" else [])
-            w, b = ad.Tensor(weights[name], requires_grad=True), ad.Tensor(biases[name], requires_grad=True)
-            y = op(ins, w, b)
-            y._backward(grads[name])
-            out += [a.tobytes() for a in (y.data, w.grad, b.grad, *(t.grad for t in ins))]
-        return out
-
-    runs = {}
-    for threads in ("1", "2", "3"):
-        monkeypatch.setenv("SNDM_THREADS", threads)
-        runs[threads] = run()
-    assert runs["2"] == runs["1"] and runs["3"] == runs["1"]
 
 
 def fake_blas(monkeypatch, count: int) -> dict:

@@ -539,11 +539,19 @@ def test_ablation_without_test_pairs_fails_before_any_data(monkeypatch, capsys):
     assert re.fullmatch(r"error: DatasetEmpty: [^\n]*\n", err), err
 
 
-def test_ablation_names_a_bad_epoch_count_before_any_data_or_process(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # the job configs' rules, named by the ablation's own fields and not by max_epochs and input_size
+        (["--epochs", "0"], "epochs must be >= 1, got 0"),
+        (["--size", "20"], "image_size 20 must be a positive multiple of 2^levels = 8"),
+    ],
+)
+def test_ablation_names_a_bad_setting_by_its_own_field_before_any_data_or_process(monkeypatch, capsys, flags, message):
     monkeypatch.setattr(synth, "gen_pair", lambda seed, config: pytest.fail("a pair was generated"))
     monkeypatch.setattr("sndmseg.train.multiprocessing.get_context", lambda method: pytest.fail("a pool was started"))
-    assert main(["ablation", "--runs", "1", "--epochs", "0"]) == 1
-    assert capsys.readouterr().err == "error: InvalidConfig: max_epochs must be >= 1, got 0\n"
+    assert main(["ablation", "--runs", "1", *flags]) == 1
+    assert capsys.readouterr().err == f"error: InvalidConfig: {message}\n"
 
 
 def test_ablation_prints_the_rows_it_writes(tmp_path, monkeypatch, capsys):

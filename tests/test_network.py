@@ -30,7 +30,7 @@ from sndmseg.network import (
 from sndmseg.raster import parse_key_values
 from sndmseg.synth import GenConfig, gen_pair
 from sndmseg.train import grad_check_net
-from strategies import bn_relu_composite, noisy_forward, save_with_lying_header, stub_worker_pool, weighted_sum, weighted_total, with_examples
+from strategies import bn_relu_composite, noisy_forward, save_with_lying_header, weighted_sum, weighted_total, with_examples
 
 SMALL = NetConfig(input_size=16, widths=(4, 6), levels=2)
 ONE_LEVEL = NetConfig(input_size=8, widths=(3,), levels=1)
@@ -191,50 +191,66 @@ def test_forward_pair_splits_three_pairs_into_ranges_of_one_and_two(monkeypatch)
 
 def test_forward_pair_splits_pairs_only_with_the_work_of_two_ranges(monkeypatch):
     monkeypatch.setenv("SNDM_THREADS", "2")
-    # at 2 pairs the 16 px net's forward is one range; the default net's is two, whose kernels do not split again
+    # at 2 pairs the 16 px net's forward is one range; the default net's is two
+    asked, real_workers = [], ad._workers  # the worker count of each pool a split asks for
+    monkeypatch.setattr(ad, "_workers", lambda count: asked.append(count) or real_workers(count))
     for cfg, want in ((SMALL, []), (NetConfig(), [1])):
-        with stub_worker_pool(monkeypatch) as asked:
-            forward_pair(*batch_of_pairs(cfg.input_size, 2), init_params(cfg, seed=0), cfg)
+        asked.clear()
+        forward_pair(*batch_of_pairs(cfg.input_size, 2), init_params(cfg, seed=0), cfg)
         assert asked == want, cfg
 
 
-@pytest.mark.parametrize(
-    "cfg", [SMALL, NetConfig(), NetConfig(dense_connections=False), FOUR_LEVELS, ONE_LEVEL, replace(FOUR_LEVELS, dense_connections=False)]
-)
-def test_pair_flops_is_the_work_the_kernels_of_one_pair_split(monkeypatch, cfg):
-    work = []
-
-    def record(fn, items, item_flops):
-        work.append(items * item_flops)
-        fn(0, items)
-
-    monkeypatch.setattr(ad, "split_items", record)
-    forward_pair(*random_batches(cfg.input_size, 1), init_params(cfg, seed=0), cfg)
-    # the first split is the pair's own; the correlation, a matmul of both images, splits nothing
-    correlation = 2 * 2.0 * cfg.correlation_channels**2 * cfg.widths[-1]
-    assert work[0] == network._pair_flops(cfg) == sum(work[1:]) + correlation
+def test_only_forward_pair_calls_split_items(monkeypatch):
+    monkeypatch.setenv("SNDM_THREADS", "2")
+    calls, real_split_items = [], ad.split_items  # the item count of each split
+    monkeypatch.setattr(ad, "split_items", lambda fn, items, item_flops: calls.append(items) or real_split_items(fn, items, item_flops))
+    cfg = NetConfig()
+    params = init_params(cfg, seed=0)
+    pred, _ = build_forward(*batch_of_pairs(cfg.input_size, 4), params, cfg, mode="train")
+    weighted_sum(pred).backward()
+    assert calls == []  # a train step runs on its caller's thread
+    forward_pair(*batch_of_pairs(cfg.input_size, 8), params, cfg)
+    assert calls == [8]  # one split of the pairs; nothing inside a range splits again
 
 
-@pytest.mark.parametrize("cfg", [SMALL, ONE_LEVEL, FOUR_LEVELS])
-@pytest.mark.parametrize("dense", [True, False])
-def test_layer_table_is_the_channels_and_resolution_each_kernel_runs_at(monkeypatch, cfg, dense):
-    cfg = replace(cfg, dense_connections=dense)
-    calls = []  # (op name, weight tensor, input side, weight shape) of each kernel call
+def record_kernel_calls(monkeypatch) -> list:
+    """Make every conv, deconv and head call append ``(op name, weight tensor, input shape)`` to the returned list."""
+    calls = []
 
     def recording(op_name):
         op = getattr(ad, op_name)
 
         def record(x, weight, bias):
-            calls.append((op_name, weight, (x[0] if op_name == "head_conv" else x).data.shape[-1], weight.data.shape))
+            calls.append((op_name, weight, (x[0] if op_name == "head_conv" else x).data.shape))
             return op(x, weight, bias)
 
         monkeypatch.setattr(ad, op_name, record)
 
     for op_name in ("conv2d", "conv_transpose2d", "head_conv"):
         recording(op_name)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "cfg", [SMALL, NetConfig(), NetConfig(dense_connections=False), FOUR_LEVELS, ONE_LEVEL, replace(FOUR_LEVELS, dense_connections=False)]
+)
+def test_pair_flops_is_the_work_of_the_kernels_of_one_pair(monkeypatch, cfg):
+    calls = record_kernel_calls(monkeypatch)
+    forward_pair(*random_batches(cfg.input_size, 1), init_params(cfg, seed=0), cfg)
+    # two flops per multiply-add, and each weight meets each input pixel of each item once (a 3x3 conv's zero border counted)
+    work = sum(2.0 * items * weight.data.size * height * width for _, weight, (items, _, height, width) in calls)
+    correlation = 2 * 2.0 * cfg.correlation_channels**2 * cfg.widths[-1]  # both images, each against the other
+    assert network._pair_flops(cfg) == work + correlation
+
+
+@pytest.mark.parametrize("cfg", [SMALL, ONE_LEVEL, FOUR_LEVELS])
+@pytest.mark.parametrize("dense", [True, False])
+def test_layer_table_is_the_channels_and_resolution_each_kernel_runs_at(monkeypatch, cfg, dense):
+    cfg = replace(cfg, dense_connections=dense)
+    calls = record_kernel_calls(monkeypatch)
     _, pt = build_forward(*random_batches(cfg.input_size, 1), init_params(cfg, seed=0), cfg, mode="train")
     names = {id(tensor): name.removesuffix(".weight") for name, tensor in pt.items()}
-    seen = {names[id(weight)]: (op_name, side, shape) for op_name, weight, side, shape in calls}
+    seen = {names[id(weight)]: (op_name, shape[-1], weight.data.shape) for op_name, weight, shape in calls}
     want = {
         name: (
             "head_conv" if bn is None else "conv2d" if k == 3 else "conv_transpose2d",

@@ -168,11 +168,12 @@ def test_bad_value_fails_when_the_config_is_built(config_class, name, value, err
         (TrainConfig, "max_epochs", 0, "max_epochs must be >= 1, got 0"),
         (TrainConfig, "plateau_patience", 0, "plateau_patience must be >= 1, got 0"),
         (TrainConfig, "seed", -1, "seed must be >= 0, got -1"),
-        # an ablation config checks every job's settings when it is built, so ablation() never sees a bad one
-        (AblationConfig, "epochs", 0, "max_epochs must be >= 1, got 0"),
+        # an ablation config checks every job's settings when it is built, so ablation() never sees a bad one,
+        # and names each by its own field
+        (AblationConfig, "epochs", 0, "epochs must be >= 1, got 0"),
         (AblationConfig, "batch_size", 0, "batch_size must be >= 1, got 0"),
         (AblationConfig, "lr", 0.0, "lr must be finite and positive, got 0.0"),
-        (AblationConfig, "image_size", 20, "input_size 20 must be a positive multiple of 2^levels = 8"),
+        (AblationConfig, "image_size", 20, "image_size 20 must be a positive multiple of 2^levels = 8"),
         (AblationConfig, "image_size", 8, "image_size must be >= 16, got 8"),
     ],
 )
@@ -538,7 +539,7 @@ def test_ablation_table_does_not_depend_on_worker_count(monkeypatch):
     assert tables[0] == tables[1]
 
 
-def test_worker_count_and_the_kernel_split_share_one_thread_cap(monkeypatch):
+def test_worker_count_and_the_pair_split_share_one_thread_cap(monkeypatch):
     monkeypatch.setattr(train_module.ad, "thread_cap", lambda: 3)
     assert worker_count(8) == 3
     ranges = []
@@ -561,8 +562,9 @@ def test_thread_cap_counts_the_cores_where_affinity_is_missing(monkeypatch):
     assert ad.thread_cap() == 5
     monkeypatch.setattr(ad.os, "cpu_count", lambda: None)
     assert ad.thread_cap() == 1
-    x = ad.Tensor(np.ones((2, 1, 4, 4)))
-    assert ad.conv2d(x, ad.Tensor(np.ones((1, 1, 3, 3))), ad.Tensor(np.zeros(1))).shape == x.shape  # a conv reads the cap
+    ranges = []
+    ad.split_items(lambda lo, hi: ranges.append((lo, hi)), 4, ad.MIN_RANGE_FLOPS)  # a split reads the cap
+    assert ranges == [(0, 4)]
 
 
 def test_package_imports_without_a_fork_hook():
@@ -575,7 +577,7 @@ def test_package_imports_without_a_fork_hook():
 
 
 def test_train_and_evaluate_do_not_depend_on_the_thread_count(monkeypatch):
-    monkeypatch.setattr(train_module.ad, "MIN_RANGE_FLOPS", 1.0)  # split every conv of this small net
+    monkeypatch.setattr(train_module.ad, "MIN_RANGE_FLOPS", 1.0)  # split even this small net's eval forwards by pair
     net = NetConfig(input_size=16, widths=(4, 6), levels=2)
     gen = GenConfig(image_size=16)
     train_set, val_set = make_pairs(910, gen, 5), make_pairs(920, gen, 3)
@@ -594,7 +596,7 @@ def test_train_and_evaluate_do_not_depend_on_the_thread_count(monkeypatch):
     assert runs["2"] == runs["1"] and runs["3"] == runs["1"]
 
 
-def test_ablation_workers_run_one_kernel_thread_and_the_parent_environment_is_untouched(monkeypatch):
+def test_ablation_workers_run_one_thread_each_and_the_parent_environment_is_untouched(monkeypatch):
     seen = []
 
     class InlinePool:

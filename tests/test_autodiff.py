@@ -744,6 +744,42 @@ def test_split_items_works_in_a_forked_child(monkeypatch):
     assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0, "the child's split did not finish"
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", ["conv", "deconv", "head"])
+def test_conv_kernels_run_each_item_alone_and_read_no_thread_cap(monkeypatch, kernel, dtype):
+    # a cap that thread_cap() rejects: the kernels never split, so they never read it
+    monkeypatch.setenv("SNDM_THREADS", "0")
+    rng = seeded(119)
+    batch = 3
+    x = rng.normal(size=(batch, 5, 6, 7)).astype(dtype)
+    other = rng.normal(size=(batch, 2, 6, 7)).astype(dtype)
+    weight_shape, grad_shape = {
+        "conv": ((4, 5, 3, 3), (batch, 4, 6, 7)),
+        "deconv": ((5, 3, 2, 2), (batch, 3, 12, 14)),
+        "head": ((1, 7, 3, 3), (batch, 1, 6, 7)),
+    }[kernel]
+    weight = rng.normal(size=weight_shape).astype(dtype)
+    bias = rng.normal(size=weight_shape[1 if kernel == "deconv" else 0]).astype(dtype)
+    g = rng.normal(size=grad_shape).astype(dtype)
+
+    def run(items):
+        ins = [ad.Tensor(x[items], requires_grad=True)]
+        if kernel == "head":
+            ins.append(ad.Tensor(other[items], requires_grad=True))
+        w, b = ad.Tensor(weight, requires_grad=True), ad.Tensor(bias, requires_grad=True)
+        y = {"conv": lambda: ad.conv2d(ins[0], w, b), "deconv": lambda: ad.conv_transpose2d(ins[0], w, b), "head": lambda: ad.head_conv(ins, w, b)}[kernel]()
+        y._backward(g[items])
+        return y.data, [t.grad for t in ins], w.grad
+
+    y_all, dxs_all, dw_all = run(slice(None))
+    alone = [run(slice(i, i + 1)) for i in range(batch)]
+    for i, (y_one, dxs_one, _) in enumerate(alone):
+        assert np.array_equal(y_all[i : i + 1], y_one)
+        assert all(np.array_equal(dx_all[i : i + 1], dx_one) for dx_all, dx_one in zip(dxs_all, dxs_one))
+    # the weight gradient is the items' own gradients summed in batch order, bit for bit
+    assert dw_all.dtype == dtype and np.array_equal(dw_all, np.stack([dw for _, _, dw in alone]).sum(axis=0))
+
+
 def fake_blas(monkeypatch, count: int) -> dict:
     """Stands in for numpy's OpenBLAS: its thread count and every count it was set to."""
     blas = {"count": count, "sets": []}

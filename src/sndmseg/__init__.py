@@ -10,7 +10,6 @@ pair generator, and training/evaluation/ablation tooling.
 from .distance import boundary_mask, boundary_set, edt, edt_squared, edt_squared_brute
 from .errors import SndmError
 from .losses import (
-    LossConfig,
     LossReport,
     grad_check_loss,
     loss_dice,
@@ -55,7 +54,6 @@ __all__ = [
     "AblationConfig",
     "AdamState",
     "GenConfig",
-    "LossConfig",
     "LossReport",
     "MetricsReport",
     "NetConfig",

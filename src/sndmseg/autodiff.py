@@ -769,7 +769,7 @@ def batch_norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.nda
     return _node(rows.reshape(x.data.shape), (x, gamma, beta), backward)
 
 
-def map_loss(pred: Tensor, targets: np.ndarray, loss_fn, cfg) -> Tensor:
+def map_loss(pred: Tensor, targets: np.ndarray, loss_fn) -> Tensor:
     """Bridge a per-map loss (value + analytic gradient) into the graph.
 
     pred: (B, 1, H, W); targets: (B, H, W). Forward averages the
@@ -779,7 +779,7 @@ def map_loss(pred: Tensor, targets: np.ndarray, loss_fn, cfg) -> Tensor:
     batch = pred.data.shape[0]
     if targets.shape[0] != batch or pred.data.shape[2:] != targets.shape[1:]:
         raise ShapeMismatchError(f"pred {pred.data.shape} incompatible with targets {targets.shape}")
-    reports = [loss_fn(pred.data[i, 0], targets[i], cfg) for i in range(batch)]
+    reports = [loss_fn(pred.data[i, 0], targets[i]) for i in range(batch)]
     value = np.asarray(sum(r.value for r in reports) / batch, dtype=pred.dtype)
     grads = np.stack([r.grad for r in reports])[:, None] / batch
 

@@ -12,7 +12,9 @@ directory or an unreadable file ``IoFailure``. Flags win over file
 values; an option set by neither
 keeps the default of the class or function that owns it. Every loss
 trains the same network, whose tanh head regresses the SNDM; ``gradcheck
---target net`` takes neither ``--loss`` nor ``--lam``. Every config
+--target net`` takes no ``--loss``. The loss's λ and ε and the optimizer's
+weight decay and plateau schedule are constants of ``losses`` and
+``train``, with no flag. Every config
 checks its values when it is built from the flags and the file, so a bad
 value fails before any work starts; an ``AblationConfig`` checks the
 settings of every ablation job as well. Each output
@@ -28,8 +30,8 @@ The environment variable SNDM_THREADS caps the cores a command uses
 (default: the cores this process may run on): the threads over which
 ``eval`` and the validation pass of ``train`` split their pairs, and the
 worker processes of ``ablation``, which run one thread each; a train
-step and ``gradcheck`` run on one thread. ``train``, ``eval``,
-``gradcheck`` and ``ablation`` check it before any work; the thread
+step and ``gradcheck`` run on one thread. ``train``, ``eval`` and
+``ablation`` check it before any work; the thread
 count does not change any output. It is the only thread setting: every
 command runs numpy's OpenBLAS on one thread in process, whatever
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` say, unless numpy was
@@ -49,7 +51,7 @@ import numpy as np
 from .autodiff import thread_cap
 from .distance import edt, edt_squared, edt_squared_brute
 from .errors import InvalidConfigError, IoFailureError, OracleMismatchError, SndmError
-from .losses import LOSSES, LossConfig, grad_check_loss
+from .losses import LOSSES, grad_check_loss
 from .network import NetConfig, load_net, save_net
 from .raster import _read_bytes, parse_key_values, read_float_map, read_mask, write_float_map, write_mask
 from .sndm import sndm_decode, sndm_encode
@@ -180,15 +182,13 @@ def _cmd_train(args) -> int:
     net_config = replace(NetConfig(), **net)
     train_cfg = replace(
         reference_config() if args.preset == "reference" else TrainConfig(),
-        **_given(args, batch_size="batch_size", lr="lr", weight_decay="weight_decay", plateau_patience="patience"),
-        **_given(args, lr_factor="lr_factor", max_epochs="epochs", loss_id="loss", seed="seed"),
+        **_given(args, batch_size="batch_size", lr="lr", max_epochs="epochs", loss_id="loss", seed="seed"),
     )
-    loss_cfg = replace(LossConfig(), **_given(args, lam="lam", epsilon="epsilon"))
     history_path = args.history or args.out + ".history.csv"
     _check_out_dirs((args.out, history_path), (args.config, manifest_path(args.data), manifest_path(args.val)))
     train_set = load_dataset(args.data)
     val_set = load_dataset(args.val)
-    result = train(train_set, val_set, net_config, train_cfg, loss_cfg)
+    result = train(train_set, val_set, net_config, train_cfg)
     save_net(args.out, net_config, result.params)
     write_history_csv(result.history, history_path)
     print(
@@ -211,16 +211,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    thread_cap()
     target = args.target or "loss"
     given = _given(args, trials="trials", seed="seed")
     if target == "loss":
         loss_id = args.loss or TrainConfig.loss_id
-        cfg = replace(LossConfig(), **_given(args, lam="lam"))
-        worst = grad_check_loss(loss_id, cfg=cfg, **given)
+        worst = grad_check_loss(loss_id, **given)
         label = f"loss {loss_id}"
-    elif args.loss is not None or args.lam is not None:
-        raise InvalidConfigError("--loss and --lam apply to --target loss only; the network check uses its own loss")
+    elif args.loss is not None:
+        raise InvalidConfigError("--loss applies to --target loss only; the network check uses its own loss")
     else:
         worst = grad_check_net(**given)
         label = "network"
@@ -298,11 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, help=f"training epochs (default {TrainConfig.max_epochs}; reference {reference.max_epochs})")
     p.add_argument("--batch-size", type=int, help=f"pairs per batch (default {TrainConfig.batch_size})")
     p.add_argument("--lr", type=float, help=f"initial learning rate (default {TrainConfig.lr}; reference {reference.lr})")
-    p.add_argument("--weight-decay", type=float, help=f"decoupled weight decay (default {TrainConfig.weight_decay})")
-    p.add_argument("--patience", type=int, help=f"plateau epochs before the lr drops (default {TrainConfig.plateau_patience})")
-    p.add_argument("--lr-factor", type=float, help=f"plateau multiplier (default {TrainConfig.lr_factor})")
-    p.add_argument("--lam", type=float, help=f"sign-mismatch penalty multiplier (default {LossConfig.lam})")
-    p.add_argument("--epsilon", type=float, help=f"loss denominator guard (default {LossConfig.epsilon})")
     p.add_argument("--size", type=int, help=f"input resolution (default {NetConfig.input_size})")
     p.add_argument("--widths", type=_widths, help=f"encoder widths, one per level (default {','.join(map(str, NetConfig.widths))})")
     p.add_argument("--out", help="checkpoint output path (required)")
@@ -323,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"for loss, {_default_of(grad_check_net, 'trials')} for net)",
     )
     p.add_argument("--seed", type=int, help=f"seed (default {_default_of(grad_check_loss, 'seed')})")
-    p.add_argument("--lam", type=float, help=f"penalty multiplier for penalized losses, --target loss only (default {LossConfig.lam})")
 
     p = _subcommand(sub, "ablation", _cmd_ablation, "train baseline / baseline+ / full and tabulate metrics", ("runs",))
     p.add_argument("--runs", type=int, help="seeds per variant (required)")

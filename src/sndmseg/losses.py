@@ -12,12 +12,16 @@ to full:
   positive heights.
 * ``loss_iou3d_penalized`` — multiplies each pixel's min and max terms by
   a penalty factor: 1 where predicted and labeled values agree in sign,
-  ``lam`` where they do not.
+  λ where they do not.
 * ``loss_iou3d_edge`` — additionally weights every pixel by the square
   root of its labeled magnitude, which peaks at the object contour.
 
 The three 3D IOU losses differ only in their per-pixel weights
 (``penalty_factor``, ``edge_weights``) and share ``loss_iou3d_weighted``.
+
+Every loss is ``fn(pred, gt)``. The paper's loss has one penalty, so
+λ = 5 is the constant ``LAM``, and ε = 1e-8, the constant ``EPSILON``,
+guards the Dice and 3D IOU denominators.
 
 The foreground/background split always comes from the sign of the label
 map, so the losses are well-defined for arbitrary predictions. Penalty
@@ -37,24 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, ShapeMismatchError, check_count, require_field_types
+from .errors import InvalidConfigError, ShapeMismatchError, check_count
 from .seeding import seeded_rng
 from .sndm import sndm_encode
 
-
-@dataclass(frozen=True)
-class LossConfig:
-    """lam: sign-mismatch penalty multiplier; epsilon: denominator guard."""
-
-    lam: float = 5.0
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        require_field_types(self)
-        if not 1.0 <= self.lam < np.inf:
-            raise InvalidConfigError(f"lam must be finite and >= 1, got {self.lam}")
-        if not 0.0 < self.epsilon <= 1e-4:
-            raise InvalidConfigError(f"epsilon must be in (0, 1e-4], got {self.epsilon}")
+LAM = 5.0  # sign-mismatch penalty multiplier
+EPSILON = 1e-8  # denominator guard
 
 
 @dataclass
@@ -71,21 +63,21 @@ def _check_shapes(pred, gt):
     return p, g
 
 
-def penalty_factor(pred, gt, cfg: LossConfig = LossConfig()):
-    """Per pixel: 1 where prediction and label agree in sign, cfg.lam elsewhere."""
-    return np.where(pred * gt > 0.0, 1.0, cfg.lam)
+def penalty_factor(pred, gt):
+    """Per pixel: 1 where prediction and label agree in sign, ``LAM`` elsewhere."""
+    return np.where(pred * gt > 0.0, 1.0, LAM)
 
 
-def edge_weights(pred, gt, cfg: LossConfig = LossConfig()):
+def edge_weights(pred, gt):
     """Penalty factors times sqrt(|label|), which peaks at the object contour."""
-    return penalty_factor(pred, gt, cfg) * np.sqrt(np.abs(gt))
+    return penalty_factor(pred, gt) * np.sqrt(np.abs(gt))
 
 
-def _unit_weights(pred, gt, cfg):
+def _unit_weights(pred, gt):
     return np.ones_like(gt)
 
 
-def loss_dice(pred, gt, cfg: LossConfig = LossConfig()) -> LossReport:
+def loss_dice(pred, gt) -> LossReport:
     """Soft Dice loss 1 - 2*sum(p*g) / (sum(p) + sum(g) + eps) with gradient.
 
     p = (pred + 1) / 2 maps the signed prediction to a probability and
@@ -95,19 +87,19 @@ def loss_dice(pred, gt, cfg: LossConfig = LossConfig()) -> LossReport:
     p = (pred + 1.0) * 0.5
     g = (gt > 0.0).astype(np.float64)
     inter = np.sum(p * g)
-    denom = np.sum(p) + np.sum(g) + cfg.epsilon
+    denom = np.sum(p) + np.sum(g) + EPSILON
     value = 1.0 - 2.0 * inter / denom
     grad = -(g * denom - inter) / (denom * denom)  # 0.5 * dL/dp
     return LossReport(float(value), grad)
 
 
-def loss_iou3d_weighted(pred, gt, weigh, cfg: LossConfig = LossConfig()) -> LossReport:
-    """3D IOU loss with per-pixel gates ``weigh(p, g, cfg)``, which carry no gradient.
+def loss_iou3d_weighted(pred, gt, weigh) -> LossReport:
+    """3D IOU loss with per-pixel gates ``weigh(p, g)``, which carry no gradient.
 
     ``weigh`` receives the prediction and label as float64 arrays.
     """
     p, g = _check_shapes(pred, gt)
-    weights = weigh(p, g, cfg)
+    weights = weigh(p, g)
     sign = np.where(g > 0.0, 1.0, -1.0)
     fg = g > 0.0
     ps = sign * p
@@ -118,25 +110,25 @@ def loss_iou3d_weighted(pred, gt, weigh, cfg: LossConfig = LossConfig()) -> Loss
     dmin = np.where(fg, ps <= gs, ps < gs).astype(np.float64)
     dmax = np.where(fg, ps >= gs, ps > gs).astype(np.float64)
     num = np.sum(weights * mins)
-    den = np.sum(weights * maxs) + cfg.epsilon
+    den = np.sum(weights * maxs) + EPSILON
     value = 1.0 - num / den
     grad = sign * weights * (num * dmax - den * dmin) / (den * den)
     return LossReport(float(value), grad)
 
 
-def loss_iou3d(pred, gt, cfg: LossConfig = LossConfig()) -> LossReport:
+def loss_iou3d(pred, gt) -> LossReport:
     """3D IOU loss of two signed maps (no penalty, no edge weighting)."""
-    return loss_iou3d_weighted(pred, gt, _unit_weights, cfg)
+    return loss_iou3d_weighted(pred, gt, _unit_weights)
 
 
-def loss_iou3d_penalized(pred, gt, cfg: LossConfig = LossConfig()) -> LossReport:
+def loss_iou3d_penalized(pred, gt) -> LossReport:
     """3D IOU loss with per-pixel sign-mismatch penalty factors."""
-    return loss_iou3d_weighted(pred, gt, penalty_factor, cfg)
+    return loss_iou3d_weighted(pred, gt, penalty_factor)
 
 
-def loss_iou3d_edge(pred, gt, cfg: LossConfig = LossConfig()) -> LossReport:
+def loss_iou3d_edge(pred, gt) -> LossReport:
     """Penalized 3D IOU loss with sqrt(|label|) per-pixel edge weights."""
-    return loss_iou3d_weighted(pred, gt, edge_weights, cfg)
+    return loss_iou3d_weighted(pred, gt, edge_weights)
 
 
 LOSSES = {
@@ -154,12 +146,7 @@ def _random_two_class_mask(rng, h, w):
             return m
 
 
-def grad_check_loss(
-    loss_id: str,
-    trials: int = 100,
-    seed: int = 0,
-    cfg: LossConfig = LossConfig(),
-) -> float:
+def grad_check_loss(loss_id: str, trials: int = 100, seed: int = 0) -> float:
     """Compare analytic gradients against central finite differences.
 
     Each trial draws a 5..12 x 5..12 map and checks 6 of its pixels with
@@ -185,7 +172,7 @@ def grad_check_loss(
             if not bad.any():
                 break
             pred[bad] = rng.uniform(-1.0, 1.0, int(bad.sum()))
-        analytic = fn(pred, gt, cfg).grad
+        analytic = fn(pred, gt).grad
         scale = max(float(np.abs(analytic).max()), 1e-8)
         flat_indices = rng.choice(pred.size, size=min(pixels_per_trial, pred.size), replace=False)
         for k in flat_indices:
@@ -194,6 +181,6 @@ def grad_check_loss(
             plus[idx] += step
             minus = pred.copy()
             minus[idx] -= step
-            numeric = (fn(plus, gt, cfg).value - fn(minus, gt, cfg).value) / (2.0 * step)
+            numeric = (fn(plus, gt).value - fn(minus, gt).value) / (2.0 * step)
             worst = float(np.maximum(worst, abs(float(analytic[idx]) - numeric) / scale))  # NaN sticks
     return worst

@@ -4,10 +4,11 @@ Each step runs the two branches of a batch of B pairs as one joint
 forward and takes one loss over the joint prediction: the mean over the
 2B maps of both branches. The validation loss is the same mean over the
 maps of ``forward_pair``, the eval path :func:`evaluate` also takes.
-Optimization is Adam with decoupled weight decay. The learning rate
-halves whenever the validation loss has not improved (lower by at least
-``MIN_IMPROVEMENT``) for ``plateau_patience`` consecutive epochs; the stale
-counter resets after each halving. The retained checkpoint is the one
+Optimization is Adam with decoupled weight decay ``WEIGHT_DECAY``. The
+learning rate is multiplied by ``LR_FACTOR`` (halved) whenever the
+validation loss has not improved (lower by at least ``MIN_IMPROVEMENT``)
+for ``PLATEAU_PATIENCE`` consecutive epochs; the stale counter resets
+after each halving. The retained checkpoint is the one
 with the minimum validation loss seen during the run. A non-finite
 training-step loss, gradient norm or validation loss stops the run with
 ``NonFiniteError``.
@@ -46,7 +47,7 @@ from .errors import (
     check_count,
     require_field_types,
 )
-from .losses import LOSSES, LossConfig
+from .losses import LOSSES
 from .metrics import ItemMetrics, MetricsReport
 from .network import NetConfig, NetParams, build_forward, forward_pair, init_params
 from .raster import _atomic_write
@@ -55,6 +56,9 @@ from .sndm import sndm_encode
 from .synth import GenConfig, gen_pair, make_pairs
 
 MIN_IMPROVEMENT = 1e-6  # a validation loss must fall by this much to reset the plateau counter
+PLATEAU_PATIENCE = 10  # epochs without improvement before the learning rate drops
+LR_FACTOR = 0.5  # the plateau multiplier of the learning rate
+WEIGHT_DECAY = 5e-5  # decoupled weight decay of every train step
 
 
 @dataclass(frozen=True)
@@ -63,25 +67,18 @@ class TrainConfig:
 
     batch_size: int = 4
     lr: float = 1e-3
-    weight_decay: float = 5e-5
-    plateau_patience: int = 10
-    lr_factor: float = 0.5
     max_epochs: int = 40
     loss_id: str = "iou3d-edge"
     seed: int = 0
 
     def __post_init__(self):
         require_field_types(self)
-        for name in ("batch_size", "max_epochs", "plateau_patience"):
+        for name in ("batch_size", "max_epochs"):
             check_count(name, getattr(self, name))
         check_seed(self.seed)
-        # every range test below is False for NaN
+        # the range test below is False for NaN
         if not 0.0 < self.lr < np.inf:
             raise InvalidConfigError(f"lr must be finite and positive, got {self.lr}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise InvalidConfigError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
-        if not 0.0 < self.lr_factor < 1.0:
-            raise InvalidConfigError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if self.loss_id not in LOSSES:
             raise InvalidConfigError(f"unknown loss {self.loss_id!r}; choose from {sorted(LOSSES)}")
 
@@ -138,16 +135,14 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float, weight_dec
 
 @dataclass
 class PlateauScheduler:
-    """Halve (by ``factor``) after ``patience`` consecutive epochs without improvement.
+    """Halve the rate (``LR_FACTOR``) after ``PLATEAU_PATIENCE`` consecutive epochs without improvement.
 
     Improvement means a validation loss at least ``MIN_IMPROVEMENT`` below
     the best seen so far; the stale counter resets after each reduction,
-    so another full ``patience`` run of bad epochs is needed for the next.
+    so another full ``PLATEAU_PATIENCE`` run of bad epochs is needed for the next.
     """
 
     lr: float
-    patience: int
-    factor: float
     best: float = np.inf
     stale: int = 0
 
@@ -156,8 +151,8 @@ class PlateauScheduler:
             self.stale = 0
         else:
             self.stale += 1
-            if self.stale >= self.patience:
-                self.lr *= self.factor
+            if self.stale >= PLATEAU_PATIENCE:
+                self.lr *= LR_FACTOR
                 self.stale = 0
         if val_loss < self.best:
             self.best = val_loss
@@ -214,24 +209,18 @@ def _global_norm(grads) -> float:
     return float(np.sqrt(total))
 
 
-def _dataset_loss(records, targets, params, net_config, loss_fn, loss_cfg, batch_size):
+def _dataset_loss(records, targets, params, net_config, loss_fn, batch_size):
     total = 0.0
     for start in range(0, len(records), batch_size):
         indices = range(start, min(start + batch_size, len(records)))
         img_a, img_b, gt = _stack_batch(records, targets, indices)
         pred = np.concatenate(forward_pair(img_a, img_b, params, net_config))[:, None]  # the joint layout of gt
-        total += float(ad.map_loss(ad.Tensor(pred), gt, loss_fn, loss_cfg).data) * len(indices)
+        total += float(ad.map_loss(ad.Tensor(pred), gt, loss_fn).data) * len(indices)
     return total / len(records)
 
 
 @ad.one_blas_thread()
-def train(
-    train_records,
-    val_records,
-    net_config: NetConfig,
-    train_config: TrainConfig,
-    loss_config: LossConfig = LossConfig(),
-) -> TrainResult:
+def train(train_records, val_records, net_config: NetConfig, train_config: TrainConfig) -> TrainResult:
     """Optimize a fresh network on the given pair records.
 
     Each epoch steps through a fresh permutation of the pairs in batches
@@ -249,7 +238,7 @@ def train(
     params = init_params(net_config, seed=train_config.seed)
     state = AdamState()
     rng = seeded_rng(train_config.seed)
-    scheduler = PlateauScheduler(train_config.lr, train_config.plateau_patience, train_config.lr_factor)
+    scheduler = PlateauScheduler(train_config.lr)
     history: list[EpochStats] = []
     best_epoch = 0
     n = len(train_records)
@@ -262,7 +251,7 @@ def train(
             indices = order[start : start + train_config.batch_size]
             img_a, img_b, gt = _stack_batch(train_records, train_targets, indices)
             pred, param_tensors = build_forward(img_a, img_b, params, net_config, mode="train")
-            loss = ad.map_loss(pred, gt, loss_fn, loss_config)
+            loss = ad.map_loss(pred, gt, loss_fn)
             step_loss = float(loss.data)
             if not np.isfinite(step_loss):
                 raise NonFiniteError(f"training loss is {step_loss} in epoch {epoch} at batch {start // train_config.batch_size}")
@@ -272,10 +261,10 @@ def train(
             norm = _global_norm(grads.values())
             if not np.isfinite(norm):
                 raise NonFiniteError(f"gradient norm is {norm} in epoch {epoch} at batch {start // train_config.batch_size}")
-            adam_step(params.values, grads, state, lr, train_config.weight_decay)
+            adam_step(params.values, grads, state, lr, WEIGHT_DECAY)
             loss_sum += step_loss * len(indices)
         train_loss = loss_sum / n
-        val_loss = _dataset_loss(val_records, val_targets, params, net_config, loss_fn, loss_config, train_config.batch_size)
+        val_loss = _dataset_loss(val_records, val_targets, params, net_config, loss_fn, train_config.batch_size)
         if not np.isfinite(val_loss):
             raise NonFiniteError(f"validation loss is {val_loss} after epoch {epoch}")
 
@@ -372,7 +361,7 @@ def grad_check_net(trials: int = 20, seed: int = 0) -> float:
 
     def loss_value(p: NetParams):
         pred, pt = build_forward(img_a, img_b, p, cfg, mode="train")
-        return ad.map_loss(pred, gt, LOSSES["iou3d-edge"], LossConfig()), pt
+        return ad.map_loss(pred, gt, LOSSES["iou3d-edge"]), pt
 
     loss, pt = loss_value(params)
     loss.backward()

@@ -44,10 +44,10 @@ def weighted_sum(y, mult=1.0):
     n = y.data.size
     weights = np.broadcast_to(mult, y.shape).reshape(1, n)
 
-    def linear(pred, gt, cfg):
+    def linear(pred, gt):
         return LossReport(float(np.sum(weights * pred)), weights)
 
-    return ad.map_loss(reshape(y, (1, 1, 1, n)), np.zeros((1, 1, n)), linear, None)
+    return ad.map_loss(reshape(y, (1, 1, 1, n)), np.zeros((1, 1, n)), linear)
 
 
 def reshape(x, shape):

@@ -160,7 +160,7 @@ def test_concat_piece_with_a_second_consumer():
 def test_backward_releases_the_graph():
     rng = seeded(106)
 
-    def sq(pred, gt, cfg):
+    def sq(pred, gt):
         diff = pred - gt
         return LossReport(float((diff * diff).sum()), 2.0 * diff)
 
@@ -186,7 +186,7 @@ def test_backward_releases_the_graph():
             # the skip h feeds both the concat and the max pool, as an encoder level does
             h = block(ad.conv2d(x, w, b), gamma, beta, np.zeros(3), np.ones(3))
             up = ad.conv_transpose2d(ad.max_pool2(h), wt, bt)
-            loss = ad.map_loss(ad.tanh(ad.conv2d(ad.concat([h, up]), wh, bh)), targets, sq, None)
+            loss = ad.map_loss(ad.tanh(ad.conv2d(ad.concat([h, up]), wh, bh)), targets, sq)
             built.append((loss, [n for n in ad._topo_order(loss) if n._backward is not None]))
             return loss
 
@@ -591,20 +591,20 @@ def test_batch_norm_running_stats_update():
 def test_map_loss_bridges_value_and_gradient():
     rng = seeded(118)
 
-    def sq(pred, gt, cfg):
+    def sq(pred, gt):
         diff = pred - gt
         return LossReport(float((diff * diff).sum()), 2.0 * diff)
 
     pred = ad.Tensor(rng.normal(size=(3, 1, 4, 4)), requires_grad=True)
     gts = rng.normal(size=(3, 4, 4))
-    loss = ad.map_loss(pred, gts, sq, None)
+    loss = ad.map_loss(pred, gts, sq)
     expected = np.mean([((pred.data[i, 0] - gts[i]) ** 2).sum() for i in range(3)])
     assert abs(float(loss.data) - expected) < 1e-12
     loss.backward()
     assert np.allclose(pred.grad, 2.0 * (pred.data - gts[:, None]) / 3.0, atol=1e-12)
 
 
-def _square_loss(pred, gt, cfg):
+def _square_loss(pred, gt):
     return LossReport(float((pred * pred).sum()), 2.0 * pred)
 
 
@@ -616,7 +616,7 @@ GRADIENT_RULE_OPS = {
     "slice_batch": (lambda ts: ad.slice_batch(ts[0], 1, 3), [(4, 3, 2, 2)]),
     "correlation": (lambda ts: ad.correlation(ts[0]), [(4, 3, 2, 2)]),
     "max_pool2": (lambda ts: ad.max_pool2(ts[0]), [(2, 3, 4, 4)]),
-    "map_loss": (lambda ts: ad.map_loss(ts[0], np.zeros((2, 4, 4)), _square_loss, None), [(2, 1, 4, 4)]),
+    "map_loss": (lambda ts: ad.map_loss(ts[0], np.zeros((2, 4, 4)), _square_loss), [(2, 1, 4, 4)]),
     "concat": (lambda ts: ad.concat(ts, axis=1), [(2, 3, 4, 4), (2, 2, 4, 4)]),
     "matmul": (lambda ts: ad.matmul(*ts), [(2, 3, 4), (2, 4, 5)]),
     "conv2d": (lambda ts: ad.conv2d(*ts), [(2, 3, 5, 5), (4, 3, 3, 3), (4,)]),

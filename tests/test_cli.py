@@ -13,7 +13,6 @@ import pytest
 
 from sndmseg import cli, synth
 from sndmseg.cli import main
-from sndmseg.losses import LossConfig
 from sndmseg.network import NetConfig, init_params, load_net, save_net
 from sndmseg.raster import read_float_map, read_mask, write_float_map, write_mask
 from sndmseg.sndm import sndm_encode
@@ -372,7 +371,7 @@ def test_train_non_finite_gradient_is_domain_error(tmp_path, capsys, monkeypatch
     val = tmp_path / "val"
     gen_dataset(100, GenConfig(image_size=32), 4, str(data))
     gen_dataset(200, GenConfig(image_size=32), 2, str(val))
-    monkeypatch.setitem(LOSSES, "iou3d-edge", lambda pred, gt, cfg: LossReport(0.5, np.full(pred.shape, np.nan)))
+    monkeypatch.setitem(LOSSES, "iou3d-edge", lambda pred, gt: LossReport(0.5, np.full(pred.shape, np.nan)))
     ckpt = tmp_path / "model.ckpt"
     args = ["train", "--data", str(data), "--val", str(val), "--size", "32", "--widths", "6,10", "--epochs", "1"]
     assert main(args + ["--out", str(ckpt)]) == 1
@@ -406,6 +405,8 @@ def test_config_file_bad_line(tmp_path, mask_file, capsys):
         (train, b"arch = wide\n", ": key 'arch': 'wide' is not one of plain, dense"),
         (train, b"epochs = x\n", ": key 'epochs': cannot parse 'x'"),
         (train, b"head = mask\n", ": unknown key 'head' for train"),  # --loss picks the head
+        (train, b"lam = 5\n", ": unknown key 'lam' for train"),  # the loss's λ and ε are constants
+        (train, b"epsilon = 1e-6\n", ": unknown key 'epsilon' for train"),
         (edt, b"mask = m.pgm\n", ": unknown key 'mask' for edt"),  # positionals are no keys
         (edt, b"oracle = 1\n", ": unknown key 'oracle' for edt"),  # nor are switches
     ):
@@ -455,19 +456,18 @@ def test_options_reach_their_owner_configs(tmp_path, monkeypatch):
     calls = _capture_call(monkeypatch, "train")
     required = ["train", "--data", "d", "--val", "v", "--out", str(tmp_path / "m.ckpt")]
     config = tmp_path / "settings.cfg"
-    config.write_text("lr = 0.5\nepsilon = 1e-6\nbatch-size = 6\nwidths = 8,16\narch = plain\n")
+    config.write_text("lr = 0.5\nbatch-size = 6\nwidths = 8,16\narch = plain\n")
     for extra in ([], ["--preset", "reference"], ["--loss", "dice"], ["--config", str(config), "--lr", "0.25"]):
         with pytest.raises(_Called):
             main(required + extra)
     plain, reference, dice, from_file = calls
     # unset options keep the defaults of the classes that own them
-    assert (plain["net_config"], plain["train_config"], plain["loss_config"]) == (NetConfig(), TrainConfig(), LossConfig())
+    assert (plain["net_config"], plain["train_config"]) == (NetConfig(), TrainConfig())
     assert reference["train_config"] == reference_config()
     # the loss picks nothing else: every loss trains the default network
     assert dice["net_config"] == NetConfig() and dice["train_config"] == TrainConfig(loss_id="dice")
     # file values fill only the flags not given
     assert from_file["train_config"] == TrainConfig(lr=0.25, batch_size=6)
-    assert from_file["loss_config"] == LossConfig(epsilon=1e-6)
     assert from_file["net_config"] == NetConfig(widths=(8, 16), levels=2, dense_connections=False)
 
     calls = _capture_call(monkeypatch, "ablation")
@@ -477,15 +477,12 @@ def test_options_reach_their_owner_configs(tmp_path, monkeypatch):
     assert calls == [{"runs": 1, "base_seed": default_seed, "config": AblationConfig()}]
 
 
-def test_gradcheck_bad_lam_is_domain_error(capsys):
+def test_gradcheck_bad_option_is_domain_error(capsys):
     for argv in (
-        ["--lam", "0.5", "--trials", "1"],
-        ["--lam", "inf", "--trials", "1"],
         ["--trials", "0"],
         ["--target", "net", "--trials", "0"],
-        # the network check takes neither option, not even a valid value
-        ["--target", "net", "--lam", "0.5", "--loss", "dice", "--trials", "1"],
-        ["--target", "net", "--lam", "5", "--trials", "1"],
+        # the network check takes no --loss, not even a valid value
+        ["--target", "net", "--loss", "dice", "--trials", "1"],
         ["--target", "net", "--loss", "iou3d-edge", "--trials", "1"],
     ):
         assert main(["gradcheck", *argv]) == 1, argv
@@ -495,7 +492,7 @@ def test_gradcheck_bad_lam_is_domain_error(capsys):
 def test_module_entry_point_reports_one_error_line():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["gradcheck", "--target", "net", "--lam", "0.5", "--loss", "dice", "--trials", "1"]
+    argv = ["gradcheck", "--target", "net", "--loss", "dice", "--trials", "1"]
     done = subprocess.run([sys.executable, "-m", "sndmseg.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 1, done.stderr
     assert re.fullmatch(r"error: InvalidConfig: [^\n]*\n", done.stderr), done.stderr
@@ -566,8 +563,19 @@ def test_ablation_prints_the_rows_it_writes(tmp_path, monkeypatch, capsys):
 
 
 def test_head_flag_is_gone(capsys):
-    assert main(["train", "--head", "mask", "--data", "d", "--val", "v", "--out", "o"]) == 2
-    assert "unrecognized arguments: --head" in capsys.readouterr().err
+    train = ["train", "--data", "d", "--val", "v", "--out", "o"]
+    for argv in (
+        train + ["--head", "mask"],
+        # λ, ε, the weight decay and the plateau schedule are constants of the loss and the optimizer
+        train + ["--weight-decay", "5e-5"],
+        train + ["--patience", "10"],
+        train + ["--lr-factor", "0.5"],
+        train + ["--lam", "5"],
+        train + ["--epsilon", "1e-8"],
+        ["gradcheck", "--lam", "5"],
+    ):
+        assert main(argv) == 2, argv
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize(
@@ -588,7 +596,7 @@ def test_negative_seed_is_invalid_config(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"), ("--lam", "inf")])
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf")])
 def test_non_finite_hyperparameter_fails_before_any_work(monkeypatch, capsys, flag, value):
     monkeypatch.setattr(cli, "load_dataset", lambda directory: pytest.fail("a dataset was read"))
     assert main(["train", "--data", "d", "--val", "v", "--out", "o", flag, value]) == 1
@@ -623,20 +631,24 @@ def test_gradcheck_net_fails_when_too_few_probes_are_checked(monkeypatch, capsys
     [
         ["train", "--data", "d", "--val", "v", "--out", "OUT"],
         ["eval", "--ckpt", "c", "--data", "d", "--report", "OUT"],
-        ["gradcheck", "--target", "loss", "--trials", "1"],
-        ["gradcheck", "--target", "net", "--trials", "1"],
     ],
 )
 # int() would read "1_6" as 16 and each of the other three as 2
 @pytest.mark.parametrize("threads", ["0", "two", "1_6", "+2", "\u0662", "\uff12"])
 def test_bad_thread_cap_is_one_error_line_before_any_work(tmp_path, monkeypatch, capsys, argv, threads):
     monkeypatch.setenv("SNDM_THREADS", threads)
-    for name in ("load_dataset", "load_net", "grad_check_loss", "grad_check_net"):
-        # wraps keeps the signature, whose defaults the parser reads
-        refused = functools.wraps(getattr(cli, name))(lambda *args, **kwargs: pytest.fail("work started"))
-        monkeypatch.setattr(cli, name, refused)
+    for name in ("load_dataset", "load_net"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("work started"))
     out = tmp_path / "out"
     assert main([str(out) if word == "OUT" else word for word in argv]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: InvalidConfig: SNDM_THREADS[^\n]*\n", err), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["loss", "net"])
+def test_gradcheck_reads_no_thread_cap(monkeypatch, capsys, target):
+    # neither check splits work over threads, so a bad SNDM_THREADS does not stop it
+    monkeypatch.setenv("SNDM_THREADS", "0")
+    assert main(["gradcheck", "--target", target, "--trials", "1"]) == 0
+    assert "max relative error" in capsys.readouterr().out

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+import sndmseg.losses
 from sndmseg.errors import InvalidConfigError, ShapeMismatchError
 from sndmseg.losses import (
     LOSSES,
-    LossConfig,
     LossReport,
     grad_check_loss,
     loss_dice,
@@ -15,7 +15,7 @@ from sndmseg.losses import (
 )
 from sndmseg.sndm import sndm_encode
 
-EPS = LossConfig().epsilon
+EPS = 1e-8  # the denominator guard EPSILON
 
 
 def random_pair(rng, h=12, w=12):
@@ -29,13 +29,13 @@ def random_pair(rng, h=12, w=12):
 
 
 def test_penalty_factor_branches():
-    cfg = LossConfig(lam=5.0)
-    assert penalty_factor(0.5, 1.0, cfg) == 1.0
-    assert penalty_factor(-0.5, 1.0, cfg) == 5.0
-    assert penalty_factor(0.0, 1.0, cfg) == 5.0
+    # the sign-mismatch penalty LAM is 5
+    assert penalty_factor(0.5, 1.0) == 1.0
+    assert penalty_factor(-0.5, 1.0) == 5.0
+    assert penalty_factor(0.0, 1.0) == 5.0
     pred = np.array([[0.5, -0.5], [0.0, -0.2]])
     gt = np.array([[1.0, 1.0], [-1.0, -0.3]])
-    assert penalty_factor(pred, gt, cfg).tolist() == [[1.0, 5.0], [5.0, 1.0]]
+    assert penalty_factor(pred, gt).tolist() == [[1.0, 5.0], [5.0, 1.0]]
 
 
 def test_dice_hand_values():
@@ -58,7 +58,7 @@ def test_iou3d_hand_values():
 
 def test_penalized_hand_value_exceeds_one():
     gt = np.array([[1.0, -1.0]])
-    value = loss_iou3d_penalized(np.array([[-0.5, -1.0]]), gt, LossConfig(lam=5.0)).value
+    value = loss_iou3d_penalized(np.array([[-0.5, -1.0]]), gt).value
     assert abs(value - (1.0 - (-1.5) / (6.0 + EPS))) < 1e-12
     assert value > 1.0 and np.isfinite(value)
 
@@ -68,7 +68,7 @@ def test_edge_hand_values():
     # unit labels make the edge weights 1, so the plain value reappears
     assert abs(loss_iou3d_edge(np.array([[0.5, -1.0]]), gt).value - loss_iou3d(np.array([[0.5, -1.0]]), gt).value) < 1e-15
     gt2 = np.array([[0.25, -1.0]])
-    value = loss_iou3d_edge(np.array([[0.1, -1.0]]), gt2, LossConfig(lam=5.0)).value
+    value = loss_iou3d_edge(np.array([[0.1, -1.0]]), gt2).value
     assert abs(value - (1.0 - 1.05 / (1.125 + EPS))) < 1e-12
     assert abs(value - 0.0666667) < 1e-6
 
@@ -86,51 +86,53 @@ def test_identity_for_all_losses():
             assert abs(report.value) < 1e-6, name
 
 
-def test_lambda_one_reduces_to_plain_iou3d():
+def test_lambda_one_reduces_to_plain_iou3d(monkeypatch):
     rng = np.random.Generator(np.random.Philox(53))
-    cfg = LossConfig(lam=1.0)
+    monkeypatch.setattr(sndmseg.losses, "LAM", 1.0)
     for _ in range(10):
         pred, gt = random_pair(rng)
-        a = loss_iou3d_penalized(pred, gt, cfg)
-        b = loss_iou3d(pred, gt, cfg)
+        a = loss_iou3d_penalized(pred, gt)
+        b = loss_iou3d(pred, gt)
         assert a.value == b.value
         assert np.array_equal(a.grad, b.grad)
 
 
-def test_edge_with_unit_labels_reduces_to_plain_iou3d():
+def test_edge_with_unit_labels_reduces_to_plain_iou3d(monkeypatch):
     rng = np.random.Generator(np.random.Philox(59))
-    cfg = LossConfig(lam=1.0)
+    monkeypatch.setattr(sndmseg.losses, "LAM", 1.0)
     gt = np.where(rng.random((8, 8)) < 0.5, 1.0, -1.0)
     pred = rng.uniform(-1.0, 1.0, size=(8, 8))
-    a = loss_iou3d_edge(pred, gt, cfg)
-    b = loss_iou3d(pred, gt, cfg)
+    a = loss_iou3d_edge(pred, gt)
+    b = loss_iou3d(pred, gt)
     assert a.value == b.value
     assert np.array_equal(a.grad, b.grad)
 
 
 def test_flip_monotonicity():
     rng = np.random.Generator(np.random.Philox(61))
-    cfg = LossConfig(lam=5.0)
     for fn in (loss_iou3d_penalized, loss_iou3d_edge):
         pred, gt = random_pair(rng)
         pred = np.abs(pred) * np.sign(gt)  # all signs correct
-        base = fn(pred, gt, cfg).value
+        base = fn(pred, gt).value
         flipped = pred.copy()
         flipped[3, 3] = -flipped[3, 3]
-        assert fn(flipped, gt, cfg).value > base
+        assert fn(flipped, gt).value > base
 
 
-def test_lambda_monotonicity():
+def test_lambda_monotonicity(monkeypatch):
     rng = np.random.Generator(np.random.Philox(67))
     pred, gt = random_pair(rng)
     pred = np.abs(pred) * np.sign(gt)
     pred[2, 2] = -pred[2, 2]  # one sign error
-    values = [loss_iou3d_penalized(pred, gt, LossConfig(lam=lam)).value for lam in (1.0, 2.0, 5.0, 9.0)]
-    assert all(b > a for a, b in zip(values, values[1:]))
     correct = np.abs(pred)
     correct *= np.sign(gt)
-    flat = [loss_iou3d_penalized(correct, gt, LossConfig(lam=lam)).value for lam in (1.0, 5.0, 9.0)]
-    assert flat[0] == flat[1] == flat[2]
+    values, flat = [], []
+    for lam in (1.0, 2.0, 5.0, 9.0):
+        monkeypatch.setattr(sndmseg.losses, "LAM", lam)
+        values.append(loss_iou3d_penalized(pred, gt).value)
+        flat.append(loss_iou3d_penalized(correct, gt).value)
+    assert all(b > a for a, b in zip(values, values[1:]))
+    assert flat[0] == flat[1] == flat[2] == flat[3]
 
 
 def test_gradients_match_finite_differences():
@@ -145,18 +147,7 @@ def test_shape_mismatch():
             fn(np.zeros((2, 2)), np.ones((3, 2)))
 
 
-def test_loss_config_validation():
-    with pytest.raises(InvalidConfigError):
-        LossConfig(lam=0.5)
-    with pytest.raises(InvalidConfigError):
-        LossConfig(epsilon=0.0)
-    with pytest.raises(InvalidConfigError):
-        LossConfig(epsilon=1e-3)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(InvalidConfigError, match="lam must be finite"):
-            LossConfig(lam=bad)
-    with pytest.raises(InvalidConfigError):
-        LossConfig(epsilon=np.nan)
+def test_grad_check_loss_rejects_bad_arguments():
     with pytest.raises(InvalidConfigError):
         grad_check_loss("hinge", trials=1)
     for trials in (0, -3):
@@ -168,7 +159,7 @@ def test_loss_config_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_grad_check_fails_on_non_finite_loss(monkeypatch, bad):
-    monkeypatch.setitem(LOSSES, "dice", lambda pred, gt, cfg: LossReport(bad, np.full(pred.shape, bad)))
+    monkeypatch.setitem(LOSSES, "dice", lambda pred, gt: LossReport(bad, np.full(pred.shape, bad)))
     worst = grad_check_loss("dice", trials=3)
     assert not worst < 1e-4  # NaN and inf both fail the threshold
 

@@ -326,19 +326,19 @@ def _train_batch(cfg, seed=50):
 
 
 def test_default_train_step_graph_holds_128_nodes():
-    from sndmseg.losses import LOSSES, LossConfig
+    from sndmseg.losses import LOSSES
 
     cfg = NetConfig()
     img_a, img_b, gt = _train_batch(cfg)
     pred, _ = build_forward(img_a, img_b, init_params(cfg), cfg, mode="train")
-    loss = ad.map_loss(pred, gt, LOSSES["iou3d-edge"], LossConfig())
+    loss = ad.map_loss(pred, gt, LOSSES["iou3d-edge"])
     assert len(ad._topo_order(loss)) == 128
 
 
 @pytest.mark.parametrize("cfg", [ONE_LEVEL, FOUR_LEVELS])
 @pytest.mark.parametrize("dense", [True, False])
 def test_one_and_four_level_nets_run_eval_and_a_train_step(cfg, dense):
-    from sndmseg.losses import LossConfig, loss_iou3d_edge
+    from sndmseg.losses import loss_iou3d_edge
     from sndmseg.sndm import sndm_encode
 
     cfg, size = replace(cfg, dense_connections=dense), cfg.input_size
@@ -353,7 +353,7 @@ def test_one_and_four_level_nets_run_eval_and_a_train_step(cfg, dense):
     assert np.isfinite(pred_a).all() and np.isfinite(pred_b).all()
     pred, param_tensors = build_forward(img_a, img_b, params, cfg, mode="train")
     assert pred.data.shape == (4, 1, size, size)
-    ad.map_loss(pred, gt, loss_iou3d_edge, LossConfig()).backward()
+    ad.map_loss(pred, gt, loss_iou3d_edge).backward()
     assert param_tensors.keys() == params.values.keys()
     for name, tensor in param_tensors.items():
         assert tensor.grad is not None and tensor.grad.shape == tensor.data.shape, name
@@ -361,27 +361,27 @@ def test_one_and_four_level_nets_run_eval_and_a_train_step(cfg, dense):
 
 
 def test_gradient_reaches_every_parameter():
-    from sndmseg.losses import LossConfig, loss_dice, loss_iou3d_edge
+    from sndmseg.losses import loss_dice, loss_iou3d_edge
 
     for dense, loss_fn in ((True, loss_iou3d_edge), (False, loss_dice)):
         cfg = NetConfig(input_size=16, widths=(4, 6), levels=2, dense_connections=dense)
         params = init_params(cfg, seed=4)
         img_a, img_b, gt = _train_batch(cfg)
         pred, param_tensors = build_forward(img_a, img_b, params, cfg, mode="train")
-        ad.map_loss(pred, gt, loss_fn, LossConfig()).backward()
+        ad.map_loss(pred, gt, loss_fn).backward()
         for name, tensor in param_tensors.items():
             assert tensor.grad is not None, name
             assert np.abs(tensor.grad).max() > 0.0, name
 
 
 def test_train_step_gradients_share_no_memory():
-    from sndmseg.losses import LossConfig, loss_iou3d_edge
+    from sndmseg.losses import loss_iou3d_edge
 
     cfg = SMALL
     params = init_params(cfg, seed=5)
     img_a, img_b, gt = _train_batch(cfg)
     pred, param_tensors = build_forward(img_a, img_b, params, cfg, mode="train")
-    ad.map_loss(pred, gt, loss_iou3d_edge, LossConfig()).backward()
+    ad.map_loss(pred, gt, loss_iou3d_edge).backward()
     grads = {name: t.grad for name, t in param_tensors.items()}
     arrays = {**params.values, **params.buffers}
     for name, grad in grads.items():
@@ -394,7 +394,7 @@ def test_train_step_gradients_share_no_memory():
 
 def test_backward_frees_the_train_step_graph():
     """Backward peaks near the forward's own size and leaves only the leaves' gradients alive."""
-    from sndmseg.losses import LossConfig, loss_iou3d_edge
+    from sndmseg.losses import loss_iou3d_edge
 
     cfg = NetConfig()
     params = init_params(cfg, seed=3)
@@ -402,7 +402,7 @@ def test_backward_frees_the_train_step_graph():
     tracemalloc.start()
     try:
         pred, param_tensors = build_forward(img_a, img_b, params, cfg, mode="train")
-        loss = ad.map_loss(pred, gt, loss_iou3d_edge, LossConfig())
+        loss = ad.map_loss(pred, gt, loss_iou3d_edge)
         forward_bytes = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         loss.backward()
@@ -418,7 +418,7 @@ def test_backward_frees_the_train_step_graph():
 
 
 def test_train_step_matches_the_composite_batch_norm_relu(monkeypatch):
-    from sndmseg.losses import LossConfig, loss_iou3d_edge
+    from sndmseg.losses import loss_iou3d_edge
 
     params = init_params(SMALL, seed=6).astype(np.float64)
     img_a, img_b, gt = (arr.astype(np.float64) for arr in _train_batch(SMALL))
@@ -426,7 +426,7 @@ def test_train_step_matches_the_composite_batch_norm_relu(monkeypatch):
     def step():
         run = params.clone()
         pred, param_tensors = build_forward(img_a, img_b, run, SMALL, mode="train")
-        ad.map_loss(pred, gt, loss_iou3d_edge, LossConfig()).backward()
+        ad.map_loss(pred, gt, loss_iou3d_edge).backward()
         return {**{name: t.grad for name, t in param_tensors.items()}, **run.buffers}
 
     fused = step()
@@ -446,7 +446,7 @@ def test_train_step_matches_the_composite_batch_norm_relu(monkeypatch):
 @pytest.mark.parametrize("loss_id", ["iou3d-edge", "dice"])
 def test_joint_loss_matches_mean_of_branch_losses(loss_id):
     """One loss over the joint prediction gives the gradients of the mean of two per-branch losses, bit for bit."""
-    from sndmseg.losses import LOSSES, LossConfig
+    from sndmseg.losses import LOSSES
 
     loss_fn = LOSSES[loss_id]
     cfg = SMALL
@@ -461,11 +461,11 @@ def test_joint_loss_matches_mean_of_branch_losses(loss_id):
         return loss.data, {name: t.grad for name, t in param_tensors.items()}
 
     def joint(pred):
-        return ad.map_loss(pred, gt, loss_fn, LossConfig())
+        return ad.map_loss(pred, gt, loss_fn)
 
     def per_branch(pred):
-        loss_a = ad.map_loss(ad.slice_batch(pred, 0, batch), gt[:batch], loss_fn, LossConfig())
-        loss_b = ad.map_loss(ad.slice_batch(pred, batch, 2 * batch), gt[batch:], loss_fn, LossConfig())
+        loss_a = ad.map_loss(ad.slice_batch(pred, 0, batch), gt[:batch], loss_fn)
+        loss_b = ad.map_loss(ad.slice_batch(pred, batch, 2 * batch), gt[batch:], loss_fn)
         return weighted_total([loss_a, loss_b], 0.5)
 
     joint_loss, joint_grads = run(joint)
@@ -781,7 +781,7 @@ def test_grad_check_net_at_one_pair_per_batch(monkeypatch, seed):
 def test_grad_check_net_fails_on_non_finite_loss(monkeypatch):
     import sndmseg.losses
 
-    def nan_loss(pred, gt, weigh, cfg):
+    def nan_loss(pred, gt, weigh):
         return sndmseg.losses.LossReport(np.nan, np.full(np.shape(pred), np.nan))
 
     # the edge loss looks up loss_iou3d_weighted in its module's globals, so the patch reaches it

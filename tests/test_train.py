@@ -11,7 +11,7 @@ import sndmseg
 import sndmseg.train as train_module
 from sndmseg import synth
 from sndmseg.errors import DatasetEmptyError, InvalidConfigError, NonFiniteError, ShapeMismatchError
-from sndmseg.losses import LossConfig, LossReport
+from sndmseg.losses import LossReport
 from sndmseg.network import NetConfig, forward_pair, init_params
 from sndmseg.sndm import sndm_encode
 from sndmseg.synth import GenConfig, make_pairs
@@ -105,15 +105,24 @@ def test_a_parameter_without_a_gradient_stops_training(monkeypatch):
         train(*tiny_sets(2, 2), TINY_NET, TrainConfig(max_epochs=1, batch_size=2))
 
 
-def test_plateau_halves_exactly_on_patience():
-    sched = PlateauScheduler(lr=1.0, patience=3, factor=0.5)
+def test_plateau_halves_after_ten_stale_epochs():
+    # PLATEAU_PATIENCE = 10 stale epochs multiply the rate by LR_FACTOR = 0.5, and the count starts again
+    sched = PlateauScheduler(lr=1.0)
+    lrs = [sched.update(1.0) for _ in range(21)]
+    assert lrs == [1.0] * 10 + [0.5] * 10 + [0.25]
+
+
+def test_plateau_halves_exactly_on_patience(monkeypatch):
+    monkeypatch.setattr(train_module, "PLATEAU_PATIENCE", 3)
+    sched = PlateauScheduler(lr=1.0)
     lrs = [sched.update(v) for v in (1.0, 0.9, 0.95, 0.95, 0.95, 0.8, 0.85, 0.85, 0.85, 0.85)]
     #                                 imp  imp  s1    s2    s3=cut imp  s1    s2    s3=cut s1
     assert lrs == [1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25]
 
 
-def test_plateau_improvement_threshold():
-    sched = PlateauScheduler(lr=1.0, patience=2, factor=0.5)
+def test_plateau_improvement_threshold(monkeypatch):
+    monkeypatch.setattr(train_module, "PLATEAU_PATIENCE", 2)
+    sched = PlateauScheduler(lr=1.0)
     sched.update(1.0)
     assert sched.update(1.0 - 5e-7) == 1.0  # below threshold: stale
     assert sched.update(1.0 - 4e-7) == 0.5  # second stale epoch halves
@@ -124,17 +133,10 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     assert TrainConfig(batch_size=1).batch_size == 1
     with pytest.raises(InvalidConfigError):
-        TrainConfig(lr_factor=1.0)
-    with pytest.raises(InvalidConfigError):
         TrainConfig(loss_id="mse")
     for bad in (np.nan, np.inf, -np.inf, 0.0):
         with pytest.raises(InvalidConfigError, match="lr must be finite and positive"):
             TrainConfig(lr=bad)
-    for bad in (np.nan, np.inf, -1e-5):
-        with pytest.raises(InvalidConfigError, match="weight_decay must be finite and nonnegative"):
-            TrainConfig(weight_decay=bad)
-    with pytest.raises(InvalidConfigError):
-        TrainConfig(lr_factor=np.nan)
     with pytest.raises(InvalidConfigError):
         TrainConfig(seed=-1)
     assert reference_config().lr == 1e-5
@@ -146,7 +148,7 @@ def test_train_config_validation():
     [
         (NetConfig, "input_size", 60, InvalidConfigError),
         (TrainConfig, "batch_size", 0, InvalidConfigError),
-        (LossConfig, "lam", 0.5, InvalidConfigError),
+        (TrainConfig, "loss_id", "mse", InvalidConfigError),
         (GenConfig, "image_size", 8, InvalidConfigError),
         (AblationConfig, "n_val", 0, DatasetEmptyError),
         (AblationConfig, "n_train", 0, DatasetEmptyError),
@@ -166,7 +168,7 @@ def test_bad_value_fails_when_the_config_is_built(config_class, name, value, err
     [
         (TrainConfig, "batch_size", 0, "batch_size must be >= 1, got 0"),
         (TrainConfig, "max_epochs", 0, "max_epochs must be >= 1, got 0"),
-        (TrainConfig, "plateau_patience", 0, "plateau_patience must be >= 1, got 0"),
+        (TrainConfig, "lr", np.inf, "lr must be finite and positive, got inf"),
         (TrainConfig, "seed", -1, "seed must be >= 0, got -1"),
         # an ablation config checks every job's settings when it is built, so ablation() never sees a bad one,
         # and names each by its own field
@@ -203,8 +205,7 @@ def test_each_setting_fails_by_its_own_rule_when_the_config_is_built(config_clas
         (TrainConfig, "loss_id", ["dice"], "dice", "a str"),
         (TrainConfig, "lr", "1e-3", np.float32(1e-3), "a real number"),
         (TrainConfig, "batch_size", True, 2, "an integer"),
-        (LossConfig, "lam", "5", np.int64(5), "a real number"),
-        (LossConfig, "lam", True, 5.0, "a real number"),
+        (TrainConfig, "lr", True, 1.0, "a real number"),
         (AblationConfig, "lr", "x", 1, "a real number"),
     ],
 )
@@ -239,21 +240,14 @@ def test_train_on_a_single_pair_at_batch_one():
     assert not np.array_equal(result.params.values["head.conv.weight"], initial)
 
 
-def test_train_rejects_a_bad_loss_config_before_any_work(monkeypatch):
-    train_set, val_set = tiny_sets(2, 2)
-    monkeypatch.setattr(train_module, "sndm_encode", lambda mask: pytest.fail("a target was encoded"))
-    with pytest.raises(InvalidConfigError):  # raised when the LossConfig is built, before train() runs
-        train(train_set, val_set, TINY_NET, TrainConfig(max_epochs=1, batch_size=2), loss_config=LossConfig(lam=0.5))
-
-
 def test_trailing_one_pair_batch_is_trained(monkeypatch):
-    steps = []
+    steps = []  # the weight decay of every step
     train_losses = []  # (pairs, loss) of every train-mode loss, in step order
     real_map_loss = train_module.ad.map_loss
 
-    def counting_adam_step(*args, **kwargs):
-        steps.append(1)
-        return adam_step(*args, **kwargs)
+    def recording_adam_step(params, grads, state, lr, weight_decay):
+        steps.append(weight_decay)
+        return adam_step(params, grads, state, lr, weight_decay)
 
     def recording_map_loss(pred, *args):
         loss = real_map_loss(pred, *args)
@@ -261,11 +255,11 @@ def test_trailing_one_pair_batch_is_trained(monkeypatch):
             train_losses.append((pred.data.shape[0] // 2, float(loss.data)))
         return loss
 
-    monkeypatch.setattr(train_module, "adam_step", counting_adam_step)
+    monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
     monkeypatch.setattr(train_module.ad, "map_loss", recording_map_loss)
     # 5 pairs in batches of 4: each epoch steps on a batch of 4, then on the last pair
     result = train(*tiny_sets(5, 2), TINY_NET, TrainConfig(max_epochs=3, batch_size=4, seed=2))
-    assert len(steps) == 6
+    assert steps == [5e-5] * 6  # WEIGHT_DECAY
     assert [pairs for pairs, _ in train_losses] == [4, 1] * 3
     for epoch, stats in enumerate(result.history):
         (full, full_loss), (last, last_loss) = train_losses[2 * epoch : 2 * epoch + 2]
@@ -324,7 +318,7 @@ def test_val_loss_pairs_each_branch_with_its_own_target():
     preds = forward_pair(np.stack([r.img_a for r in val_set]), np.stack([r.img_b for r in val_set]), result.params, TINY_NET)
     masks = ([r.mask_a for r in val_set], [r.mask_b for r in val_set])
     per_map = [
-        LOSSES["iou3d-edge"](pred, sndm_encode(mask), LossConfig()).value
+        LOSSES["iou3d-edge"](pred, sndm_encode(mask)).value
         for branch_preds, branch_masks in zip(preds, masks)
         for pred, mask in zip(branch_preds, branch_masks)
     ]
@@ -339,7 +333,7 @@ def test_non_finite_loss_stops_training(split, phrase):
         train(*sets, TINY_NET, TrainConfig(max_epochs=2, seed=11))
 
 
-def nan_gradient_loss(pred, gt, cfg):
+def nan_gradient_loss(pred, gt):
     """A finite loss value whose gradient is NaN everywhere."""
     return LossReport(0.5, np.full(pred.shape, np.nan))
 
@@ -447,20 +441,21 @@ def test_validation_loss_equals_the_joint_forward_loss_bitwise(monkeypatch, batc
     records = make_pairs(310, GenConfig(image_size=net.input_size), 3)
     targets = train_module._targets_for(records)
     params = init_params(net, seed=5)
-    loss_fn, loss_cfg = LOSSES["iou3d-edge"], LossConfig()
+    loss_fn = LOSSES["iou3d-edge"]
     want = 0.0
     for start in range(0, len(records), batch_size):
         indices = range(start, min(start + batch_size, len(records)))
         img_a, img_b, gt = train_module._stack_batch(records, targets, indices)
         pred, _ = sndmseg.network.build_forward(img_a, img_b, params, net, mode="eval")
-        want += float(sndmseg.autodiff.map_loss(pred, gt, loss_fn, loss_cfg).data) * len(indices)
+        want += float(sndmseg.autodiff.map_loss(pred, gt, loss_fn).data) * len(indices)
     want /= len(records)
-    assert train_module._dataset_loss(records, targets, params, net, loss_fn, loss_cfg, batch_size) == want
+    assert train_module._dataset_loss(records, targets, params, net, loss_fn, batch_size) == want
 
 
-def test_lr_column_non_increasing():
+def test_lr_column_non_increasing(monkeypatch):
+    monkeypatch.setattr(train_module, "PLATEAU_PATIENCE", 1)
     train_set, val_set = tiny_sets(6, 3, seed=77)
-    cfg = TrainConfig(max_epochs=5, seed=2, plateau_patience=1, lr_factor=0.5)
+    cfg = TrainConfig(max_epochs=5, seed=2)
     result = train(train_set, val_set, TINY_NET, cfg)
     lrs = [h.lr for h in result.history]
     assert all(b <= a for a, b in zip(lrs, lrs[1:]))

@@ -596,7 +596,8 @@ def test_negative_seed_is_invalid_config(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf")])
+# float() reads the overflowing "1e999" as inf
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--lr", "1e999")])
 def test_non_finite_hyperparameter_fails_before_any_work(monkeypatch, capsys, flag, value):
     monkeypatch.setattr(cli, "load_dataset", lambda directory: pytest.fail("a dataset was read"))
     assert main(["train", "--data", "d", "--val", "v", "--out", "o", flag, value]) == 1
@@ -626,6 +627,10 @@ def test_gradcheck_net_fails_when_too_few_probes_are_checked(monkeypatch, capsys
     assert "max relative error inf" in capsys.readouterr().out
 
 
+# int() would read "1_6" as 16 and each of the other three as 2
+BAD_THREAD_CAPS = ["0", "two", "1_6", "+2", "\u0662", "\uff12"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -633,8 +638,7 @@ def test_gradcheck_net_fails_when_too_few_probes_are_checked(monkeypatch, capsys
         ["eval", "--ckpt", "c", "--data", "d", "--report", "OUT"],
     ],
 )
-# int() would read "1_6" as 16 and each of the other three as 2
-@pytest.mark.parametrize("threads", ["0", "two", "1_6", "+2", "\u0662", "\uff12"])
+@pytest.mark.parametrize("threads", BAD_THREAD_CAPS)
 def test_bad_thread_cap_is_one_error_line_before_any_work(tmp_path, monkeypatch, capsys, argv, threads):
     monkeypatch.setenv("SNDM_THREADS", threads)
     for name in ("load_dataset", "load_net"):
@@ -647,8 +651,9 @@ def test_bad_thread_cap_is_one_error_line_before_any_work(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("target", ["loss", "net"])
-def test_gradcheck_reads_no_thread_cap(monkeypatch, capsys, target):
-    # neither check splits work over threads, so a bad SNDM_THREADS does not stop it
-    monkeypatch.setenv("SNDM_THREADS", "0")
+@pytest.mark.parametrize("threads", BAD_THREAD_CAPS)
+def test_gradcheck_reads_no_thread_cap(monkeypatch, capsys, target, threads):
+    # neither check splits work over threads, so no bad SNDM_THREADS stops it
+    monkeypatch.setenv("SNDM_THREADS", threads)
     assert main(["gradcheck", "--target", target, "--trials", "1"]) == 0
     assert "max relative error" in capsys.readouterr().out

@@ -73,6 +73,22 @@ def test_edge_hand_values():
     assert abs(value - 0.0666667) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "fn, want",
+    [
+        # a correct height of 1e-8 at one pixel: the sums match ε = 1e-8, which halves the overlap
+        (loss_iou3d, 0.5),
+        (loss_iou3d_penalized, 0.5),
+        # the edge weight sqrt(1e-8) = 1e-4 shrinks both sums to 1e-12, so ε is 10^4 times the union
+        (loss_iou3d_edge, 1.0 - 1.0 / 10001.0),
+    ],
+    ids=["iou3d", "iou3d-pen", "iou3d-edge"],
+)
+def test_epsilon_is_the_guard_of_a_tiny_union(fn, want):
+    tiny = np.array([[1e-8]])
+    assert abs(fn(tiny, tiny).value - want) < 1e-12
+
+
 def test_identity_for_all_losses():
     rng = np.random.Generator(np.random.Philox(51))
     for _ in range(10):

@@ -206,6 +206,7 @@ def test_each_setting_fails_by_its_own_rule_when_the_config_is_built(config_clas
         (TrainConfig, "lr", "1e-3", np.float32(1e-3), "a real number"),
         (TrainConfig, "batch_size", True, 2, "an integer"),
         (TrainConfig, "lr", True, 1.0, "a real number"),
+        (TrainConfig, "lr", "5", np.int64(5), "a real number"),  # a numpy integer is a real number
         (AblationConfig, "lr", "x", 1, "a real number"),
     ],
 )
